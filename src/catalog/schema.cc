@@ -54,6 +54,14 @@ Status Schema::CheckRow(const Row& row) const {
   return Status::OK();
 }
 
+void Schema::CoerceRow(Row* row) const {
+  const size_t n = std::min(row->size(), cols_.size());
+  for (size_t i = 0; i < n; ++i) {
+    Datum& d = (*row)[i];
+    if (cols_[i].type == TypeId::kDouble && d.is_int()) d = Datum(d.AsDouble());
+  }
+}
+
 std::string Schema::ToString() const {
   std::string out = "(";
   for (size_t i = 0; i < cols_.size(); ++i) {

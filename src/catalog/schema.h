@@ -33,6 +33,11 @@ class Schema {
   /// Validates that `row` matches arity and types (ints may widen to double).
   Status CheckRow(const Row& row) const;
 
+  /// Converts ints in double columns to doubles in place (PostgreSQL's
+  /// assignment cast), so stored values have their column's type. Rows that
+  /// already do are left untouched.
+  void CoerceRow(Row* row) const;
+
   std::string ToString() const;
 
  private:

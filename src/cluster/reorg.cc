@@ -106,7 +106,7 @@ Status Session::VacuumAppendOptimizedSegment(Segment* seg, const TableDef& def,
   vis.my_xid = my_xid;
 
   const uint64_t group_size =
-      ao != nullptr ? AoRowTable::kGroupSize : AoColumnTable::kRowGroupSize;
+      ao != nullptr ? AoRowTable::kGroupSize : ColumnGroupStore::kGroupRows;
   std::vector<std::pair<TupleId, Row>> movers;
   GPHTAP_RETURN_IF_ERROR(table->Scan(vis, [&](TupleId tid, const Row& row) {
     if (heavy.count(static_cast<size_t>(tid / group_size)) != 0) {

@@ -1136,6 +1136,7 @@ Status Session::DmlWorkerOnAppendOptimized(
         new_row[static_cast<size_t>(col)] = std::move(d);
       }
       GPHTAP_RETURN_IF_ERROR(def.schema.CheckRow(new_row));
+      def.schema.CoerceRow(&new_row);
       GPHTAP_RETURN_IF_ERROR(table->Insert(my_xid, new_row).status());
     }
     ++*affected;
@@ -1307,6 +1308,7 @@ Status Session::DmlWorkerOnHeap(Segment* seg, const TableDef& def, HeapTable* he
           new_row[static_cast<size_t>(col)] = std::move(d);
         }
         GPHTAP_RETURN_IF_ERROR(def.schema.CheckRow(new_row));
+        def.schema.CoerceRow(&new_row);
         GPHTAP_ASSIGN_OR_RETURN(TupleId new_tid, heap->Insert(my_xid, new_row));
         heap->LinkNewVersion(cur, new_tid);
       }
@@ -1332,6 +1334,16 @@ StatusOr<QueryResult> Session::ExecuteUpdate(
       }
     }
   }
+  return ExecuteDml(def, &sets, where);
+}
+
+StatusOr<QueryResult> Session::ExecuteDelete(const TableDef& def, const ExprPtr& where) {
+  return ExecuteDml(def, nullptr, where);
+}
+
+StatusOr<QueryResult> Session::ExecuteDml(const TableDef& def,
+                                          const std::vector<std::pair<int, ExprPtr>>* sets,
+                                          const ExprPtr& where) {
   return RunStatement([&]() -> StatusOr<QueryResult> {
     // The pre-GDD locking regime serializes writers on the whole relation;
     // append-optimized tables keep the ExclusiveLock even under GDD (as in
@@ -1348,60 +1360,15 @@ StatusOr<QueryResult> Session::ExecuteUpdate(
     std::vector<int> segs = TargetSegmentsForWrite(def, where);
     std::vector<Status> results(segs.size());
     std::vector<int64_t> counts(segs.size(), 0);
-    std::vector<std::thread> threads;
-    for (size_t i = 0; i < segs.size(); ++i) {
-      cluster_->net().Deliver(MsgKind::kDispatch);
-    }
+    for (size_t i = 0; i < segs.size(); ++i) cluster_->net().Deliver(MsgKind::kDispatch);
     if (segs.size() == 1) {
       GPHTAP_RETURN_IF_ERROR(
-          DmlWorker(cluster_->segment(segs[0]), def, &sets, where, &counts[0]));
+          DmlWorker(cluster_->segment(segs[0]), def, sets, where, &counts[0]));
     } else {
       // Parallel per-segment workers, like the dispatcher's gangs. A worker
       // may block on another transaction mid-statement while its siblings keep
       // running — the behaviour the global deadlock cases exercise. Each
       // inherits the session's wait context so its lock waits attribute here.
-      const WaitContext* dml_wait_ctx = CurrentWaitContext();
-      for (size_t i = 0; i < segs.size(); ++i) {
-        threads.emplace_back([&, i] {
-          WaitContext wctx;
-          if (dml_wait_ctx != nullptr) wctx = *dml_wait_ctx;
-          wctx.node = segs[i];
-          WaitContextGuard guard(wctx);
-          results[i] = DmlWorker(cluster_->segment(segs[i]), def, &sets, where, &counts[i]);
-        });
-      }
-      for (auto& t : threads) t.join();
-    }
-    for (size_t i = 0; i < segs.size(); ++i) {
-      cluster_->net().Deliver(MsgKind::kResult);
-    }
-    int64_t total = 0;
-    for (int64_t c : counts) total += c;
-    for (const Status& s : results) {
-      GPHTAP_RETURN_IF_ERROR(s);
-    }
-    QueryResult r;
-    r.affected = total;
-    return r;
-  });
-}
-
-StatusOr<QueryResult> Session::ExecuteDelete(const TableDef& def, const ExprPtr& where) {
-  return RunStatement([&]() -> StatusOr<QueryResult> {
-    bool ao = def.storage == StorageKind::kAoRow || def.storage == StorageKind::kAoColumn;
-    LockMode mode = cluster_->options().gdd_enabled && !ao ? LockMode::kRowExclusive
-                                                           : LockMode::kExclusive;
-    GPHTAP_RETURN_IF_ERROR(LockRelationCoordinator(def, mode));
-    // Same lock-then-rescan rule as UPDATE (see above).
-    GPHTAP_RETURN_IF_ERROR(TakeStatementSnapshot());
-    std::vector<int> segs = TargetSegmentsForWrite(def, where);
-    std::vector<Status> results(segs.size());
-    std::vector<int64_t> counts(segs.size(), 0);
-    for (size_t i = 0; i < segs.size(); ++i) cluster_->net().Deliver(MsgKind::kDispatch);
-    if (segs.size() == 1) {
-      GPHTAP_RETURN_IF_ERROR(
-          DmlWorker(cluster_->segment(segs[0]), def, nullptr, where, &counts[0]));
-    } else {
       std::vector<std::thread> threads;
       const WaitContext* dml_wait_ctx = CurrentWaitContext();
       for (size_t i = 0; i < segs.size(); ++i) {
@@ -1410,8 +1377,7 @@ StatusOr<QueryResult> Session::ExecuteDelete(const TableDef& def, const ExprPtr&
           if (dml_wait_ctx != nullptr) wctx = *dml_wait_ctx;
           wctx.node = segs[i];
           WaitContextGuard guard(wctx);
-          results[i] = DmlWorker(cluster_->segment(segs[i]), def, nullptr, where,
-                                 &counts[i]);
+          results[i] = DmlWorker(cluster_->segment(segs[i]), def, sets, where, &counts[i]);
         });
       }
       for (auto& t : threads) t.join();

@@ -230,6 +230,12 @@ class Session {
   // visible). Honors cancellation and the statement deadline.
   Status WaitForDistributedCommitOf(Segment* seg, LocalXid xid);
 
+  // UPDATE (`sets` non-null) or DELETE: locks the relation, re-snapshots,
+  // runs DmlWorker on every target segment and sums the counts.
+  StatusOr<QueryResult> ExecuteDml(const TableDef& def,
+                                   const std::vector<std::pair<int, ExprPtr>>* sets,
+                                   const ExprPtr& where);
+
   // The per-segment UPDATE/DELETE worker: finds visible matching tuples and
   // stamps them, waiting on tuple/transaction locks as PostgreSQL does.
   Status DmlWorker(Segment* seg, const TableDef& def,

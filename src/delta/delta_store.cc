@@ -1,86 +1,43 @@
 #include "delta/delta_store.h"
 
-#include <algorithm>
+#include <numeric>
 
 namespace gphtap {
 
-DeltaStore::DeltaStore(TableDef def) : def_(std::move(def)) {
-  open_cols_.resize(def_.schema.num_columns());
-}
-
-size_t DeltaStore::PositionOfLocked(TupleId tid) const {
-  auto it = tid_pos_.find(tid);
-  return it == tid_pos_.end() ? kNoPos : it->second;
-}
-
-void DeltaStore::FreeGroupLocked(size_t gi) {
-  SealedGroup& g = sealed_[gi];
-  if (g.freed) return;
-  g.columns.clear();
-  g.columns.shrink_to_fit();
-  g.freed = true;
-  ++freed_groups_;
-}
+DeltaStore::DeltaStore(TableDef def)
+    : def_(std::move(def)), store_(def_.schema, def_.compression) {}
 
 void DeltaStore::ApplyInsert(TupleId tid, LocalXid xid, const Row& row) {
   std::unique_lock<std::shared_mutex> g(latch_);
   // Heap tids are reused after vacuum; a mapping that still exists here is a
   // stale version of the slot — retire it before the new row takes the tid.
-  size_t old = PositionOfLocked(tid);
-  if (old != kNoPos) {
-    const size_t sealed_rows = sealed_.size() * kGroupRows;
-    if (old < sealed_rows) {
-      sealed_[old / kGroupRows].dropped[old % kGroupRows] = 1;
-    } else {
-      open_dropped_[old - sealed_rows] = 1;
-    }
+  auto [it, fresh] = tid_pos_.try_emplace(tid, store_.size());
+  if (!fresh) {
+    store_.Drop(it->second);
+    it->second = store_.size();
   }
-  const size_t ncols = def_.schema.num_columns();
-  for (size_t c = 0; c < ncols; ++c) {
-    open_cols_[c].Append(c < row.size() ? row[c] : Datum::Null());
-  }
-  tid_pos_[tid] = sealed_.size() * kGroupRows + open_tids_.size();
-  open_tids_.push_back(tid);
-  open_xmins_.push_back(xid);
-  open_xmaxs_.push_back(kInvalidLocalXid);
-  open_dropped_.push_back(0);
+  store_.Append(row, xid);
 }
 
 void DeltaStore::ApplyDelete(TupleId tid, LocalXid xid) {
   std::unique_lock<std::shared_mutex> g(latch_);
-  size_t pos = PositionOfLocked(tid);
-  if (pos == kNoPos) return;
-  const size_t sealed_rows = sealed_.size() * kGroupRows;
-  if (pos < sealed_rows) {
-    sealed_[pos / kGroupRows].xmaxs[pos % kGroupRows] = xid;
-  } else {
-    open_xmaxs_[pos - sealed_rows] = xid;
-  }
+  auto it = tid_pos_.find(tid);
+  if (it == tid_pos_.end()) return;
+  store_.SetXmax(it->second, xid);
   ++deletes_;
 }
 
 void DeltaStore::ApplyFreeSlot(TupleId tid) {
   std::unique_lock<std::shared_mutex> g(latch_);
-  size_t pos = PositionOfLocked(tid);
-  tid_pos_.erase(tid);  // the heap slot may be reused by a future insert
-  if (pos == kNoPos) return;
-  const size_t sealed_rows = sealed_.size() * kGroupRows;
-  if (pos < sealed_rows) {
-    sealed_[pos / kGroupRows].dropped[pos % kGroupRows] = 1;
-  } else {
-    open_dropped_[pos - sealed_rows] = 1;
-  }
+  auto it = tid_pos_.find(tid);
+  if (it == tid_pos_.end()) return;
+  store_.Drop(it->second);
+  tid_pos_.erase(it);  // the heap slot may be reused by a future insert
 }
 
 void DeltaStore::ApplyTruncate() {
   std::unique_lock<std::shared_mutex> g(latch_);
-  sealed_.clear();
-  freed_groups_ = 0;
-  for (ColumnVector& cv : open_cols_) cv.Clear();
-  open_tids_.clear();
-  open_xmins_.clear();
-  open_xmaxs_.clear();
-  open_dropped_.clear();
+  store_.Clear();
   tid_pos_.clear();
   pending_free_.clear();
   ++truncate_epoch_;
@@ -89,8 +46,8 @@ void DeltaStore::ApplyTruncate() {
 void DeltaStore::ApplyFreeGroup(size_t group_index, uint64_t epoch) {
   std::unique_lock<std::shared_mutex> g(latch_);
   if (epoch != truncate_epoch_) return;  // free predates a truncate: stale
-  if (group_index < sealed_.size()) {
-    FreeGroupLocked(group_index);
+  if (group_index < store_.num_sealed()) {
+    store_.Free(group_index);
   } else {
     // Seals are local, not logged: a replica replaying the log may reach this
     // free before it has sealed the group. Defer; SealCold lands it.
@@ -101,52 +58,21 @@ void DeltaStore::ApplyFreeGroup(size_t group_index, uint64_t epoch) {
 DeltaSealResult DeltaStore::SealCold(const CommitLog* clog) {
   std::unique_lock<std::shared_mutex> g(latch_);
   DeltaSealResult result;
-  const size_t ncols = def_.schema.num_columns();
-  while (open_tids_.size() >= kGroupRows) {
+  while (store_.open_rows() >= kGroupRows) {
+    const size_t gi = store_.num_sealed();
     if (clog != nullptr) {
       bool decided = true;
-      for (size_t r = 0; r < kGroupRows && decided; ++r) {
-        TxnState s = clog->GetState(open_xmins_[r]);
+      for (size_t pos = gi * kGroupRows; pos < (gi + 1) * kGroupRows && decided; ++pos) {
+        TxnState s = clog->GetState(store_.xmin(pos));
         decided = (s == TxnState::kCommitted || s == TxnState::kAborted);
       }
       if (!decided) break;  // the run is still hot; try again next pass
     }
-    SealedGroup group;
-    group.columns.resize(ncols);
-    std::vector<Datum> vals(kGroupRows);
-    for (size_t c = 0; c < ncols; ++c) {
-      for (size_t r = 0; r < kGroupRows; ++r) vals[r] = open_cols_[c].GetDatum(r);
-      Status s = CompressColumn(def_.compression, def_.schema.column(c).type, vals,
-                                &group.columns[c]);
-      if (!s.ok()) {
-        CompressColumn(CompressionKind::kNone, def_.schema.column(c).type, vals,
-                       &group.columns[c]);
-      }
-    }
-    auto take = [](auto& v, auto& out) {
-      out.assign(v.begin(), v.begin() + kGroupRows);
-      v.erase(v.begin(), v.begin() + kGroupRows);
-    };
-    take(open_tids_, group.tids);
-    take(open_xmins_, group.xmins);
-    take(open_xmaxs_, group.xmaxs);
-    take(open_dropped_, group.dropped);
-    std::vector<ColumnVector> rest(ncols);
-    for (size_t c = 0; c < ncols; ++c) {
-      const size_t n = open_cols_[c].size();
-      rest[c].Reserve(n > kGroupRows ? n - kGroupRows : 0);
-      for (size_t r = kGroupRows; r < n; ++r) rest[c].AppendFrom(open_cols_[c], r);
-    }
-    open_cols_ = std::move(rest);
-    sealed_.push_back(std::move(group));
+    store_.SealFront();
     ++result.groups_sealed;
     result.rows_sealed += kGroupRows;
     // A free that arrived from the log before we sealed this group lands now.
-    auto pf = pending_free_.find(sealed_.size() - 1);
-    if (pf != pending_free_.end()) {
-      FreeGroupLocked(sealed_.size() - 1);
-      pending_free_.erase(pf);
-    }
+    if (pending_free_.erase(gi) > 0) store_.Free(gi);
   }
   return result;
 }
@@ -154,15 +80,7 @@ DeltaSealResult DeltaStore::SealCold(const CommitLog* clog) {
 AoReclaimResult DeltaStore::ReclaimDeadGroups(const AoRowDeadFn& dead, ChangeLog* log) {
   std::unique_lock<std::shared_mutex> g(latch_);
   AoReclaimResult result;
-  for (size_t gi = 0; gi < sealed_.size(); ++gi) {
-    SealedGroup& grp = sealed_[gi];
-    if (grp.freed) continue;
-    bool all_dead = true;
-    for (size_t r = 0; r < kGroupRows && all_dead; ++r) {
-      all_dead = grp.dropped[r] != 0 || dead(grp.xmins[r], grp.xmaxs[r]);
-    }
-    if (!all_dead) continue;
-    FreeGroupLocked(gi);
+  for (size_t gi : store_.FreeDeadGroups(dead)) {
     result.groups_freed += 1;
     result.rows_freed += kGroupRows;
     if (log != nullptr) {
@@ -184,49 +102,16 @@ Status DeltaStore::ScanBatches(const VisibilityContext& ctx, const std::vector<i
   std::vector<int> all;
   if (cols.empty()) {
     all.resize(def_.schema.num_columns());
-    for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+    std::iota(all.begin(), all.end(), 0);
   }
   const std::vector<int>& touched = cols.empty() ? all : cols;
-
-  for (const SealedGroup& grp : sealed_) {
-    if (grp.freed) continue;
-    std::vector<int32_t> sel;
-    for (size_t r = 0; r < kGroupRows; ++r) {
-      if (grp.dropped[r]) continue;
-      if (TupleVisible(grp.xmins[r], grp.xmaxs[r], ctx)) sel.push_back(static_cast<int32_t>(r));
-    }
-    if (sel.empty()) continue;
+  for (size_t gi = 0; gi < store_.num_groups(); ++gi) {
     ColumnBatch batch;
-    batch.columns.resize(touched.size());
-    for (size_t i = 0; i < touched.size(); ++i) {
-      GPHTAP_ASSIGN_OR_RETURN(std::vector<Datum> vals,
-                              DecompressColumn(grp.columns[touched[i]]));
-      batch.columns[i].AdoptDatums(std::move(vals),
-                                   def_.schema.column(touched[i]).type);
-    }
-    batch.rows = kGroupRows;
-    batch.sel = std::move(sel);
-    if (sealed_rows_scanned != nullptr) *sealed_rows_scanned += batch.sel.size();
-    if (!fn(std::move(batch))) return Status::OK();
-  }
-
-  const size_t open_n = open_tids_.size();
-  for (size_t base = 0; base < open_n; base += kGroupRows) {
-    const size_t end = std::min(open_n, base + kGroupRows);
-    ColumnBatch batch;
-    batch.Reset(touched.size(), end - base);
-    for (size_t r = base; r < end; ++r) {
-      if (open_dropped_[r]) continue;
-      if (!TupleVisible(open_xmins_[r], open_xmaxs_[r], ctx)) continue;
-      for (size_t i = 0; i < touched.size(); ++i) {
-        batch.columns[i].AppendFrom(open_cols_[touched[i]], r);
-      }
-      ++batch.rows;
-    }
-    if (batch.rows == 0) continue;
-    batch.SelectAll();
-    if (open_rows_scanned != nullptr) *open_rows_scanned += batch.rows;
-    if (!fn(std::move(batch))) return Status::OK();
+    GPHTAP_ASSIGN_OR_RETURN(bool any, store_.Decode(gi, touched, ctx, &batch));
+    if (!any) continue;
+    uint64_t* scanned = gi < store_.num_sealed() ? sealed_rows_scanned : open_rows_scanned;
+    if (scanned != nullptr) *scanned += batch.sel.size();
+    if (!fn(std::move(batch))) break;
   }
   return Status::OK();
 }
@@ -234,10 +119,10 @@ Status DeltaStore::ScanBatches(const VisibilityContext& ctx, const std::vector<i
 DeltaStoreStats DeltaStore::Stats() const {
   std::shared_lock<std::shared_mutex> g(latch_);
   DeltaStoreStats s;
-  s.open_rows = open_tids_.size();
-  s.sealed_groups = sealed_.size();
-  s.freed_groups = freed_groups_;
-  s.sealed_rows = (sealed_.size() - freed_groups_) * kGroupRows;
+  s.open_rows = store_.open_rows();
+  s.sealed_groups = store_.num_sealed();
+  s.freed_groups = store_.num_freed();
+  s.sealed_rows = (store_.num_sealed() - store_.num_freed()) * kGroupRows;
   s.deletes = deletes_;
   s.pending_frees = pending_free_.size();
   return s;

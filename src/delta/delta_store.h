@@ -3,13 +3,15 @@
 // shape: base rows stay in the row store, an in-memory column index absorbs
 // the update stream so analytics scan columns instead of pages).
 //
-// Layout mirrors AoColumnTable: rows accumulate in an open run of typed
-// ColumnVectors and are sealed into compressed 1024-row groups once every
-// creating transaction has decided. Group boundaries are purely positional
-// (row N of the log-apply order lands in group N/1024), so any replayer that
-// applies the same change log builds byte-identical groups — which is what
-// makes seal-daemon kFreeGroup records safe to replay on a mirror that has
-// not sealed yet (they defer in `pending_free_` until the group exists).
+// Rows land in a ColumnGroupStore in log-apply order and are sealed into
+// compressed groups once every creating transaction has decided. Group
+// boundaries are positional (row N of the log-apply order lands in group
+// N/1024), so any replayer that applies the same change log builds
+// byte-identical groups — which is what makes seal-daemon kFreeGroup records
+// safe to replay on a mirror that has not sealed yet (they defer in
+// `pending_free_` until the group exists). This class adds the heap side:
+// the heap-tid -> position map, and dropping the rows whose heap slot was
+// vacuumed or reused.
 //
 // Concurrency: one feed thread applies log records (unique latch), the seal
 // daemon seals/reclaims (unique latch), any number of scans read under the
@@ -23,14 +25,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "catalog/schema.h"
-#include "storage/ao_group.h"
 #include "storage/change_log.h"
 #include "storage/column_store.h"
-#include "storage/compression.h"
 #include "txn/clog.h"
-#include "txn/visibility.h"
-#include "vec/column_batch.h"
 
 namespace gphtap {
 
@@ -50,8 +47,7 @@ struct DeltaSealResult {
 
 class DeltaStore {
  public:
-  /// One sealed group decompresses into exactly one ColumnBatch.
-  static constexpr size_t kGroupRows = ColumnBatch::kDefaultCapacity;
+  static constexpr size_t kGroupRows = ColumnGroupStore::kGroupRows;
 
   explicit DeltaStore(TableDef def);
 
@@ -84,10 +80,10 @@ class DeltaStore {
   AoReclaimResult ReclaimDeadGroups(const AoRowDeadFn& dead, ChangeLog* log);
 
   // ---- scans ----------------------------------------------------------------
-  /// Vectorized scan of the whole store under `ctx`: sealed groups decompress
-  /// their touched columns into one batch each (selection vector = visible
-  /// rows), the open tail arrives as dense batches. The shared latch is held
-  /// across the scan, so the result is a consistent cut of the store.
+  /// Vectorized scan of the whole store under `ctx`: every group, sealed or
+  /// open, arrives as one batch of its touched columns whose selection vector
+  /// holds the visible rows. The shared latch is held across the scan, so the
+  /// result is a consistent cut of the store.
   /// `sealed_rows_scanned` / `open_rows_scanned` (may be null) accumulate the
   /// visible row counts served from each part — the EXPLAIN per-store counts.
   Status ScanBatches(const VisibilityContext& ctx, const std::vector<int>& cols,
@@ -98,35 +94,11 @@ class DeltaStore {
   const TableDef& def() const { return def_; }
 
  private:
-  struct SealedGroup {
-    std::vector<CompressedBlock> columns;  // one block per schema column
-    // Uncompressed per-row metadata; kept after a free so positions (and late
-    // xmax / free-slot marks) stay valid.
-    std::vector<TupleId> tids;
-    std::vector<LocalXid> xmins;
-    std::vector<LocalXid> xmaxs;
-    std::vector<uint8_t> dropped;  // heap slot vacuumed (dead to everyone)
-    bool freed = false;
-  };
-
-  // Global row position: sealed groups first (group*kGroupRows + offset), then
-  // the open run. Sealing moves the boundary but never renumbers a row.
-  static constexpr size_t kNoPos = static_cast<size_t>(-1);
-  size_t PositionOfLocked(TupleId tid) const;
-  void FreeGroupLocked(size_t gi);
-
   const TableDef def_;
 
   mutable std::shared_mutex latch_;
-  std::vector<SealedGroup> sealed_;
-  size_t freed_groups_ = 0;
-  // Open run: one ColumnVector per schema column plus parallel metadata.
-  std::vector<ColumnVector> open_cols_;
-  std::vector<TupleId> open_tids_;
-  std::vector<LocalXid> open_xmins_;
-  std::vector<LocalXid> open_xmaxs_;
-  std::vector<uint8_t> open_dropped_;
-  std::unordered_map<TupleId, size_t> tid_pos_;
+  ColumnGroupStore store_;
+  std::unordered_map<TupleId, size_t> tid_pos_;  // live heap tid -> store position
   std::set<size_t> pending_free_;  // group indexes freed before sealing here
   uint64_t truncate_epoch_ = 0;
   uint64_t deletes_ = 0;

@@ -73,11 +73,23 @@ bool Analyzer::IsPureFunctionScan(const sql_ast::SelectNode& node) {
 }
 
 StatusOr<Datum> Analyzer::EvalConst(const ExprNode& e) {
-  // Bind against an empty scope and evaluate with an empty row.
-  Analyzer dummy(nullptr);
-  Scope empty;
-  GPHTAP_ASSIGN_OR_RETURN(ExprPtr bound, dummy.BindExpr(e, empty));
+  GPHTAP_ASSIGN_OR_RETURN(ExprPtr bound, BindFunctionScanExpr(e, {}));
   return EvalExpr(*bound, Row{});
+}
+
+StatusOr<ExprPtr> Analyzer::BindFunctionScanExpr(const ExprNode& e,
+                                                 const std::vector<std::string>& columns) {
+  Scope scope;
+  for (const std::string& name : columns) {
+    TableDef def;
+    def.name = name;
+    def.schema = Schema({{name, TypeId::kInt64}});
+    scope.offsets.push_back(static_cast<int>(scope.tables.size()));
+    scope.tables.push_back(std::move(def));
+    scope.aliases.push_back(name);
+  }
+  Analyzer binder(nullptr);
+  return binder.BindExpr(e, scope);
 }
 
 StatusOr<ExprPtr> Analyzer::BindExpr(const ExprNode& e, const Scope& scope) {
@@ -388,6 +400,7 @@ StatusOr<BoundInsert> Analyzer::BindInsert(const sql_ast::InsertNode& node) {
       row[static_cast<size_t>(positions[i])] = std::move(d);
     }
     GPHTAP_RETURN_IF_ERROR(schema.CheckRow(row));
+    schema.CoerceRow(&row);
     out.rows.push_back(std::move(row));
   }
   return out;

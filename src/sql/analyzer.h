@@ -39,6 +39,11 @@ class Analyzer {
   /// Evaluates a constant expression (no column references).
   static StatusOr<Datum> EvalConst(const sql_ast::ExprNode& e);
 
+  /// Binds `e` over a row of int columns, one per name in `columns`, each
+  /// also its own qualifier: the output of generate_series() function scans.
+  static StatusOr<ExprPtr> BindFunctionScanExpr(const sql_ast::ExprNode& e,
+                                                const std::vector<std::string>& columns);
+
   /// True when every FROM item is a set-returning function (generate_series);
   /// such queries bypass the distributed planner.
   static bool IsPureFunctionScan(const sql_ast::SelectNode& node);

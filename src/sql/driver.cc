@@ -85,12 +85,12 @@ StatusOr<StorageKind> BindStorageOptions(
 // generate_series() function scans: used by the paper's own example inserts.
 StatusOr<QueryResult> LocalSelect(const sql_ast::SelectNode& node) {
   // Build the input "rows": cross product of the function scans (or one empty
-  // row when there is no FROM).
+  // row when there is no FROM). Each scan is one int column named after it.
   struct FuncCol {
-    std::string name;
     int64_t start, end;
   };
   std::vector<FuncCol> funcs;
+  std::vector<std::string> columns;
   for (const auto& t : node.from) {
     if (!t.is_function || t.name != "generate_series" || t.func_args.size() != 2) {
       return Status::NotSupported("only generate_series(a,b) function scans");
@@ -100,84 +100,10 @@ StatusOr<QueryResult> LocalSelect(const sql_ast::SelectNode& node) {
     if (!lo.is_int() || !hi.is_int()) {
       return Status::InvalidArgument("generate_series expects integers");
     }
-    funcs.push_back(
-        {t.alias.empty() ? "generate_series" : t.alias, lo.int_val(), hi.int_val()});
+    funcs.push_back({lo.int_val(), hi.int_val()});
+    columns.push_back(t.alias.empty() ? "generate_series" : t.alias);
   }
-
-  // Scope resolution: column name -> index into the function-value row.
-  auto resolve = [&](const std::string& qualifier, const std::string& col) -> int {
-    for (size_t i = 0; i < funcs.size(); ++i) {
-      if ((qualifier.empty() || qualifier == funcs[i].name) &&
-          (col == funcs[i].name)) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
-  };
-
-  // Bind one expression over the function row; SRFs in the select list are
-  // handled one level up.
-  std::function<StatusOr<ExprPtr>(const ExprNode&)> bind =
-      [&](const ExprNode& e) -> StatusOr<ExprPtr> {
-    switch (e.kind) {
-      case ExprNodeKind::kLiteral:
-        return Expr::Const(e.literal);
-      case ExprNodeKind::kColumnRef: {
-        int idx = resolve(e.table, e.column);
-        if (idx < 0) return Status::NotFound("column " + e.column);
-        return Expr::Column(idx);
-      }
-      case ExprNodeKind::kBinary: {
-        GPHTAP_ASSIGN_OR_RETURN(ExprPtr l, bind(*e.args[0]));
-        GPHTAP_ASSIGN_OR_RETURN(ExprPtr r, bind(*e.args[1]));
-        BinOp op;
-        if (e.op == "+") {
-          op = BinOp::kAdd;
-        } else if (e.op == "-") {
-          op = BinOp::kSub;
-        } else if (e.op == "*") {
-          op = BinOp::kMul;
-        } else if (e.op == "/") {
-          op = BinOp::kDiv;
-        } else if (e.op == "%") {
-          op = BinOp::kMod;
-        } else if (e.op == "=") {
-          op = BinOp::kEq;
-        } else if (e.op == "<>") {
-          op = BinOp::kNe;
-        } else if (e.op == "<") {
-          op = BinOp::kLt;
-        } else if (e.op == "<=") {
-          op = BinOp::kLe;
-        } else if (e.op == ">") {
-          op = BinOp::kGt;
-        } else if (e.op == ">=") {
-          op = BinOp::kGe;
-        } else if (e.op == "and") {
-          op = BinOp::kAnd;
-        } else if (e.op == "or") {
-          op = BinOp::kOr;
-        } else {
-          return Status::NotSupported("operator " + e.op);
-        }
-        return Expr::Binary(op, l, r);
-      }
-      case ExprNodeKind::kNot: {
-        GPHTAP_ASSIGN_OR_RETURN(ExprPtr inner, bind(*e.args[0]));
-        return Expr::Not(inner);
-      }
-      case ExprNodeKind::kIsNull: {
-        GPHTAP_ASSIGN_OR_RETURN(ExprPtr inner, bind(*e.args[0]));
-        return Expr::IsNull(inner);
-      }
-      case ExprNodeKind::kIsNotNull: {
-        GPHTAP_ASSIGN_OR_RETURN(ExprPtr inner, bind(*e.args[0]));
-        return Expr::Not(Expr::IsNull(inner));
-      }
-      default:
-        return Status::NotSupported("expression in local select");
-    }
-  };
+  auto bind = [&](const ExprNode& e) { return Analyzer::BindFunctionScanExpr(e, columns); };
 
   // Select items: either plain expressions or one generate_series() SRF.
   struct Item {
@@ -546,6 +472,7 @@ StatusOr<QueryResult> DispatchStatement(Session* session, const Statement& stmt,
           for (size_t i = 0; i < positions.size(); ++i) {
             full[static_cast<size_t>(positions[i])] = std::move(r[i]);
           }
+          schema.CoerceRow(&full);
           rows.push_back(std::move(full));
         }
         return session->ExecuteInsert(bound.table, rows);

@@ -48,7 +48,7 @@ Status AoRowTable::Scan(const VisibilityContext& ctx, const ScanCallback& fn) {
         LocalXid xmax = del == visimap_.end() ? kInvalidLocalXid : del->second;
         if (!TupleVisible(row.xmin, xmax, ctx)) continue;
         batch.emplace_back(base + r, row.row);
-        bytes_scanned_ += 16 * row.row.size();
+        bytes_scanned_.fetch_add(16 * row.row.size(), std::memory_order_relaxed);
       }
     }
     for (auto& [tid, row] : batch) {
@@ -168,8 +168,7 @@ uint64_t AoRowTable::StoredVersionCount() const {
 }
 
 uint64_t AoRowTable::BytesScanned() const {
-  std::shared_lock<std::shared_mutex> g(latch_);
-  return bytes_scanned_;
+  return bytes_scanned_.load(std::memory_order_relaxed);
 }
 
 }  // namespace gphtap

@@ -9,6 +9,7 @@
 #ifndef GPHTAP_STORAGE_AO_TABLE_H_
 #define GPHTAP_STORAGE_AO_TABLE_H_
 
+#include <atomic>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -69,7 +70,8 @@ class AoRowTable : public Table {
   std::vector<Group> groups_;
   uint64_t stored_rows_ = 0;  // rows in non-freed groups
   std::unordered_map<TupleId, LocalXid> visimap_;  // tid -> deleting xid
-  mutable uint64_t bytes_scanned_ = 0;
+  // Atomic: concurrent scans account under the shared latch.
+  mutable std::atomic<uint64_t> bytes_scanned_{0};
 };
 
 }  // namespace gphtap

@@ -4,272 +4,103 @@
 
 namespace gphtap {
 
-AoColumnTable::AoColumnTable(TableDef def) : Table(std::move(def)) {}
+AoColumnTable::AoColumnTable(TableDef def)
+    : Table(std::move(def)), store_(schema(), this->def().compression) {}
 
 StatusOr<TupleId> AoColumnTable::Insert(LocalXid xid, const Row& row) {
   GPHTAP_RETURN_IF_ERROR(schema().CheckRow(row));
   std::unique_lock<std::shared_mutex> g(latch_);
-  open_rows_.push_back(row);
-  open_xmins_.push_back(xid);
-  TupleId tid = sealed_.size() * kRowGroupSize + (open_rows_.size() - 1);
+  TupleId tid = store_.Append(row, xid);
   if (change_log() != nullptr) {
     change_log()->Append(
         ChangeRecord{ChangeKind::kInsert, id(), tid, kInvalidTupleId, xid, row});
   }
-  if (open_rows_.size() >= kRowGroupSize) SealOpenGroupLocked();
+  if (store_.open_rows() == kRowGroupSize) store_.SealFront();
   return tid;
-}
-
-void AoColumnTable::SealOpenGroupLocked() {
-  RowGroup group;
-  size_t ncols = schema().num_columns();
-  group.columns.resize(ncols);
-  std::vector<Datum> column_values(open_rows_.size());
-  for (size_t c = 0; c < ncols; ++c) {
-    for (size_t r = 0; r < open_rows_.size(); ++r) column_values[r] = open_rows_[r][c];
-    CompressColumn(def().compression, schema().column(c).type, column_values,
-                   &group.columns[c]);
-  }
-  group.xmins = std::move(open_xmins_);
-  sealed_.push_back(std::move(group));
-  open_rows_.clear();
-  open_xmins_.clear();
 }
 
 Status AoColumnTable::Scan(const VisibilityContext& ctx, const ScanCallback& fn) {
   std::vector<int> all(schema().num_columns());
   std::iota(all.begin(), all.end(), 0);
-  return ScanImpl(ctx, all, [&](TupleId tid, const Row& row) { return fn(tid, row); });
+  return ScanColumns(ctx, all, fn);
 }
 
 Status AoColumnTable::ScanColumns(const VisibilityContext& ctx,
                                   const std::vector<int>& cols, const ScanCallback& fn) {
-  return ScanImpl(ctx, cols, fn);
-}
-
-void AoColumnTable::GroupVisibility(TupleId base_tid, const std::vector<LocalXid>& xmins,
-                                    const VisibilityContext& ctx,
-                                    std::vector<uint8_t>* visible) const {
-  visible->assign(xmins.size(), 0);
-  std::shared_lock<std::shared_mutex> g(latch_);
-  for (size_t r = 0; r < xmins.size(); ++r) {
-    auto del = visimap_.find(base_tid + r);
-    LocalXid xmax = del == visimap_.end() ? kInvalidLocalXid : del->second;
-    (*visible)[r] = TupleVisible(xmins[r], xmax, ctx) ? 1 : 0;
-  }
-}
-
-Status AoColumnTable::ScanImpl(const VisibilityContext& ctx, const std::vector<int>& cols,
-                               const ScanCallback& fn) {
-  size_t num_sealed;
-  {
-    std::shared_lock<std::shared_mutex> g(latch_);
-    num_sealed = sealed_.size();
-  }
-
-  std::vector<uint8_t> visible;
-  for (size_t gi = 0; gi < num_sealed; ++gi) {
-    // Decompress only the requested columns of this group.
-    std::vector<std::vector<Datum>> decoded(cols.size());
-    std::vector<LocalXid> xmins;
-    {
-      std::shared_lock<std::shared_mutex> g(latch_);
-      const RowGroup& group = sealed_[gi];
-      // Reclaimed groups held only rows dead to every snapshot (ours too).
-      if (group.reclaimed) continue;
-      xmins = group.xmins;
-      for (size_t k = 0; k < cols.size(); ++k) {
-        const CompressedBlock& block = group.columns[static_cast<size_t>(cols[k])];
-        bytes_scanned_.fetch_add(block.bytes.size(), std::memory_order_relaxed);
-        auto vals = DecompressColumn(block);
-        if (!vals.ok()) return vals.status();
-        decoded[k] = std::move(*vals);
+  return ScanGroups(ctx, cols, [&](size_t gi, ColumnBatch&& batch) {
+    for (int32_t r : batch.sel) {
+      if (!fn(gi * kRowGroupSize + static_cast<size_t>(r), batch.MaterializeRow(r))) {
+        return false;
       }
     }
-    GroupVisibility(gi * kRowGroupSize, xmins, ctx, &visible);
-    for (size_t r = 0; r < xmins.size(); ++r) {
-      if (!visible[r]) continue;
-      TupleId tid = gi * kRowGroupSize + r;
-      Row row;
-      row.reserve(cols.size());
-      for (size_t k = 0; k < cols.size(); ++k) row.push_back(decoded[k][r]);
-      if (!fn(tid, row)) return Status::OK();
-    }
-  }
+    return true;
+  });
+}
 
-  // Open (unsealed) rows. The tid base is recomputed under the latch: inserts
-  // may have sealed another group since the scan started, and tids derived
-  // from the stale snapshot would name the wrong tuples (rows sealed while we
-  // scanned are skipped — they belong to groups this scan never visits).
-  std::vector<std::pair<TupleId, Row>> open_copy;
+Status AoColumnTable::ScanBatches(const VisibilityContext& ctx,
+                                  const std::vector<int>& cols,
+                                  const BatchScanCallback& fn) {
+  return ScanGroups(ctx, cols,
+                    [&](size_t, ColumnBatch&& batch) { return fn(std::move(batch)); });
+}
+
+Status AoColumnTable::ScanGroups(
+    const VisibilityContext& ctx, const std::vector<int>& cols,
+    const std::function<bool(size_t, ColumnBatch&&)>& fn) {
+  // Groups that exist when the scan starts hold every row its snapshot can
+  // see. Each decodes under its own latch hold — sealed by then or not — and
+  // the callback runs outside the latch, so it may write to this table.
+  size_t num_groups;
   {
     std::shared_lock<std::shared_mutex> g(latch_);
-    TupleId base = sealed_.size() * kRowGroupSize;
-    for (size_t r = 0; r < open_rows_.size(); ++r) {
-      auto del = visimap_.find(base + r);
-      LocalXid xmax = del == visimap_.end() ? kInvalidLocalXid : del->second;
-      if (!TupleVisible(open_xmins_[r], xmax, ctx)) continue;
-      Row row;
-      row.reserve(cols.size());
-      for (int c : cols) row.push_back(open_rows_[r][static_cast<size_t>(c)]);
-      bytes_scanned_.fetch_add(16 * row.size(), std::memory_order_relaxed);
-      open_copy.emplace_back(base + r, std::move(row));
-    }
+    num_groups = store_.num_groups();
   }
-  for (auto& [tid, row] : open_copy) {
-    if (!fn(tid, row)) return Status::OK();
+  for (size_t gi = 0; gi < num_groups; ++gi) {
+    ColumnBatch batch;
+    GPHTAP_ASSIGN_OR_RETURN(bool any, DecodeGroupBatch(gi, ctx, cols, &batch));
+    if (any && !fn(gi, std::move(batch))) break;
   }
   return Status::OK();
 }
 
 size_t AoColumnTable::NumSealedGroups() const {
   std::shared_lock<std::shared_mutex> g(latch_);
-  return sealed_.size();
+  return store_.num_sealed();
 }
 
 StatusOr<bool> AoColumnTable::DecodeGroupBatch(size_t gi, const VisibilityContext& ctx,
                                                const std::vector<int>& cols,
                                                ColumnBatch* batch) {
-  ColumnBatch out;
-  std::vector<LocalXid> xmins;
-  {
-    std::shared_lock<std::shared_mutex> g(latch_);
-    if (gi >= sealed_.size()) return false;
-    const RowGroup& group = sealed_[gi];
-    // Reclaimed groups held only rows dead to every snapshot (ours too).
-    if (group.reclaimed) return false;
-    xmins = group.xmins;
-    out.columns.resize(cols.size());
-    for (size_t k = 0; k < cols.size(); ++k) {
-      const CompressedBlock& block = group.columns[static_cast<size_t>(cols[k])];
-      bytes_scanned_.fetch_add(block.bytes.size(), std::memory_order_relaxed);
-      auto vals = DecompressColumn(block);
-      if (!vals.ok()) return vals.status();
-      // Decompressed column values adopt the unboxed typed layout: zero
-      // per-tuple materialization on the scan path.
-      out.columns[k].AdoptDatums(std::move(*vals), block.type);
-    }
+  std::shared_lock<std::shared_mutex> g(latch_);
+  GPHTAP_ASSIGN_OR_RETURN(bool any, store_.Decode(gi, cols, ctx, batch));
+  if (!any) return false;
+  uint64_t bytes = 0;
+  if (gi < store_.num_sealed()) {
+    for (int c : cols) bytes += store_.CompressedBytes(gi, c);
+  } else {
+    bytes = 16 * cols.size() * batch->rows;
   }
-  out.rows = xmins.size();
-  std::vector<uint8_t> visible;
-  GroupVisibility(gi * kRowGroupSize, xmins, ctx, &visible);
-  out.sel.reserve(out.rows);
-  for (size_t r = 0; r < xmins.size(); ++r) {
-    if (visible[r]) out.sel.push_back(static_cast<int32_t>(r));
-  }
-  // Fully-deleted (or fully-invisible) groups never leave the scan.
-  if (out.sel.empty()) return false;
-  *batch = std::move(out);
+  bytes_scanned_.fetch_add(bytes, std::memory_order_relaxed);
   return true;
 }
 
 StatusOr<bool> AoColumnTable::DecodeOpenTail(const VisibilityContext& ctx,
                                              const std::vector<int>& cols,
                                              ColumnBatch* batch) {
-  // One dense batch of the visible unsealed rows. Same fresh-base rule as
-  // ScanImpl.
-  ColumnBatch tail;
-  tail.columns.resize(cols.size());
-  {
-    std::shared_lock<std::shared_mutex> g(latch_);
-    TupleId base = sealed_.size() * kRowGroupSize;
-    for (size_t r = 0; r < open_rows_.size(); ++r) {
-      auto del = visimap_.find(base + r);
-      LocalXid xmax = del == visimap_.end() ? kInvalidLocalXid : del->second;
-      if (!TupleVisible(open_xmins_[r], xmax, ctx)) continue;
-      for (size_t k = 0; k < cols.size(); ++k) {
-        tail.columns[k].Append(open_rows_[r][static_cast<size_t>(cols[k])]);
-      }
-      bytes_scanned_.fetch_add(16 * cols.size(), std::memory_order_relaxed);
-      ++tail.rows;
-    }
-  }
-  if (tail.rows == 0) return false;
-  tail.SelectAll();
-  *batch = std::move(tail);
-  return true;
-}
-
-Status AoColumnTable::ScanBatches(const VisibilityContext& ctx,
-                                  const std::vector<int>& cols,
-                                  const BatchScanCallback& fn) {
-  size_t num_sealed = NumSealedGroups();
-  for (size_t gi = 0; gi < num_sealed; ++gi) {
-    ColumnBatch batch;
-    auto decoded = DecodeGroupBatch(gi, ctx, cols, &batch);
-    if (!decoded.ok()) return decoded.status();
-    if (!*decoded) continue;
-    if (!fn(std::move(batch))) return Status::OK();
-  }
-  ColumnBatch tail;
-  auto decoded = DecodeOpenTail(ctx, cols, &tail);
-  if (!decoded.ok()) return decoded.status();
-  if (*decoded && !fn(std::move(tail))) return Status::OK();
-  return Status::OK();
+  return DecodeGroupBatch(NumSealedGroups(), ctx, cols, batch);
 }
 
 std::vector<AoGroupInfo> AoColumnTable::GroupInfos(const AoRowDeadFn& dead) const {
   std::shared_lock<std::shared_mutex> g(latch_);
-  std::vector<AoGroupInfo> infos;
-  infos.reserve(sealed_.size() + 1);
-  auto classify = [&](AoGroupInfo* info, TupleId base,
-                      const std::vector<LocalXid>& xmins) {
-    for (size_t r = 0; r < xmins.size(); ++r) {
-      auto del = visimap_.find(base + r);
-      LocalXid xmax = del == visimap_.end() ? kInvalidLocalXid : del->second;
-      if (dead(xmins[r], xmax)) {
-        ++info->dead;
-      } else {
-        ++info->live;
-      }
-    }
-  };
-  for (size_t gi = 0; gi < sealed_.size(); ++gi) {
-    AoGroupInfo info;
-    info.index = gi;
-    info.sealed = true;
-    info.freed = sealed_[gi].reclaimed;
-    info.rows = sealed_[gi].xmins.size();
-    classify(&info, static_cast<TupleId>(gi * kRowGroupSize), sealed_[gi].xmins);
-    infos.push_back(info);
-  }
-  if (!open_rows_.empty()) {
-    AoGroupInfo info;
-    info.index = sealed_.size();
-    info.rows = open_rows_.size();
-    classify(&info, static_cast<TupleId>(sealed_.size() * kRowGroupSize), open_xmins_);
-    infos.push_back(info);
-  }
-  return infos;
-}
-
-void AoColumnTable::FreeGroupLocked(size_t gi) {
-  RowGroup& group = sealed_[gi];
-  TupleId base = static_cast<TupleId>(gi * kRowGroupSize);
-  for (size_t r = 0; r < group.xmins.size(); ++r) visimap_.erase(base + r);
-  std::vector<CompressedBlock>().swap(group.columns);
-  std::vector<LocalXid>().swap(group.xmins);
-  group.reclaimed = true;
-  ++reclaimed_groups_;
+  return store_.GroupInfos(dead);
 }
 
 AoReclaimResult AoColumnTable::ReclaimDeadGroups(const AoRowDeadFn& dead) {
   std::unique_lock<std::shared_mutex> g(latch_);
   AoReclaimResult result;
-  for (size_t gi = 0; gi < sealed_.size(); ++gi) {
-    RowGroup& group = sealed_[gi];
-    if (group.reclaimed) continue;
-    TupleId base = static_cast<TupleId>(gi * kRowGroupSize);
-    bool all_dead = true;
-    for (size_t r = 0; r < group.xmins.size() && all_dead; ++r) {
-      auto del = visimap_.find(base + r);
-      LocalXid xmax = del == visimap_.end() ? kInvalidLocalXid : del->second;
-      all_dead = dead(group.xmins[r], xmax);
-    }
-    if (!all_dead) continue;
-    result.rows_freed += group.xmins.size();
+  for (size_t gi : store_.FreeDeadGroups(dead)) {
+    result.rows_freed += kRowGroupSize;
     ++result.groups_freed;
-    FreeGroupLocked(gi);
     if (change_log() != nullptr) {
       change_log()->Append(ChangeRecord{ChangeKind::kFreeGroup, id(),
                                         static_cast<TupleId>(gi), kInvalidTupleId,
@@ -281,21 +112,17 @@ AoReclaimResult AoColumnTable::ReclaimDeadGroups(const AoRowDeadFn& dead) {
 
 Status AoColumnTable::ApplyFreeGroup(size_t group_index) {
   std::unique_lock<std::shared_mutex> g(latch_);
-  if (group_index >= sealed_.size()) {
+  if (group_index >= store_.num_sealed()) {
     return Status::NotFound("AO-column free-group replay: group " +
                             std::to_string(group_index));
   }
-  if (!sealed_[group_index].reclaimed) FreeGroupLocked(group_index);
+  store_.Free(group_index);
   return Status::OK();
 }
 
 Status AoColumnTable::Truncate() {
   std::unique_lock<std::shared_mutex> g(latch_);
-  sealed_.clear();
-  reclaimed_groups_ = 0;
-  open_rows_.clear();
-  open_xmins_.clear();
-  visimap_.clear();
+  store_.Clear();
   if (change_log() != nullptr) {
     change_log()->Append(ChangeRecord{ChangeKind::kTruncate, id(), kInvalidTupleId,
                                       kInvalidTupleId, kInvalidLocalXid, {}});
@@ -305,7 +132,7 @@ Status AoColumnTable::Truncate() {
 
 uint64_t AoColumnTable::StoredVersionCount() const {
   std::shared_lock<std::shared_mutex> g(latch_);
-  return (sealed_.size() - reclaimed_groups_) * kRowGroupSize + open_rows_.size();
+  return (store_.num_sealed() - store_.num_freed()) * kRowGroupSize + store_.open_rows();
 }
 
 uint64_t AoColumnTable::BytesScanned() const {
@@ -314,10 +141,10 @@ uint64_t AoColumnTable::BytesScanned() const {
 
 Status AoColumnTable::MarkDeleted(TupleId tid, LocalXid xid) {
   std::unique_lock<std::shared_mutex> g(latch_);
-  if (tid >= sealed_.size() * kRowGroupSize + open_rows_.size()) {
+  if (tid >= store_.size()) {
     return Status::NotFound("AO-column tid " + std::to_string(tid));
   }
-  visimap_[tid] = xid;
+  store_.SetXmax(tid, xid);
   if (change_log() != nullptr) {
     change_log()->Append(
         ChangeRecord{ChangeKind::kSetXmax, id(), tid, kInvalidTupleId, xid, {}});
@@ -328,10 +155,7 @@ Status AoColumnTable::MarkDeleted(TupleId tid, LocalXid xid) {
 uint64_t AoColumnTable::ColumnCompressedBytes(int col) const {
   std::shared_lock<std::shared_mutex> g(latch_);
   uint64_t total = 0;
-  for (const RowGroup& group : sealed_) {
-    if (group.reclaimed) continue;
-    total += group.columns[static_cast<size_t>(col)].bytes.size();
-  }
+  for (size_t gi = 0; gi < store_.num_sealed(); ++gi) total += store_.CompressedBytes(gi, col);
   return total;
 }
 

@@ -7,13 +7,10 @@
 #include <atomic>
 #include <functional>
 #include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
-#include "storage/ao_group.h"
-#include "storage/compression.h"
+#include "storage/column_group_store.h"
 #include "storage/table.h"
-#include "vec/column_batch.h"
 
 namespace gphtap {
 
@@ -22,7 +19,7 @@ using BatchScanCallback = std::function<bool(ColumnBatch&&)>;
 
 class AoColumnTable : public Table {
  public:
-  static constexpr size_t kRowGroupSize = 1024;
+  static constexpr size_t kRowGroupSize = ColumnGroupStore::kGroupRows;
 
   explicit AoColumnTable(TableDef def);
 
@@ -34,11 +31,9 @@ class AoColumnTable : public Table {
   uint64_t StoredVersionCount() const override;
   uint64_t BytesScanned() const override;
 
-  /// Vectorized scan: each sealed row group decompresses its touched columns
-  /// directly into one ColumnBatch whose selection vector holds the visible
-  /// rows (visibility checked once per group, not per tuple); the open
-  /// (unsealed) tail arrives as one final dense batch. Shares the visibility
-  /// logic with the row scans via GroupVisibility.
+  /// Vectorized scan: each row group, sealed or open, arrives as one
+  /// ColumnBatch of its touched columns whose selection vector holds the
+  /// visible rows. The row scans materialize the same batches.
   Status ScanBatches(const VisibilityContext& ctx, const std::vector<int>& cols,
                      const BatchScanCallback& fn);
 
@@ -47,22 +42,22 @@ class AoColumnTable : public Table {
   /// rows the scan's snapshot cannot see.
   size_t NumSealedGroups() const;
 
-  /// Decodes one sealed group into `batch` (typed columns + visibility
+  /// Decodes row group `gi` into `batch` (typed columns + visibility
   /// selection), the per-morsel unit of work. Returns false — with `batch`
   /// untouched — when the group is reclaimed or has no visible rows.
   /// Thread-safe: any number of groups may decode concurrently.
   StatusOr<bool> DecodeGroupBatch(size_t gi, const VisibilityContext& ctx,
                                   const std::vector<int>& cols, ColumnBatch* batch);
 
-  /// Decodes the open (unsealed) tail as one dense batch. Returns false when
-  /// no open rows are visible.
+  /// Decodes the open (unsealed) tail as one batch. Returns false when no
+  /// open rows are visible.
   StatusOr<bool> DecodeOpenTail(const VisibilityContext& ctx,
                                 const std::vector<int>& cols, ColumnBatch* batch);
 
   /// Compressed footprint of one column's sealed blocks, in bytes.
   uint64_t ColumnCompressedBytes(int col) const;
 
-  /// Visibility-map delete (see AoRowTable::MarkDeleted).
+  /// Stamps the row's xmax (see AoRowTable::MarkDeleted).
   Status MarkDeleted(TupleId tid, LocalXid xid);
 
   /// Per-group occupancy under the caller's dead-row predicate (bloat
@@ -70,43 +65,25 @@ class AoColumnTable : public Table {
   std::vector<AoGroupInfo> GroupInfos(const AoRowDeadFn& dead) const;
 
   /// Frees every sealed group whose rows are all dead per `dead` ("dead to
-  /// every snapshot"): drops the compressed blocks and visibility column,
-  /// keeps the group slot so tids stay stable. One kFreeGroup record per
-  /// freed group. Callers hold ShareUpdateExclusiveLock.
+  /// every snapshot"): drops the compressed blocks, keeps the group slot so
+  /// tids stay stable. One kFreeGroup record per freed group. Callers hold
+  /// ShareUpdateExclusiveLock.
   AoReclaimResult ReclaimDeadGroups(const AoRowDeadFn& dead);
 
   /// Replay-side free (crash recovery / mirrors): no change record emitted.
   Status ApplyFreeGroup(size_t group_index);
 
  private:
-  struct RowGroup {
-    std::vector<CompressedBlock> columns;  // one block per column
-    std::vector<LocalXid> xmins;           // uncompressed visibility column
-    bool reclaimed = false;                // blocks freed; slot kept for tids
-  };
+  // Decodes every group that exists when the scan starts, in order, and hands
+  // each batch with its group index to `fn`; stops when `fn` returns false.
+  Status ScanGroups(const VisibilityContext& ctx, const std::vector<int>& cols,
+                    const std::function<bool(size_t, ColumnBatch&&)>& fn);
 
-  // Seals the open group into compressed blocks. Requires latch_ held (unique).
-  void SealOpenGroupLocked();
-
-  // Frees group `gi`'s storage and visimap range. Requires latch_ held (unique).
-  void FreeGroupLocked(size_t gi);
-
-  // Computes per-row visibility for the tuple range [base_tid, base_tid +
-  // xmins.size()): one shared latch acquisition covers the whole group's
-  // visimap lookups. The single visibility path for row AND batch scans.
-  void GroupVisibility(TupleId base_tid, const std::vector<LocalXid>& xmins,
-                       const VisibilityContext& ctx,
-                       std::vector<uint8_t>* visible) const;
-
-  Status ScanImpl(const VisibilityContext& ctx, const std::vector<int>& cols,
-                  const ScanCallback& fn);
-
+  // tid == store position. Every store access holds latch_: unique for
+  // writes, shared for reads — each group decodes under its own shared hold,
+  // so morsel workers decode in parallel.
   mutable std::shared_mutex latch_;
-  std::vector<RowGroup> sealed_;
-  size_t reclaimed_groups_ = 0;
-  std::vector<Row> open_rows_;
-  std::vector<LocalXid> open_xmins_;
-  std::unordered_map<TupleId, LocalXid> visimap_;
+  ColumnGroupStore store_;
   // Atomic: concurrent scans account under the shared latch.
   mutable std::atomic<uint64_t> bytes_scanned_{0};
 };

@@ -124,8 +124,8 @@ struct ColumnVector {
 };
 
 struct ColumnBatch {
-  /// Matches AoColumnTable::kRowGroupSize so one sealed row group decompresses
-  /// into exactly one batch.
+  /// Also the row count of a column group (ColumnGroupStore::kGroupRows), so
+  /// one group decodes into exactly one batch.
   static constexpr size_t kDefaultCapacity = 1024;
 
   /// Parallel columns; every column has exactly `rows` entries.

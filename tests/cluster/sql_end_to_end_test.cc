@@ -417,5 +417,74 @@ TEST_F(SqlEndToEndTest, DistributionKeyUpdateRejected) {
   EXPECT_EQ(r.status().code(), StatusCode::kNotSupported);
 }
 
+// Integer literals assigned to a double column are stored as doubles
+// (PostgreSQL's assignment cast). Storing the int instead made sealing a
+// column group abort the process and made `w / 4` divide as integers.
+class AssignmentCastTest : public ::testing::Test {
+ protected:
+  // One segment, so 1100 rows fill a 1024-row column group.
+  void Start(bool delta_store) {
+    ClusterOptions options;
+    options.num_segments = 1;
+    options.delta_store_enabled = delta_store;
+    options.delta_seal_period_us = 0;  // seal only when the test says so
+    cluster_ = std::make_unique<Cluster>(options);
+    session_ = cluster_->Connect();
+  }
+
+  void Exec(const std::string& sql) {
+    auto r = session_->Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+  }
+
+  // `w / 4` for row k, under both the vectorized and the row engine.
+  void ExpectQuarter(int64_t k, double want) {
+    for (const char* mode : {"on", "off"}) {
+      Exec(std::string("SET vectorized_execution = ") + mode);
+      auto r = session_->Execute("SELECT w / 4 FROM t WHERE k = " + std::to_string(k));
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_EQ(r->rows.size(), 1u);
+      ASSERT_TRUE(r->rows[0][0].is_double()) << "vectorized_execution = " << mode;
+      EXPECT_DOUBLE_EQ(r->rows[0][0].double_val(), want) << "vectorized_execution = " << mode;
+    }
+  }
+
+  std::unique_ptr<Cluster> cluster_;
+  std::unique_ptr<Session> session_;
+};
+
+TEST_F(AssignmentCastTest, IntLiteralsSealIntoAoColumnGroups) {
+  Start(/*delta_store=*/false);
+  Exec("CREATE TABLE t (k int, w double) WITH (storage=ao_column) DISTRIBUTED BY (k)");
+  for (int i = 1; i <= 1100; ++i) {  // the 1024th insert seals a group
+    Exec("INSERT INTO t VALUES (" + std::to_string(i) + ", 2)");
+  }
+  ExpectQuarter(1, 0.5);
+  Exec("INSERT INTO t SELECT i, 6 FROM generate_series(1101, 2200) i");
+  ExpectQuarter(2200, 1.5);
+  Exec("UPDATE t SET w = 3 WHERE k = 2");
+  ExpectQuarter(2, 0.75);
+}
+
+TEST_F(AssignmentCastTest, IntLiteralsSealIntoDeltaGroups) {
+  Start(/*delta_store=*/true);
+  Exec("CREATE TABLE t (k int, w double) DISTRIBUTED BY (k)");
+  for (int i = 1; i <= 1100; ++i) {
+    Exec("INSERT INTO t VALUES (" + std::to_string(i) + ", 2)");
+  }
+  Exec("UPDATE t SET w = 3 WHERE k = 2");
+  Segment* seg = cluster_->segment(0);
+  ASSERT_TRUE(
+      cluster_->delta_index(0)->WaitForApplied(seg->change_log()->size(), 5'000'000).ok());
+  ASSERT_TRUE(cluster_->SealDeltaNow(0).ok());
+  uint64_t sealed = 0;
+  for (const auto& table : cluster_->delta_index(0)->TableStatuses()) {
+    sealed += table.stats.sealed_groups;
+  }
+  EXPECT_EQ(sealed, 1u);
+  ExpectQuarter(1, 0.5);
+  ExpectQuarter(2, 0.75);
+}
+
 }  // namespace
 }  // namespace gphtap

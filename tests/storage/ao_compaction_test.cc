@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
 
 #include "storage/ao_table.h"
 #include "storage/column_store.h"
@@ -193,6 +194,34 @@ TEST_F(AoCompactionTest, ColumnStoreReclaimAndOccupancy) {
   infos = t.GroupInfos(Dead());
   EXPECT_TRUE(infos[0].freed);
   EXPECT_EQ(infos[0].rows, 0u);
+}
+
+// Two sessions' SELECT count(*) over one AO-row table: both scans account
+// BytesScanned while holding only the shared latch.
+TEST_F(AoCompactionTest, ConcurrentRowScansAccountEveryByte) {
+  AoRowTable t(RowDef());
+  LocalXid w = BeginCommitted();
+  const size_t rows = 2 * AoRowTable::kGroupSize;
+  for (size_t i = 0; i < rows; ++i) {
+    ASSERT_TRUE(t.Insert(w, Row{Datum(static_cast<int64_t>(i))}).ok());
+  }
+  constexpr int kScans = 20;
+  const VisibilityContext ctx = Ctx();
+  auto scan = [&] {
+    for (int i = 0; i < kScans; ++i) {
+      size_t seen = 0;
+      EXPECT_TRUE(t.Scan(ctx, [&](TupleId, const Row&) {
+                     ++seen;
+                     return true;
+                   }).ok());
+      EXPECT_EQ(seen, rows);
+    }
+  };
+  std::thread a(scan);
+  std::thread b(scan);
+  a.join();
+  b.join();
+  EXPECT_EQ(t.BytesScanned(), 2 * kScans * rows * 16);
 }
 
 }  // namespace
