@@ -231,12 +231,14 @@ inline void RecordMicroPoint(const std::string& series, int64_t arg,
 /// overhead between iterations (KeepRunning bookkeeping, timer reads) is a
 /// visible fraction of the loop and used to deflate fast series the most —
 /// precisely the vectorized kernels this file exists to compare.
-template <typename Fn>
+/// `setup`, when given, runs untimed before every timed `fn`.
+template <typename Setup, typename Fn>
 inline void RunMicro(::benchmark::State& state, const std::string& series,
-                     int64_t arg, Fn&& fn) {
+                     int64_t arg, Setup&& setup, Fn&& fn) {
   Histogram lat;
   int64_t active_us = 0;
   for (auto _ : state) {
+    setup();
     Stopwatch sw;
     fn();
     int64_t us = sw.ElapsedMicros();
@@ -244,6 +246,12 @@ inline void RunMicro(::benchmark::State& state, const std::string& series,
     lat.Record(us);
   }
   RecordMicroPoint(series, arg, lat, static_cast<double>(active_us) / 1e6);
+}
+
+template <typename Fn>
+inline void RunMicro(::benchmark::State& state, const std::string& series,
+                     int64_t arg, Fn&& fn) {
+  RunMicro(state, series, arg, [] {}, std::forward<Fn>(fn));
 }
 
 }  // namespace bench

@@ -17,6 +17,7 @@ namespace gphtap {
 
 Cluster::Cluster(ClusterOptions options)
     : options_(options),
+      gangs_(&metrics_),
       coordinator_wal_(options.fsync_cost_us),
       coordinator_locks_(-1, options.locks),
       coordinator_txns_(&coordinator_clog_, &coordinator_dlog_, &coordinator_wal_),
@@ -131,7 +132,7 @@ Cluster::Cluster(ClusterOptions options)
   }
 
   if (options.maintenance_period_us > 0) {
-    maintenance_running_.store(true);
+    maintenance_running_ = true;
     maintenance_thread_ = std::thread([this] { MaintenanceLoop(); });
   }
 
@@ -173,15 +174,22 @@ Cluster::~Cluster() {
     if (m != nullptr) m->Stop();
   }
   if (gdd_) gdd_->Stop();
-  if (maintenance_running_.exchange(false) && maintenance_thread_.joinable()) {
-    maintenance_thread_.join();
+  {
+    std::lock_guard<std::mutex> g(maintenance_mu_);
+    maintenance_running_ = false;
   }
+  maintenance_cv_.notify_all();
+  if (maintenance_thread_.joinable()) maintenance_thread_.join();
 }
 
 void Cluster::MaintenanceLoop() {
-  while (maintenance_running_.load(std::memory_order_relaxed)) {
+  for (;;) {
     TruncateXidMaps();
-    std::this_thread::sleep_for(std::chrono::microseconds(options_.maintenance_period_us));
+    std::unique_lock<std::mutex> lk(maintenance_mu_);
+    const auto period = std::chrono::microseconds(options_.maintenance_period_us);
+    if (maintenance_cv_.wait_for(lk, period, [this] { return !maintenance_running_; })) {
+      return;
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #define GPHTAP_CLUSTER_CLUSTER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -22,6 +23,7 @@
 #include "cluster/segment.h"
 #include "cluster/session_registry.h"
 #include "common/fault_injector.h"
+#include "common/gang_runner.h"
 #include "common/metrics.h"
 #include "frontend/frontend_options.h"
 #include "common/trace.h"
@@ -81,13 +83,6 @@ struct ClusterOptions {
   // Vectorized batch execution (src/vec/) over AO-column scans; false pins
   // every plan to the tuple-at-a-time row engine (the ablation switch).
   bool vectorized_execution_enabled = true;
-
-  // Morsel-driven intra-slice parallelism: a vectorized AO-column scan with at
-  // least `vec_morsel_min_groups` sealed row groups splits the groups across
-  // this many decode workers (Hyrise-style), with an order-preserving merge.
-  // <= 1 keeps scans single-threaded.
-  int vec_morsel_workers = 1;
-  size_t vec_morsel_min_groups = 2;
 
   // Coordinator plan cache: planned SELECTs memoized by SQL text, invalidated
   // by catalog-version bumps (DDL / expansion / rebalance). 0 disables.
@@ -325,6 +320,8 @@ class Cluster {
 
   // ---- Observability ----
   MetricsRegistry& metrics() { return metrics_; }
+  /// The one place that starts threads for statements and commits.
+  GangRunner& gangs() { return gangs_; }
   SlowQueryLog& slow_query_log() { return slow_query_log_; }
   /// Monotonic id source for per-query traces.
   uint64_t NextTraceId() { return next_trace_id_.fetch_add(1) + 1; }
@@ -464,6 +461,9 @@ class Cluster {
   // Declared before every consumer: subsystems resolve metric pointers into
   // this registry at construction and may update them until their own dtors.
   MetricsRegistry metrics_;
+  // Worker threads for gang slices, commit and DML fan-outs. Destroyed after
+  // the ~Cluster body has stopped the front door, so no task is running.
+  GangRunner gangs_;
   SlowQueryLog slow_query_log_;
   std::atomic<uint64_t> next_trace_id_{0};
   WaitEventRegistry wait_events_;
@@ -522,7 +522,9 @@ class Cluster {
   std::atomic<int> next_motion_id_{0};
   std::mutex failover_mu_;  // serializes FTS-driven and manual failovers
 
-  std::atomic<bool> maintenance_running_{false};
+  std::mutex maintenance_mu_;
+  std::condition_variable maintenance_cv_;  // ~Cluster wakes the loop to exit
+  bool maintenance_running_ = false;        // guarded by maintenance_mu_
   std::thread maintenance_thread_;
 
   void DeltaSealLoop();

@@ -46,11 +46,6 @@ void DtxRecoveryDaemon::Enqueue(Gxid gxid, std::shared_ptr<LockOwner> owner,
   cv_.notify_all();
 }
 
-size_t DtxRecoveryDaemon::PendingCount() const {
-  std::lock_guard<std::mutex> g(mu_);
-  return entries_.size();
-}
-
 DtxRecoveryDaemon::Stats DtxRecoveryDaemon::stats() const {
   std::lock_guard<std::mutex> g(mu_);
   return stats_;

@@ -75,9 +75,6 @@ class DtxRecoveryDaemon {
   /// prepared transaction's locks alive until each segment resolves.
   void Enqueue(Gxid gxid, std::shared_ptr<LockOwner> owner, std::vector<int> pending);
 
-  /// Transactions still awaiting at least one participant.
-  size_t PendingCount() const;
-
   Stats stats() const;
 
  private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
-#include <thread>
 
 #include "common/clock.h"
 #include "exec/executor.h"
@@ -357,27 +356,10 @@ Status Session::CommitProtocol() {
     // Two-phase commit: PREPARE everywhere, coordinator commit record, then
     // COMMIT PREPARED everywhere. Phases fan out in parallel, as the real
     // dispatcher does.
-    // Fanout threads inherit the session's wait context so per-segment ack
-    // waits attribute to this session; `ack_event` (when set) tags the whole
-    // per-segment exchange as the coordinator waiting on that ack.
-    const WaitContext* commit_wait_ctx = CurrentWaitContext();
-    auto fanout = [&](WaitEvent ack_event, auto&& fn) -> std::vector<Status> {
+    auto fanout = [&](auto&& fn) {
       std::vector<Status> results(participants.size());
-      std::vector<std::thread> threads;
-      threads.reserve(participants.size());
-      for (size_t i = 0; i < participants.size(); ++i) {
-        threads.emplace_back([&, i] {
-          WaitContext wctx;
-          if (commit_wait_ctx != nullptr) wctx = *commit_wait_ctx;
-          WaitContextGuard guard(wctx);
-          std::unique_ptr<WaitEventScope> ack_wait;
-          if (ack_event != WaitEvent::kNone) {
-            ack_wait = std::make_unique<WaitEventScope>(ack_event, participants[i]);
-          }
-          results[i] = fn(participants[i]);
-        });
-      }
-      for (auto& t : threads) t.join();
+      cluster_->gangs().FanOut(participants,
+                               [&](size_t i) { results[i] = fn(participants[i]); });
       return results;
     };
 
@@ -385,7 +367,9 @@ Status Session::CommitProtocol() {
     // statement they just ran was the last one, so they prepare on their own —
     // the coordinator skips the PREPARE broadcast and only collects acks.
     bool auto_prepare = implicit_commit_ && cluster_->options().auto_prepare_enabled;
-    std::vector<Status> prepared = fanout(WaitEvent::kPrepareAck, [&](int seg_index) -> Status {
+    std::vector<Status> prepared = fanout([&](int seg_index) -> Status {
+      // The whole exchange is the coordinator waiting on this segment's ack.
+      WaitEventScope ack_wait(WaitEvent::kPrepareAck, seg_index);
       Segment* seg = cluster_->segment(seg_index);
       if (faults.Evaluate(fault_points::kCrashBeforePrepare, seg_index)) seg->Crash();
       if (!auto_prepare && !net.Deliver(MsgKind::kPrepare)) {
@@ -436,7 +420,7 @@ Status Session::CommitProtocol() {
     cluster_->CoordinatorCommitRecord(gxid_);
 
     // CommitSegmentWithRetry opens its own kCommitPreparedAck scope.
-    std::vector<Status> committed = fanout(WaitEvent::kNone, [&](int seg_index) -> Status {
+    std::vector<Status> committed = fanout([&](int seg_index) -> Status {
       return CommitSegmentWithRetry(seg_index, /*one_phase=*/false,
                                     /*piggyback_first=*/false);
     });
@@ -1361,27 +1345,12 @@ StatusOr<QueryResult> Session::ExecuteDml(const TableDef& def,
     std::vector<Status> results(segs.size());
     std::vector<int64_t> counts(segs.size(), 0);
     for (size_t i = 0; i < segs.size(); ++i) cluster_->net().Deliver(MsgKind::kDispatch);
-    if (segs.size() == 1) {
-      GPHTAP_RETURN_IF_ERROR(
-          DmlWorker(cluster_->segment(segs[0]), def, sets, where, &counts[0]));
-    } else {
-      // Parallel per-segment workers, like the dispatcher's gangs. A worker
-      // may block on another transaction mid-statement while its siblings keep
-      // running — the behaviour the global deadlock cases exercise. Each
-      // inherits the session's wait context so its lock waits attribute here.
-      std::vector<std::thread> threads;
-      const WaitContext* dml_wait_ctx = CurrentWaitContext();
-      for (size_t i = 0; i < segs.size(); ++i) {
-        threads.emplace_back([&, i] {
-          WaitContext wctx;
-          if (dml_wait_ctx != nullptr) wctx = *dml_wait_ctx;
-          wctx.node = segs[i];
-          WaitContextGuard guard(wctx);
-          results[i] = DmlWorker(cluster_->segment(segs[i]), def, sets, where, &counts[i]);
-        });
-      }
-      for (auto& t : threads) t.join();
-    }
+    // Parallel per-segment workers, like the dispatcher's gangs. A worker may
+    // block on another transaction mid-statement while its siblings keep
+    // running — the behaviour the global deadlock cases exercise.
+    cluster_->gangs().FanOut(segs, [&](size_t i) {
+      results[i] = DmlWorker(cluster_->segment(segs[i]), def, sets, where, &counts[i]);
+    });
     for (size_t i = 0; i < segs.size(); ++i) cluster_->net().Deliver(MsgKind::kResult);
     int64_t total = 0;
     for (int64_t c : counts) total += c;

@@ -57,7 +57,6 @@ class Session {
   Status Commit();
   Status Rollback();
   bool in_txn() const { return gxid_ != kInvalidGxid; }
-  bool txn_failed() const { return txn_failed_; }
   Gxid current_gxid() const { return gxid_; }
 
   /// Plans and executes a bound SELECT. When `cache_sql` is set, the freshly
@@ -120,7 +119,6 @@ class Session {
   // cluster-wide vectorization switch (and with it the delta-merged scan
   // path, which requires vectorize). nullopt = follow ClusterOptions.
   void set_vectorize_override(std::optional<bool> v) { vectorize_override_ = v; }
-  std::optional<bool> vectorize_override() const { return vectorize_override_; }
   // Plans shaped by a session override must not land in (or be served from)
   // the shared plan cache keyed by SQL text alone.
   bool PlanCacheEligible() const { return !vectorize_override_.has_value(); }

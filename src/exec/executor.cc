@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <map>
-#include <thread>
 #include <unordered_map>
 
 #include "common/clock.h"
+#include "common/gang_runner.h"
 #include "common/logging.h"
 #include "common/wait_event.h"
 #include "exec/agg_ops.h"
@@ -542,32 +542,58 @@ Status ExecutePlan(Cluster* cluster, const QueryPlan& plan, Gxid gxid,
     }
   };
 
-  // Producer threads: one per (motion, gang member). Each inherits the
-  // caller's ambient wait context (registry / session / profile sinks) so
-  // blocking inside a slice — motion back-pressure, segment locks, buffer
-  // misses — is attributed to the owning statement, relabeled with the
-  // segment it happened on and parented under the slice's span.
+  // Producers: one gang task per (motion, gang member). The runner gives each
+  // the caller's ambient wait context (registry / session / profile sinks)
+  // relabelled with its segment, so blocking inside a slice — motion
+  // back-pressure, segment locks, buffer misses — is attributed to the owning
+  // statement; the slice parents its waits under its own span.
   const WaitContext* caller_wait = CurrentWaitContext();
   // Statement-level resource accumulator (gp_stat_statements): inherited from
   // the session's wait context, shared by every slice of the gang.
   StatementResources* res = caller_wait != nullptr ? caller_wait->resources : nullptr;
-  std::vector<std::thread> producers;
+  // One slice's context; `segment` is null for the coordinator's top slice.
+  auto slice_context = [&](Segment* segment, int receiver_index, const PlanNode* root) {
+    ExecContext ctx;
+    ctx.cluster = cluster;
+    ctx.segment = segment;
+    ctx.receiver_index = receiver_index;
+    ctx.gxid = gxid;
+    ctx.owner = owner;
+    ctx.snapshot = &snapshot;
+    ctx.lsnap = (segment != nullptr ? segment->txns() : cluster->coordinator_txns())
+                    .TakeLocalSnapshot();
+    ctx.exchanges = &exchanges;
+    ctx.group = group;
+    ctx.mem = mem;
+    ctx.cpu_ns_per_row = cluster->options().exec_cpu_ns_per_row;
+    ctx.op_stats = op_stats;
+    ctx.deadline_us = deadline_us;
+    ctx.resources = res;
+    ctx.slice_root = root;
+    return ctx;
+  };
+  // Charges a finished slice's simulated CPU and its wall time.
+  auto finish_slice = [&](ExecContext& ctx, const Stopwatch& sw) {
+    ctx.FlushCpu();
+    if (res == nullptr) return;
+    res->exec_cpu_ns.fetch_add(static_cast<uint64_t>(sw.ElapsedNanos()),
+                               std::memory_order_relaxed);
+    res->RecordSliceUs(sw.ElapsedMicros());
+  };
+  GangRunner::Gang producers(&cluster->gangs());
   for (const PlanNode* m : motions) {
     for (size_t gi = 0; gi < plan.gang.size(); ++gi) {
       int seg_index = plan.gang[gi];
-      producers.emplace_back([&, m, gi, seg_index] {
+      producers.Spawn(seg_index, [&, m, gi, seg_index] {
         uint64_t span = 0;
         if (trace != nullptr) {
           span = trace->StartSpan("slice:motion" + std::to_string(m->motion_id),
                                   parent_span, seg_index);
         }
-        WaitContext slice_wait;
-        if (caller_wait != nullptr) slice_wait = *caller_wait;
-        slice_wait.node = seg_index;
-        slice_wait.trace = trace;
-        slice_wait.parent_span = span;
-        slice_wait.owner = owner.get();
-        WaitContextGuard wait_guard(slice_wait);
+        WaitContext* slice_wait = CurrentWaitContext();
+        slice_wait->trace = trace;
+        slice_wait->parent_span = span;
+        slice_wait->owner = owner.get();
         // Service pin for the whole slice: a down segment fails the query with
         // a retryable error instead of reading torn state mid-recovery. Goes
         // through the per-segment circuit breaker when one is configured.
@@ -578,30 +604,15 @@ Status ExecutePlan(Cluster* cluster, const QueryPlan& plan, Gxid gxid,
           if (trace != nullptr) trace->EndSpan(span);
           return;
         }
-        ExecContext ctx;
-        ctx.cluster = cluster;
-        ctx.segment = cluster->segment(seg_index);
-        ctx.receiver_index = static_cast<int>(gi);
-        ctx.gxid = gxid;
-        ctx.owner = owner;
-        ctx.snapshot = &snapshot;
-        ctx.lsnap = ctx.segment->txns().TakeLocalSnapshot();
-        ctx.exchanges = &exchanges;
-        ctx.group = group;
-        ctx.mem = mem;
-        ctx.cpu_ns_per_row = cluster->options().exec_cpu_ns_per_row;
-        ctx.op_stats = op_stats;
-        ctx.deadline_us = deadline_us;
-        ctx.resources = res;
-
+        const PlanNode& slice_root = *m->children[0];
+        ExecContext ctx =
+            slice_context(cluster->segment(seg_index), static_cast<int>(gi), &slice_root);
         MotionExchange& ex = *exchanges[m->motion_id];
         const std::vector<int>& hash_cols = m->hash_cols;
         MotionKind kind = m->motion;
         int receivers = ex.num_receivers();
         int64_t rows_out = 0;
         Status s;
-        const PlanNode& slice_root = *m->children[0];
-        ctx.slice_root = &slice_root;
         Stopwatch slice_sw;
         if (slice_root.vectorize && VecEngineSupports(slice_root.kind)) {
           // Vectorized slice: ship whole ColumnBatch chunks instead of rows.
@@ -655,12 +666,7 @@ Status ExecutePlan(Cluster* cluster, const QueryPlan& plan, Gxid gxid,
             return Status::OK();
           });
         }
-        ctx.FlushCpu();
-        if (res != nullptr) {
-          res->exec_cpu_ns.fetch_add(static_cast<uint64_t>(slice_sw.ElapsedNanos()),
-                                     std::memory_order_relaxed);
-          res->RecordSliceUs(slice_sw.ElapsedMicros());
-        }
+        finish_slice(ctx, slice_sw);
         record_error(s);
         ex.CloseSender();
         if (trace != nullptr) trace->EndSpan(span, rows_out);
@@ -675,22 +681,7 @@ Status ExecutePlan(Cluster* cluster, const QueryPlan& plan, Gxid gxid,
   if (caller_wait != nullptr) top_wait = *caller_wait;
   top_wait.owner = owner.get();
   WaitContextGuard top_wait_guard(top_wait);
-  ExecContext top;
-  top.cluster = cluster;
-  top.segment = nullptr;
-  top.receiver_index = 0;
-  top.gxid = gxid;
-  top.owner = owner;
-  top.snapshot = &snapshot;
-  top.lsnap = cluster->coordinator_txns().TakeLocalSnapshot();
-  top.exchanges = &exchanges;
-  top.group = group;
-  top.mem = mem;
-  top.cpu_ns_per_row = cluster->options().exec_cpu_ns_per_row;
-  top.op_stats = op_stats;
-  top.deadline_us = deadline_us;
-  top.resources = res;
-  top.slice_root = plan.root.get();
+  ExecContext top = slice_context(nullptr, 0, plan.root.get());
 
   uint64_t top_span = 0;
   int64_t top_rows = 0;
@@ -705,12 +696,7 @@ Status ExecutePlan(Cluster* cluster, const QueryPlan& plan, Gxid gxid,
   Stopwatch top_sw;
   Status top_status = ExecuteNode(*plan.root, top, top_sink);
   if (top_status.code() == StatusCode::kStopIteration) top_status = Status::OK();
-  top.FlushCpu();
-  if (res != nullptr) {
-    res->exec_cpu_ns.fetch_add(static_cast<uint64_t>(top_sw.ElapsedNanos()),
-                               std::memory_order_relaxed);
-    res->RecordSliceUs(top_sw.ElapsedMicros());
-  }
+  finish_slice(top, top_sw);
   if (trace != nullptr) trace->EndSpan(top_span, top_rows);
   // A cancellation (GDD kill, statement timeout) aborts the exchanges, which a
   // receiver observes as a clean end-of-stream — so an ok top status does not
@@ -726,7 +712,7 @@ Status ExecutePlan(Cluster* cluster, const QueryPlan& plan, Gxid gxid,
   // Unblock any still-running producers (error path, or LIMIT stopped the
   // consumer before draining) and join them.
   for (auto& [id, ex] : exchanges) ex->Abort();
-  for (auto& t : producers) t.join();
+  producers.Join();
   cluster->UnregisterExchanges(gxid);
 
   // Interconnect blocked time, attributed per motion so EXPLAIN ANALYZE can

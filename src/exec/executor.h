@@ -1,5 +1,5 @@
 // Push-based SPMD plan execution (Section 3.2): motion nodes cut the plan into
-// slices; each (slice, gang member) runs as its own producer thread feeding a
+// slices; each (slice, gang member) runs as its own gang-runner task feeding a
 // MotionExchange, and the top slice runs on the caller's thread, streaming rows
 // into the caller's sink.
 #ifndef GPHTAP_EXEC_EXECUTOR_H_

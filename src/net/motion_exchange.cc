@@ -178,9 +178,4 @@ void MotionExchange::Abort() {
   for (auto& q : queues_) q->Close();
 }
 
-size_t MotionExchange::BufferedRows(int receiver) const {
-  return queues_[static_cast<size_t>(receiver)]->size() +
-         pending_rows_[static_cast<size_t>(receiver)]->size();
-}
-
 }  // namespace gphtap

@@ -75,10 +75,6 @@ class MotionExchange {
   int num_receivers() const { return num_receivers_; }
   bool aborted() const { return aborted_.load(std::memory_order_acquire); }
 
-  /// Items currently buffered for `receiver` plus locally pending exploded
-  /// rows (observability/tests). A buffered batch counts as one item.
-  size_t BufferedRows(int receiver) const;
-
   /// Cumulative blocked time across all senders / receivers of this exchange
   /// (EXPLAIN ANALYZE reports these separately from operator wall time).
   int64_t send_wait_us() const { return send_wait_us_.load(std::memory_order_relaxed); }

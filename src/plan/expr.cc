@@ -1,6 +1,7 @@
 #include "plan/expr.h"
 
 #include <cmath>
+#include <limits>
 
 namespace gphtap {
 
@@ -119,11 +120,11 @@ StatusOr<Datum> EvalArith(BinOp op, const Datum& l, const Datum& r) {
       case BinOp::kMul:
         return Datum(a * b);
       case BinOp::kDiv:
-        if (b == 0) return Status::InvalidArgument("division by zero");
-        return Datum(a / b);
-      case BinOp::kMod:
-        if (b == 0) return Status::InvalidArgument("division by zero");
-        return Datum(a % b);
+      case BinOp::kMod: {
+        int64_t out = 0;
+        GPHTAP_RETURN_IF_ERROR(IntDivMod(op, a, b, &out));
+        return Datum(out);
+      }
       default:
         break;
     }
@@ -193,6 +194,21 @@ Datum TriToDatum(Tri t) {
 }
 
 }  // namespace
+
+Status IntDivMod(BinOp op, int64_t a, int64_t b, int64_t* out) {
+  if (b == 0) return Status::InvalidArgument("division by zero");
+  // x86 traps on INT64_MIN / -1 and INT64_MIN % -1. x % -1 is always 0, and
+  // INT64_MIN / -1 does not fit.
+  if (b == -1) {
+    if (op == BinOp::kDiv && a == std::numeric_limits<int64_t>::min()) {
+      return Status::InvalidArgument("bigint out of range");
+    }
+    *out = op == BinOp::kDiv ? -a : 0;
+    return Status::OK();
+  }
+  *out = op == BinOp::kDiv ? a / b : a % b;
+  return Status::OK();
+}
 
 StatusOr<Datum> EvalBinaryOp(BinOp op, const Datum& l, const Datum& r) {
   switch (op) {

@@ -84,12 +84,6 @@ StatusOr<bool> AoColumnTable::DecodeGroupBatch(size_t gi, const VisibilityContex
   return true;
 }
 
-StatusOr<bool> AoColumnTable::DecodeOpenTail(const VisibilityContext& ctx,
-                                             const std::vector<int>& cols,
-                                             ColumnBatch* batch) {
-  return DecodeGroupBatch(NumSealedGroups(), ctx, cols, batch);
-}
-
 std::vector<AoGroupInfo> AoColumnTable::GroupInfos(const AoRowDeadFn& dead) const {
   std::shared_lock<std::shared_mutex> g(latch_);
   return store_.GroupInfos(dead);

@@ -37,22 +37,17 @@ class AoColumnTable : public Table {
   Status ScanBatches(const VisibilityContext& ctx, const std::vector<int>& cols,
                      const BatchScanCallback& fn);
 
-  /// Number of sealed row groups (the morsel count for parallel scans). The
-  /// snapshot is stable for a scan's purposes: groups sealed afterwards hold
-  /// rows the scan's snapshot cannot see.
+  /// Number of sealed row groups. The snapshot is stable for a scan's
+  /// purposes: groups sealed afterwards hold rows the scan's snapshot cannot
+  /// see.
   size_t NumSealedGroups() const;
 
   /// Decodes row group `gi` into `batch` (typed columns + visibility
-  /// selection), the per-morsel unit of work. Returns false — with `batch`
+  /// selection), the unit of work of a scan. Returns false — with `batch`
   /// untouched — when the group is reclaimed or has no visible rows.
   /// Thread-safe: any number of groups may decode concurrently.
   StatusOr<bool> DecodeGroupBatch(size_t gi, const VisibilityContext& ctx,
                                   const std::vector<int>& cols, ColumnBatch* batch);
-
-  /// Decodes the open (unsealed) tail as one batch. Returns false when no
-  /// open rows are visible.
-  StatusOr<bool> DecodeOpenTail(const VisibilityContext& ctx,
-                                const std::vector<int>& cols, ColumnBatch* batch);
 
   /// Compressed footprint of one column's sealed blocks, in bytes.
   uint64_t ColumnCompressedBytes(int col) const;
@@ -81,7 +76,7 @@ class AoColumnTable : public Table {
 
   // tid == store position. Every store access holds latch_: unique for
   // writes, shared for reads — each group decodes under its own shared hold,
-  // so morsel workers decode in parallel.
+  // so concurrent scans decode in parallel.
   mutable std::shared_mutex latch_;
   ColumnGroupStore store_;
   // Atomic: concurrent scans account under the shared latch.

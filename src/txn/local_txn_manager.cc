@@ -155,18 +155,4 @@ void LocalTxnManager::ResetForRecovery(
   for (auto& [gxid, state] : finished) recovered_finished_.emplace(gxid, state);
 }
 
-const char* TxnStateName(TxnState s) {
-  switch (s) {
-    case TxnState::kInProgress:
-      return "in-progress";
-    case TxnState::kPrepared:
-      return "prepared";
-    case TxnState::kCommitted:
-      return "committed";
-    case TxnState::kAborted:
-      return "aborted";
-  }
-  return "?";
-}
-
 }  // namespace gphtap

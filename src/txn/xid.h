@@ -24,8 +24,6 @@ enum class TxnState : uint8_t {
   kAborted = 3,
 };
 
-const char* TxnStateName(TxnState s);
-
 }  // namespace gphtap
 
 #endif  // GPHTAP_TXN_XID_H_

@@ -1,13 +1,11 @@
 #include "vec/vec_executor.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -56,35 +54,47 @@ int64_t BatchRowFootprint(const ColumnBatch& b, int32_t r) {
   return bytes;
 }
 
+// The vec-over-row fallback, counted in vec.fallbacks: packs rows into full
+// batches for `sink`.
+class RowPacker {
+ public:
+  RowPacker(ExecContext& ctx, const BatchSink& sink) : sink_(sink) {
+    if (ctx.cluster != nullptr) ctx.cluster->metrics().counter("vec.fallbacks")->Add(1);
+    if (ctx.resources != nullptr) {
+      ctx.resources->vec_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  Status Add(Row row) {
+    if (!shaped_) {
+      batch_.Reset(row.size());
+      shaped_ = true;
+    }
+    batch_.AppendRow(std::move(row));
+    if (batch_.rows < ColumnBatch::kDefaultCapacity) return Status::OK();
+    ColumnBatch full = std::exchange(batch_, ColumnBatch());
+    batch_.Reset(full.NumColumns());
+    return sink_(std::move(full));
+  }
+
+  Status Flush() { return batch_.rows > 0 ? sink_(std::move(batch_)) : Status::OK(); }
+
+ private:
+  const BatchSink& sink_;
+  ColumnBatch batch_;
+  bool shaped_ = false;
+};
+
 // Runs a child subtree as a batch producer: the vec path when the child is
-// marked, otherwise the row engine with rows packed into batches (the
-// vec-over-row fallback, counted in vec.fallbacks).
+// marked, otherwise the row engine with rows packed into batches.
 Status ExecuteChildVec(const PlanNode& child, ExecContext& ctx, const BatchSink& sink) {
   if (child.vectorize && VecEngineSupports(child.kind)) {
     return ExecuteNodeVec(child, ctx, sink);
   }
-  if (ctx.cluster != nullptr) ctx.cluster->metrics().counter("vec.fallbacks")->Add(1);
-  if (ctx.resources != nullptr) ctx.resources->vec_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  ColumnBatch batch;
-  bool shaped = false;
-  Status s = ExecuteNode(child, ctx, [&](Row&& row) -> Status {
-    if (!shaped) {
-      batch.Reset(row.size());
-      shaped = true;
-    }
-    batch.AppendRow(std::move(row));
-    if (batch.rows >= ColumnBatch::kDefaultCapacity) {
-      size_t ncols = batch.NumColumns();
-      ColumnBatch full = std::move(batch);
-      batch = ColumnBatch();
-      batch.Reset(ncols);
-      GPHTAP_RETURN_IF_ERROR(sink(std::move(full)));
-    }
-    return Status::OK();
-  });
-  GPHTAP_RETURN_IF_ERROR(s);
-  if (batch.rows > 0) return sink(std::move(batch));
-  return Status::OK();
+  RowPacker packer(ctx, sink);
+  GPHTAP_RETURN_IF_ERROR(
+      ExecuteNode(child, ctx, [&](Row&& row) { return packer.Add(std::move(row)); }));
+  return packer.Flush();
 }
 
 // Row-scan fallback for a marked scan whose table turns out not to be an AO
@@ -92,11 +102,8 @@ Status ExecuteChildVec(const PlanNode& child, ExecContext& ctx, const BatchSink&
 // bouncing through ExecuteNode, which would re-enter the vec dispatch.
 Status ExecSeqScanVecFallback(const PlanNode& node, ExecContext& ctx, Table* table,
                               const BatchSink& sink) {
-  if (ctx.cluster != nullptr) ctx.cluster->metrics().counter("vec.fallbacks")->Add(1);
-  if (ctx.resources != nullptr) ctx.resources->vec_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  RowPacker packer(ctx, sink);
   VisibilityContext vis = ctx.Vis();
-  ColumnBatch batch;
-  bool shaped = false;
   int64_t visible_rows = 0;
   Status inner = Status::OK();
   auto cb = [&](TupleId, const Row& row) -> bool {
@@ -114,23 +121,8 @@ Status ExecSeqScanVecFallback(const PlanNode& node, ExecContext& ctx, Table* tab
       }
       if (!*pass) return true;
     }
-    if (!shaped) {
-      batch.Reset(row.size());
-      shaped = true;
-    }
-    batch.AppendRow(row);
-    if (batch.rows >= ColumnBatch::kDefaultCapacity) {
-      size_t ncols = batch.NumColumns();
-      ColumnBatch full = std::move(batch);
-      batch = ColumnBatch();
-      batch.Reset(ncols);
-      Status sk = sink(std::move(full));
-      if (!sk.ok()) {
-        inner = sk;
-        return false;
-      }
-    }
-    return true;
+    inner = packer.Add(row);
+    return inner.ok();
   };
   Status scan = node.scan_cols.empty() ? table->Scan(vis, cb)
                                        : table->ScanColumns(vis, node.scan_cols, cb);
@@ -140,154 +132,19 @@ Status ExecSeqScanVecFallback(const PlanNode& node, ExecContext& ctx, Table* tab
   }
   if (!inner.ok()) return inner;
   GPHTAP_RETURN_IF_ERROR(scan);
-  if (batch.rows > 0) return sink(std::move(batch));
-  return Status::OK();
+  return packer.Flush();
 }
 
-// ---------- morsel-parallel sealed-group scan ----------
-//
-// Workers claim ascending group indexes from an atomic counter, decode +
-// filter them (both pure / latch-protected), and publish results into a
-// bounded reorder buffer. The consumer (the slice's own thread) drains the
-// buffer strictly in group order, so output is byte-identical to the
-// single-threaded scan; it alone runs ctx.Tick and the sink (neither is
-// thread-safe).
-struct MorselQueue {
-  std::mutex mu;
-  std::condition_variable cv;
-  // gi -> decoded batch; null marks a skipped (reclaimed / fully-invisible /
-  // fully-filtered) group. Bounded by `capacity` entries.
-  std::map<size_t, std::unique_ptr<ColumnBatch>> ready;
-  size_t capacity = 4;
-  size_t next_consume = 0;
-  std::atomic<size_t> next_claim{0};
-  // Pre-filter visible rows decoded across all workers (store accounting).
-  std::atomic<int64_t> visible_rows{0};
-  int active_workers = 0;
-  bool stop = false;  // consumer asks workers to quit (error or early stop)
-  Status error;
-  bool failed = false;
-};
-
-void MorselWorker(MorselQueue* q, AoColumnTable* aoc, const VisibilityContext vis,
-                  const std::vector<int>& cols, const Expr* filter,
-                  size_t num_groups) {
-  for (;;) {
-    size_t gi = q->next_claim.fetch_add(1, std::memory_order_relaxed);
-    if (gi >= num_groups) break;
-    {
-      // Backpressure: don't run far ahead of the in-order consumer.
-      std::unique_lock<std::mutex> g(q->mu);
-      q->cv.wait(g, [&] {
-        return q->stop || q->failed || gi < q->next_consume + q->capacity;
-      });
-      if (q->stop || q->failed) {
-        // Publish a skip so the consumer never waits on this index.
-        q->ready.emplace(gi, nullptr);
-        q->cv.notify_all();
-        break;
-      }
-    }
-    auto batch = std::make_unique<ColumnBatch>();
-    auto decoded = aoc->DecodeGroupBatch(gi, vis, cols, batch.get());
-    Status st = decoded.ok() ? Status::OK() : decoded.status();
-    bool skip = st.ok() && !*decoded;
-    if (st.ok() && !skip) {
-      q->visible_rows.fetch_add(static_cast<int64_t>(batch->ActiveRows()),
-                                std::memory_order_relaxed);
-    }
-    if (st.ok() && !skip && filter != nullptr) {
-      st = VecFilterBatch(*filter, batch.get());
-      if (st.ok() && batch->ActiveRows() == 0) skip = true;
-    }
-    std::lock_guard<std::mutex> g(q->mu);
-    if (!st.ok() && !q->failed) {
-      q->failed = true;
-      q->error = st;
-    }
-    q->ready.emplace(gi, skip || !st.ok() ? nullptr : std::move(batch));
-    q->cv.notify_all();
-  }
-  std::lock_guard<std::mutex> g(q->mu);
-  --q->active_workers;
-  q->cv.notify_all();
-}
-
-Status ExecSeqScanVecMorsel(const PlanNode& node, ExecContext& ctx, AoColumnTable* aoc,
-                            const std::vector<int>& cols, const VisibilityContext& vis,
-                            size_t num_groups, int workers, const BatchSink& sink) {
-  MorselQueue q;
-  q.capacity = static_cast<size_t>(workers) * 2;
-  q.active_workers = workers;
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(workers));
-  const Expr* filter = node.filter.get();
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back(MorselWorker, &q, aoc, vis, std::cref(cols), filter, num_groups);
-  }
-  if (ctx.cluster != nullptr) {
-    MetricsRegistry& m = ctx.cluster->metrics();
-    m.counter("vec.morsels")->Add(num_groups);
-    m.counter("vec.morsel_workers")->Add(static_cast<uint64_t>(workers));
-  }
-
-  Status result = Status::OK();
-  for (size_t gi = 0; gi < num_groups; ++gi) {
-    std::unique_ptr<ColumnBatch> batch;
-    {
-      std::unique_lock<std::mutex> g(q.mu);
-      q.cv.wait(g, [&] {
-        return q.failed || q.ready.count(gi) > 0 ||
-               (q.active_workers == 0 && q.ready.count(gi) == 0);
-      });
-      if (q.failed) {
-        result = q.error;
-        break;
-      }
-      auto it = q.ready.find(gi);
-      if (it == q.ready.end()) break;  // workers gone without publishing: stop
-      batch = std::move(it->second);
-      q.ready.erase(it);
-      q.next_consume = gi + 1;
-      q.cv.notify_all();
-    }
-    if (batch == nullptr) continue;  // skipped group
-    Status t = ctx.Tick(static_cast<int>(batch->rows));
-    if (t.ok()) t = sink(std::move(*batch));
-    if (!t.ok()) {
-      result = t;
-      break;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> g(q.mu);
-    q.stop = true;
-    q.cv.notify_all();
-  }
-  for (auto& th : pool) th.join();
-  GPHTAP_RETURN_IF_ERROR(result);
-
-  int64_t visible_rows = q.visible_rows.load(std::memory_order_relaxed);
-
-  // Open tail runs inline, after every sealed group, like the serial scan.
-  ColumnBatch tail;
-  auto decoded = aoc->DecodeOpenTail(vis, cols, &tail);
-  if (!decoded.ok()) return decoded.status();
-  Status tail_status = Status::OK();
-  if (*decoded) {
-    visible_rows += static_cast<int64_t>(tail.ActiveRows());
-    tail_status = ctx.Tick(static_cast<int>(tail.rows));
-    if (tail_status.ok() && node.filter) {
-      tail_status = VecFilterBatch(*node.filter, &tail);
-    }
-    if (tail_status.ok() && tail.ActiveRows() > 0) {
-      tail_status = sink(std::move(tail));
-    }
-  }
-  if (ctx.op_stats != nullptr && visible_rows > 0) {
-    ctx.op_stats->RecordStoreRows(node.node_id, "ao-column", visible_rows);
-  }
-  return tail_status;
+// One batch of a vectorized scan: a Tick per batch (amortizing cancellation
+// checks and simulated-CPU charging over the group), the scan's filter, then
+// the sink. Returns false, with the reason in `*inner`, to stop the scan.
+bool FilterIntoSink(const PlanNode& node, ExecContext& ctx, const BatchSink& sink,
+                    ColumnBatch&& batch, Status* inner) {
+  Status s = ctx.Tick(static_cast<int>(batch.rows));
+  if (s.ok() && node.filter) s = VecFilterBatch(*node.filter, &batch);
+  if (s.ok() && batch.ActiveRows() > 0) s = sink(std::move(batch));
+  *inner = s;
+  return s.ok();
 }
 
 // Vectorized delta-merged scan of a heap table: wait for the delta feed to
@@ -336,26 +193,8 @@ Status ExecSeqScanDeltaMerged(const PlanNode& node, ExecContext& ctx,
   Status inner = Status::OK();
   Status scan = ds->ScanBatches(
       vis, cols,
-      [&](ColumnBatch&& batch) -> bool {
-        Status t = ctx.Tick(static_cast<int>(batch.rows));
-        if (!t.ok()) {
-          inner = t;
-          return false;
-        }
-        if (node.filter) {
-          Status f = VecFilterBatch(*node.filter, &batch);
-          if (!f.ok()) {
-            inner = f;
-            return false;
-          }
-        }
-        if (batch.ActiveRows() == 0) return true;
-        Status s = sink(std::move(batch));
-        if (!s.ok()) {
-          inner = s;
-          return false;
-        }
-        return true;
+      [&](ColumnBatch&& batch) {
+        return FilterIntoSink(node, ctx, sink, std::move(batch), &inner);
       },
       &sealed_rows, &open_rows);
   if (ctx.op_stats != nullptr) {
@@ -378,13 +217,13 @@ Status ExecSeqScanVec(const PlanNode& node, ExecContext& ctx, const BatchSink& s
   Table* table = nullptr;
   GPHTAP_RETURN_IF_ERROR(TableForNode(ctx, node.table, &table));
   GPHTAP_RETURN_IF_ERROR(AcquireScanLock(ctx, node.table));
+  std::vector<int> cols = node.scan_cols;
+  if (cols.empty()) {
+    cols.resize(table->schema().num_columns());
+    for (size_t i = 0; i < cols.size(); ++i) cols[i] = static_cast<int>(i);
+  }
   auto* aoc = dynamic_cast<AoColumnTable*>(table);
   if (aoc == nullptr) {
-    std::vector<int> cols = node.scan_cols;
-    if (cols.empty()) {
-      cols.resize(table->schema().num_columns());
-      for (size_t i = 0; i < cols.size(); ++i) cols[i] = static_cast<int>(i);
-    }
     if (dynamic_cast<HeapTable*>(table) != nullptr) {
       bool served = false;
       Status s = ExecSeqScanDeltaMerged(node, ctx, cols, sink, &served);
@@ -396,50 +235,11 @@ Status ExecSeqScanVec(const PlanNode& node, ExecContext& ctx, const BatchSink& s
     return ExecSeqScanVecFallback(node, ctx, table, sink);
   }
 
-  std::vector<int> cols = node.scan_cols;
-  if (cols.empty()) {
-    cols.resize(table->schema().num_columns());
-    for (size_t i = 0; i < cols.size(); ++i) cols[i] = static_cast<int>(i);
-  }
-  VisibilityContext vis = ctx.Vis();
-
-  if (ctx.cluster != nullptr) {
-    const ClusterOptions& opts = ctx.cluster->options();
-    size_t num_groups = aoc->NumSealedGroups();
-    if (opts.vec_morsel_workers > 1 && num_groups >= opts.vec_morsel_min_groups) {
-      int workers = opts.vec_morsel_workers;
-      if (static_cast<size_t>(workers) > num_groups) {
-        workers = static_cast<int>(num_groups);
-      }
-      return ExecSeqScanVecMorsel(node, ctx, aoc, cols, vis, num_groups, workers, sink);
-    }
-  }
-
   Status inner = Status::OK();
   int64_t visible_rows = 0;
-  Status scan = aoc->ScanBatches(vis, cols, [&](ColumnBatch&& batch) -> bool {
-    // One Tick per batch amortizes cancellation checks and simulated-CPU
-    // charging over the whole group.
-    Status t = ctx.Tick(static_cast<int>(batch.rows));
-    if (!t.ok()) {
-      inner = t;
-      return false;
-    }
+  Status scan = aoc->ScanBatches(ctx.Vis(), cols, [&](ColumnBatch&& batch) {
     visible_rows += static_cast<int64_t>(batch.ActiveRows());
-    if (node.filter) {
-      Status f = VecFilterBatch(*node.filter, &batch);
-      if (!f.ok()) {
-        inner = f;
-        return false;
-      }
-    }
-    if (batch.ActiveRows() == 0) return true;
-    Status s = sink(std::move(batch));
-    if (!s.ok()) {
-      inner = s;
-      return false;
-    }
-    return true;
+    return FilterIntoSink(node, ctx, sink, std::move(batch), &inner);
   });
   if (ctx.op_stats != nullptr && visible_rows > 0) {
     ctx.op_stats->RecordStoreRows(node.node_id, "ao-column", visible_rows);

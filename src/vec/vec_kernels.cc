@@ -142,7 +142,7 @@ Status VecEvalLogical(const Expr& e, const ColumnBatch& batch,
 }
 
 // Int64 x int64 kernel: branchless compare/add/sub/mul loops split by null
-// presence; div/mod keep their per-row zero check (they can error).
+// presence; div/mod go row by row through IntDivMod (they can error).
 Status EvalBinaryIntInt(BinOp op, const ColumnVector& l, const ColumnVector& r,
                         const std::vector<int32_t>& pos, size_t rows,
                         ColumnVector* out) {
@@ -158,8 +158,7 @@ Status EvalBinaryIntInt(BinOp op, const ColumnVector& l, const ColumnVector& r,
         out->SetNull(i);
         continue;
       }
-      if (b[i] == 0) return Status::InvalidArgument("division by zero");
-      o[i] = op == BinOp::kDiv ? a[i] / b[i] : a[i] % b[i];
+      GPHTAP_RETURN_IF_ERROR(IntDivMod(op, a[i], b[i], &o[i]));
     }
     return Status::OK();
   }

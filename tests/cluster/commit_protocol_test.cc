@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "api/gphtap.h"
+#include "common/clock.h"
 
 namespace gphtap {
 namespace {
@@ -172,6 +173,35 @@ TEST_F(CommitProtocolTest, ExplainReportsDirectDispatch) {
   auto full = session_->Execute("EXPLAIN SELECT v FROM t");
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(full->rows[0][0].string_val().find("direct dispatch"), std::string::npos);
+}
+
+// The 2PC fan-out overlaps its participants: with a 50 ms fsync, a
+// four-participant COMMIT pays one PREPARE round, the coordinator record and
+// one COMMIT PREPARED round, not the serial sum of all nine fsyncs. Running
+// the participants one after another on the coordinator's thread fails this.
+TEST_F(CommitProtocolTest, TwoPhaseParticipantsOverlap) {
+  constexpr int64_t kFsyncUs = 50'000;
+  ClusterOptions o;
+  o.num_segments = 4;
+  o.fsync_cost_us = kFsyncUs;
+  cluster_ = std::make_unique<Cluster>(o);
+  session_ = cluster_->Connect();
+  ASSERT_TRUE(
+      session_->Execute("CREATE TABLE t (k int, v int) DISTRIBUTED BY (k)").ok());
+  ASSERT_TRUE(session_->Execute("BEGIN").ok());
+  ASSERT_TRUE(
+      session_->Execute("INSERT INTO t SELECT i, i FROM generate_series(1, 40) i").ok());
+  const uint64_t prepares = cluster_->net().count(MsgKind::kPrepare);
+  const uint64_t fsyncs = TotalFsyncs();
+  Stopwatch commit;
+  ASSERT_TRUE(session_->Execute("COMMIT").ok());
+  const int64_t elapsed_us = commit.ElapsedMicros();
+  ASSERT_EQ(cluster_->net().count(MsgKind::kPrepare) - prepares, 4u);
+  const uint64_t commit_fsyncs = TotalFsyncs() - fsyncs;
+  ASSERT_EQ(commit_fsyncs, 9u);
+  const int64_t serial_us = static_cast<int64_t>(commit_fsyncs) * kFsyncUs;
+  EXPECT_LT(elapsed_us, serial_us * 2 / 3)
+      << "COMMIT took " << elapsed_us << " us; its fsyncs alone sum to " << serial_us;
 }
 
 }  // namespace

@@ -417,6 +417,32 @@ TEST_F(SqlEndToEndTest, DistributionKeyUpdateRejected) {
   EXPECT_EQ(r.status().code(), StatusCode::kNotSupported);
 }
 
+// x86 traps on INT64_MIN / -1 and INT64_MIN % -1. Both engines follow
+// PostgreSQL's int8div / int8mod instead, on every storage kind.
+TEST_F(SqlEndToEndTest, BigintMinDivisionByMinusOneDoesNotTrap) {
+  for (const char* storage : {"heap", "ao_column"}) {
+    const std::string table = std::string("big_") + storage;
+    Exec("CREATE TABLE " + table + " (k int, v int) WITH (storage=" + storage +
+         ") DISTRIBUTED BY (k)");
+    Exec("INSERT INTO " + table + " VALUES (1, -9223372036854775807 - 1), (2, 7)");
+    for (const char* mode : {"on", "off"}) {
+      Exec(std::string("SET vectorized_execution = ") + mode);
+      const std::string where = std::string(storage) + ", vectorized_execution = " + mode;
+      Status div = ExecErr("SELECT v / -1 FROM " + table);
+      EXPECT_EQ(div.code(), StatusCode::kInvalidArgument) << where;
+      EXPECT_NE(div.message().find("bigint out of range"), std::string::npos)
+          << where << ": " << div.ToString();
+      QueryResult mod = Exec("SELECT k, v % -1 FROM " + table + " ORDER BY k");
+      ASSERT_EQ(mod.rows.size(), 2u) << where;
+      EXPECT_EQ(mod.rows[0][1].int_val(), 0) << where;
+      EXPECT_EQ(mod.rows[1][1].int_val(), 0) << where;
+      QueryResult neg = Exec("SELECT v / -1 FROM " + table + " WHERE k = 2");
+      ASSERT_EQ(neg.rows.size(), 1u) << where;
+      EXPECT_EQ(neg.rows[0][0].int_val(), -7) << where;
+    }
+  }
+}
+
 // Integer literals assigned to a double column are stored as doubles
 // (PostgreSQL's assignment cast). Storing the int instead made sealing a
 // column group abort the process and made `w / 4` divide as integers.

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <thread>
 
 #include "api/gphtap.h"
+#include "common/clock.h"
 #include "common/rng.h"
 
 namespace gphtap {
@@ -172,6 +175,20 @@ TEST(SnapshotStressTest, OnePhaseCommitWindowNeverLeaks) {
   reader.join();
   EXPECT_EQ(anomalies.load(), 0) << "a committed 1PC insert disappeared from view";
   EXPECT_EQ(setup->Execute("SELECT count(*) FROM t")->rows[0][0].int_val(), 300);
+}
+
+// The maintenance loop waits out its period on a condition variable that
+// ~Cluster notifies, so shutdown never sits through a full period.
+TEST(SnapshotStressTest, LongMaintenancePeriodDoesNotDelayShutdown) {
+  ClusterOptions o;
+  o.num_segments = 2;
+  o.maintenance_period_us = 10'000'000;
+  auto cluster = std::make_unique<Cluster>(o);
+  // Let the loop finish its first pass and start waiting.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Stopwatch shutdown;
+  cluster.reset();
+  EXPECT_LT(shutdown.ElapsedMicros(), 1'000'000);
 }
 
 }  // namespace

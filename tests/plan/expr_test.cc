@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace gphtap {
 namespace {
 
@@ -27,6 +29,27 @@ TEST(ExprTest, IntArithmetic) {
   EXPECT_EQ(eval(BinOp::kMod, 7, 2)->int_val(), 1);
   EXPECT_FALSE(eval(BinOp::kDiv, 1, 0).ok());
   EXPECT_FALSE(eval(BinOp::kMod, 1, 0).ok());
+}
+
+// PostgreSQL's int8div / int8mod: INT64_MIN / -1 is an error, not a trap,
+// and x % -1 is 0 for every x.
+TEST(ExprTest, IntMinDivisionByMinusOne) {
+  Row row;
+  auto eval = [&](BinOp op, int64_t a, int64_t b) {
+    return EvalExpr(*Expr::Binary(op, Expr::Const(I(a)), Expr::Const(I(b))), row);
+  };
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  auto div = eval(BinOp::kDiv, min, -1);
+  ASSERT_FALSE(div.ok());
+  EXPECT_EQ(div.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(div.status().message(), "bigint out of range");
+  EXPECT_EQ(eval(BinOp::kMod, min, -1)->int_val(), 0);
+  EXPECT_EQ(eval(BinOp::kMod, 7, -1)->int_val(), 0);
+  EXPECT_EQ(eval(BinOp::kDiv, 7, -1)->int_val(), -7);
+  EXPECT_EQ(eval(BinOp::kDiv, min, 1)->int_val(), min);
+  EXPECT_EQ(eval(BinOp::kDiv, min + 1, -1)->int_val(),
+            std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(eval(BinOp::kMod, -7, 2)->int_val(), -1);
 }
 
 TEST(ExprTest, MixedArithmeticWidens) {

@@ -225,72 +225,5 @@ TEST(VecDifferentialTest, MidStreamFallbackAtJoinBoundaryAgrees) {
   EXPECT_GT(vec_cluster->StatsSnapshot().counter("vec.fallbacks"), 0u);
 }
 
-// Morsel-parallel scans must be indistinguishable from serial ones: same
-// rows, and (per segment slice) the same order after the reorder buffer.
-TEST(VecDifferentialTest, MorselParallelScanMatchesSerial) {
-  for (uint64_t seed : {42u, 1337u, 7u}) {
-    auto make = [&](int workers) {
-      ClusterOptions options;
-      options.num_segments = 2;
-      options.vectorized_execution_enabled = true;
-      options.vec_morsel_workers = workers;
-      return std::make_unique<Cluster>(options);
-    };
-    auto parallel_cluster = make(4);
-    auto serial_cluster = make(1);
-    Rng rng(seed);
-    // Same generated data on both clusters: enough rows per segment to seal
-    // multiple 1024-row groups, with NULLs and deletes in the mix.
-    std::vector<std::string> inserts;
-    for (int base = 0; base < 10000; base += 1000) {
-      std::string values;
-      for (int k = base; k < base + 1000; ++k) {
-        if (!values.empty()) values += ", ";
-        int64_t v = rng.UniformRange(-100, 1000);
-        std::string sv = rng.Chance(0.05) ? "NULL" : std::to_string(v);
-        values += "(" + std::to_string(k) + ", " + std::to_string(k % 31) +
-                  ", " + sv + ")";
-      }
-      inserts.push_back("INSERT INTO fact VALUES " + values);
-    }
-    for (Cluster* c : {parallel_cluster.get(), serial_cluster.get()}) {
-      auto s = c->Connect();
-      ASSERT_TRUE(s->Execute("CREATE TABLE fact (k int, grp int, v int) "
-                             "WITH (storage=ao_column) DISTRIBUTED BY (k)")
-                      .ok());
-      for (const std::string& ins : inserts) ASSERT_TRUE(s->Execute(ins).ok());
-      ASSERT_TRUE(s->Execute("DELETE FROM fact WHERE grp = 13").ok());
-    }
-    auto par = parallel_cluster->Connect();
-    auto ser = serial_cluster->Connect();
-    const char* queries[] = {
-        "SELECT k, grp, v FROM fact WHERE v > 500",
-        "SELECT count(*), sum(v), min(v), max(v) FROM fact",
-        "SELECT grp, count(*), sum(v) FROM fact GROUP BY grp",
-        "SELECT k, v FROM fact WHERE v IS NULL",
-        "SELECT k FROM fact WHERE k % 2 = 0 ORDER BY k LIMIT 100",
-    };
-    for (const char* sql : queries) {
-      auto p = par->Execute(sql);
-      auto s = ser->Execute(sql);
-      ASSERT_TRUE(p.ok()) << "seed " << seed << ": " << sql << ": "
-                          << p.status().ToString();
-      ASSERT_TRUE(s.ok()) << "seed " << seed << ": " << sql;
-      EXPECT_EQ(SortedRows(*p), SortedRows(*s)) << "seed " << seed << ": " << sql;
-    }
-    // ORDER BY results must match exactly (not just as sets).
-    auto p_ord = par->Execute("SELECT k, v FROM fact ORDER BY k");
-    auto s_ord = ser->Execute("SELECT k, v FROM fact ORDER BY k");
-    ASSERT_TRUE(p_ord.ok() && s_ord.ok());
-    ASSERT_EQ(p_ord->rows.size(), s_ord->rows.size());
-    for (size_t i = 0; i < p_ord->rows.size(); ++i) {
-      ASSERT_EQ(RowText(p_ord->rows[i]), RowText(s_ord->rows[i])) << "row " << i;
-    }
-    EXPECT_GT(parallel_cluster->StatsSnapshot().counter("vec.morsels"), 0u)
-        << "seed " << seed << ": morsel path never engaged";
-    EXPECT_EQ(serial_cluster->StatsSnapshot().counter("vec.morsels"), 0u);
-  }
-}
-
 }  // namespace
 }  // namespace gphtap

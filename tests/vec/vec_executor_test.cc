@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/session.h"
+#include "vec/vec_kernels.h"
 
 namespace gphtap {
 namespace {
@@ -220,6 +222,30 @@ TEST(VecExecutorTest, DeleteVisibilityRespectedAfterBatchScan) {
   ASSERT_TRUE(after.ok());
   EXPECT_GT(before->rows[0][0].int_val(), 0);
   EXPECT_EQ(after->rows[0][0].int_val(), 0);
+}
+
+// The int64 x int64 kernel follows PostgreSQL's int8div / int8mod instead of
+// trapping on INT64_MIN / -1 and INT64_MIN % -1.
+TEST(VecExecutorTest, IntMinDivisionByMinusOne) {
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  ColumnBatch batch;
+  batch.Reset(1);
+  batch.AppendRow(Row{Datum(min)});
+  batch.AppendRow(Row{Datum(int64_t{7})});
+  auto by_minus_one = [](BinOp op) {
+    return Expr::Binary(op, Expr::Column(0), Expr::Const(Datum(int64_t{-1})));
+  };
+  ColumnVector out;
+  ASSERT_TRUE(VecEval(*by_minus_one(BinOp::kMod), batch, batch.sel, &out).ok());
+  ASSERT_EQ(out.tag, ColumnVector::Tag::kInt64);
+  EXPECT_EQ(out.ints[0], 0);
+  EXPECT_EQ(out.ints[1], 0);
+  Status div = VecEval(*by_minus_one(BinOp::kDiv), batch, batch.sel, &out);
+  EXPECT_EQ(div.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(div.message(), "bigint out of range");
+  batch.sel = {1};
+  ASSERT_TRUE(VecEval(*by_minus_one(BinOp::kDiv), batch, batch.sel, &out).ok());
+  EXPECT_EQ(out.ints[1], -7);
 }
 
 }  // namespace
