@@ -163,6 +163,17 @@ std::vector<TableDef> BuildDefs() {
                            {"kind", TypeId::kString},  // counter | gauge
                            {"value", TypeId::kInt64}}));
 
+  // One row per background task (GDD, FTS, DTX recovery, maintenance, delta
+  // seal, stats history, front-door sweeper) that this cluster runs.
+  defs.push_back(MakeView(SystemViewId::kBackgroundTasks, "gp_background_tasks",
+                          {{"name", TypeId::kString},
+                           {"period_us", TypeId::kInt64},
+                           {"runs", TypeId::kInt64},
+                           // Since the last completed pass started (-1 = none yet).
+                           {"last_run_age_us", TypeId::kInt64},
+                           {"last_run_us", TypeId::kInt64},  // that pass's duration
+                           {"p95_run_us", TypeId::kInt64}}));
+
   return defs;
 }
 

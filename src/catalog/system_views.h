@@ -29,6 +29,7 @@ enum class SystemViewId : TableId {
   kStatHistory = kSystemViewIdBase + 8,    // gp_stat_history
   kStatProgress = kSystemViewIdBase + 9,   // gp_stat_progress
   kMetrics = kSystemViewIdBase + 10,       // gp_metrics
+  kBackgroundTasks = kSystemViewIdBase + 11,  // gp_background_tasks
 };
 
 /// All system-view defs (is_system_view set, Replicated distribution — they

@@ -1,7 +1,6 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 
 #include "catalog/system_views.h"
@@ -72,8 +71,11 @@ Cluster::Cluster(ClusterOptions options)
     };
     hooks.txn_running = [this](Gxid gxid) { return dtm_.IsRunning(gxid); };
     hooks.kill = [this](Gxid gxid, Status reason) { CancelTxn(gxid, std::move(reason)); };
-    gdd_ = std::make_unique<GddDaemon>(std::move(hooks), options.gdd_period_us, &metrics_);
-    gdd_->Start();
+    gdd_ = std::make_unique<GddDaemon>(std::move(hooks), &metrics_);
+    AddTask("gdd", options.gdd_period_us, [this](std::stop_token) {
+      gdd_->RunOnce();
+      return true;
+    });
   }
 
   if (options.fts_enabled) {
@@ -93,17 +95,19 @@ Cluster::Cluster(ClusterOptions options)
       return m != nullptr && !m->promoted();
     };
     hooks.failover = [this](int i) { return FailoverToMirror(i); };
-    FtsDaemon::Options fts_options;
-    fts_options.period_us = options.fts_period_us;
-    fts_options.misses_before_failover = options.fts_misses_before_failover;
-    fts_ = std::make_unique<FtsDaemon>(std::move(hooks), fts_options, &metrics_);
-    fts_->Start();
+    fts_ = std::make_unique<FtsDaemon>(std::move(hooks), options.fts_misses_before_failover,
+                                       &metrics_);
+    AddTask("fts", options.fts_period_us, [this](std::stop_token stop) {
+      fts_->RunOnce(stop);
+      return true;
+    });
   }
 
   {
     // Always on: it is the correctness valve for 2PC transactions whose
     // commit fanout gave up on a participant (see dtx_recovery.h). Idle cost
-    // is one parked thread.
+    // is one parked thread: a pass that finds nothing pending parks the task
+    // until Enqueue wakes it.
     DtxRecoveryDaemon::Hooks hooks;
     hooks.commit_segment = [this](Gxid gxid, int seg_index) -> Status {
       // Same wire + pin + local-commit shape as CommitSegmentWithRetry, but
@@ -126,25 +130,49 @@ Cluster::Cluster(ClusterOptions options)
       segment(seg_index)->locks().ReleaseAll(*owner);
     };
     hooks.mark_committed = [this](Gxid gxid) { dtm_.MarkCommitted(gxid); };
-    dtx_recovery_ = std::make_unique<DtxRecoveryDaemon>(
-        std::move(hooks), options.dtx_recovery_period_us, &metrics_);
-    dtx_recovery_->Start();
+    dtx_recovery_ = std::make_unique<DtxRecoveryDaemon>(std::move(hooks), &metrics_);
+    dtx_recovery_->set_task(AddTask("dtx_recovery", DtxRecoveryDaemon::kPeriodUs,
+                                    [this](std::stop_token stop) {
+                                      return dtx_recovery_->RunOnce(stop);
+                                    }));
   }
 
   if (options.maintenance_period_us > 0) {
-    maintenance_running_ = true;
-    maintenance_thread_ = std::thread([this] { MaintenanceLoop(); });
+    AddTask("maintenance", options.maintenance_period_us, [this](std::stop_token) {
+      TruncateXidMaps();
+      return true;
+    });
   }
 
   if (options.delta_store_enabled && options.delta_seal_period_us > 0) {
-    delta_seal_running_.store(true);
-    delta_seal_thread_ = std::thread([this] { DeltaSealLoop(); });
+    // Daemon-lifetime progress entry (gp_stat_progress): phase "seal", node =
+    // segment being sealed, units_done = completed per-segment passes. It
+    // finishes when the task is destroyed; total stays 0 (unbounded).
+    auto progress = std::make_shared<ProgressRegistry::Handle>(
+        progress_.Begin(ProgressOp::kDeltaSeal, ""));
+    progress->SetPhase("seal");
+    AddTask("delta_seal", options.delta_seal_period_us,
+            [this, progress](std::stop_token stop) {
+              // Its own wait context, so seal stalls behind a recovering
+              // segment show up in gp_wait_events as delta_seal_stall.
+              WaitContext ctx;
+              ctx.registry = &wait_events_;
+              WaitContextGuard guard(ctx);
+              for (int i = 0; i < num_segments() && !stop.stop_requested(); ++i) {
+                progress->SetNode(i);
+                Status s = SealDeltaNow(i);
+                (void)s;  // a down segment skips its pass; the next one retries
+                progress->Advance();
+              }
+              return true;
+            });
   }
 
-  metrics_history_ = std::make_unique<MetricsHistory>(options.stats_history_capacity);
   if (options.stats_history_period_us > 0) {
-    stats_history_running_.store(true);
-    stats_history_thread_ = std::thread([this] { StatsHistoryLoop(); });
+    AddTask("stats_history", options.stats_history_period_us, [this](std::stop_token) {
+      CaptureHistoryTick();
+      return true;
+    });
   }
 
   // Last: front-door sessions drive every subsystem above.
@@ -159,38 +187,21 @@ Cluster::~Cluster() {
     frontend_->Stop();
     frontend_.reset();
   }
-  if (stats_history_running_.exchange(false) && stats_history_thread_.joinable()) {
-    stats_history_thread_.join();
-  }
-  if (dtx_recovery_) dtx_recovery_->Stop();
-  if (fts_) fts_->Stop();
-  if (delta_seal_running_.exchange(false) && delta_seal_thread_.joinable()) {
-    delta_seal_thread_.join();
-  }
+  // Then every daemon; each returns once its pass in flight does.
+  for (auto& task : tasks_) task->Stop();
   for (auto& di : delta_indexes_) {
     if (di != nullptr) di->Stop();
   }
   for (auto& m : mirrors_) {
     if (m != nullptr) m->Stop();
   }
-  if (gdd_) gdd_->Stop();
-  {
-    std::lock_guard<std::mutex> g(maintenance_mu_);
-    maintenance_running_ = false;
-  }
-  maintenance_cv_.notify_all();
-  if (maintenance_thread_.joinable()) maintenance_thread_.join();
 }
 
-void Cluster::MaintenanceLoop() {
-  for (;;) {
-    TruncateXidMaps();
-    std::unique_lock<std::mutex> lk(maintenance_mu_);
-    const auto period = std::chrono::microseconds(options_.maintenance_period_us);
-    if (maintenance_cv_.wait_for(lk, period, [this] { return !maintenance_running_; })) {
-      return;
-    }
-  }
+PeriodicTask* Cluster::AddTask(std::string name, int64_t period_us,
+                               PeriodicTask::Pass pass) {
+  return tasks_
+      .emplace_back(std::make_unique<PeriodicTask>(std::move(name), period_us, std::move(pass)))
+      .get();
 }
 
 Status Cluster::BuildSegmentSlot(int index, const std::vector<TableDef>& defs) {
@@ -223,36 +234,6 @@ Status Cluster::BuildSegmentSlot(int index, const std::vector<TableDef>& defs) {
   }
   segments_[static_cast<size_t>(index)] = std::move(seg);
   return Status::OK();
-}
-
-void Cluster::DeltaSealLoop() {
-  // The daemon thread gets its own wait context so seal stalls behind a
-  // recovering segment show up in gp_wait_events as delta_seal_stall.
-  WaitContext ctx;
-  ctx.registry = &wait_events_;
-  WaitContextGuard guard(ctx);
-  // Daemon-lifetime progress entry (gp_stat_progress): phase "seal", node =
-  // segment currently being sealed, units_done = completed per-segment passes.
-  // Never finishes while the daemon runs; total stays 0 (unbounded).
-  ProgressRegistry::Handle progress = progress_.Begin(ProgressOp::kDeltaSeal, "");
-  progress.SetPhase("seal");
-  while (delta_seal_running_.load(std::memory_order_relaxed)) {
-    const int n = num_segments();
-    for (int i = 0; i < n; ++i) {
-      if (!delta_seal_running_.load(std::memory_order_relaxed)) return;
-      progress.SetNode(i);
-      Status s = SealDeltaNow(i);
-      (void)s;  // a down segment skips its pass; the next one retries
-      progress.Advance();
-    }
-    int64_t slept = 0;
-    while (slept < options_.delta_seal_period_us &&
-           delta_seal_running_.load(std::memory_order_relaxed)) {
-      const int64_t chunk = std::min<int64_t>(options_.delta_seal_period_us - slept, 1000);
-      std::this_thread::sleep_for(std::chrono::microseconds(chunk));
-      slept += chunk;
-    }
-  }
 }
 
 Status Cluster::SealDeltaNow(int index) {
@@ -708,28 +689,13 @@ MetricsSnapshot Cluster::StatsSnapshot() {
 std::string Cluster::StatsDump() { return StatsSnapshot().ToString(); }
 
 void Cluster::CaptureHistoryTick() {
-  metrics_history_->Capture(StatsSnapshot(), MonotonicMicros());
-}
-
-void Cluster::StatsHistoryLoop() {
-  while (stats_history_running_.load(std::memory_order_relaxed)) {
-    CaptureHistoryTick();
-    // Chunked sleep so Stop is prompt (same pattern as the seal daemon).
-    int64_t slept = 0;
-    while (slept < options_.stats_history_period_us &&
-           stats_history_running_.load(std::memory_order_relaxed)) {
-      const int64_t chunk =
-          std::min<int64_t>(options_.stats_history_period_us - slept, 1000);
-      std::this_thread::sleep_for(std::chrono::microseconds(chunk));
-      slept += chunk;
-    }
-  }
+  metrics_history_.Capture(StatsSnapshot(), MonotonicMicros());
 }
 
 Status Cluster::DumpHistoryCsv(const std::string& path) {
   std::ofstream f(path, std::ios::trunc);
   if (!f.is_open()) return Status::Internal("cannot open " + path);
-  f << metrics_history_->ToCsv();
+  f << metrics_history_.ToCsv();
   f.close();
   if (!f.good()) return Status::Internal("write to " + path + " failed");
   return Status::OK();

@@ -5,13 +5,11 @@
 #define GPHTAP_CLUSTER_CLUSTER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -25,6 +23,7 @@
 #include "common/fault_injector.h"
 #include "common/gang_runner.h"
 #include "common/metrics.h"
+#include "common/periodic_task.h"
 #include "frontend/frontend_options.h"
 #include "common/trace.h"
 #include "common/wait_event.h"
@@ -107,7 +106,8 @@ struct ClusterOptions {
   // group (0 = off). This is what makes OLAP queries "heavy" in HTAP benches.
   int64_t exec_cpu_ns_per_row = 0;
 
-  // Background horizon maintenance (xid-map truncation + vacuum) period; 0=off.
+  // Background horizon maintenance period: each pass truncates every
+  // segment's local->distributed xid map (TruncateXidMaps); 0 = off.
   int64_t maintenance_period_us = 0;
 
   // High availability: give every primary segment a mirror that continuously
@@ -144,7 +144,6 @@ struct ClusterOptions {
   // every period into a bounded ring of per-metric deltas. 0 = daemon off
   // (Cluster::CaptureHistoryTick still works for manual capture).
   int64_t stats_history_period_us = 0;
-  size_t stats_history_capacity = 120;
 
   // --- Query-lifecycle resilience ---
   // Cluster-wide defaults for the session timeout GUCs (SET statement_timeout
@@ -173,11 +172,6 @@ struct ClusterOptions {
   // immediately whenever no slot is free (shed-on-saturation mode).
   int resgroup_max_queue = 0;
   bool resgroup_shed_on_saturation = false;
-
-  // Background retry period for committed-but-unacked 2PC participants
-  // (DtxRecoveryDaemon). The transaction stays in the distributed in-progress
-  // set — invisible to every snapshot — until the daemon completes it.
-  int64_t dtx_recovery_period_us = 5'000;
 
   // --- Million-session front door (src/frontend/) ---
   // Thread-decoupled logical sessions over a bounded worker pool, with
@@ -318,6 +312,13 @@ class Cluster {
   /// Per-segment up/down + mirror replication lag + FTS counters.
   ClusterHealth Health();
 
+  // ---- Background tasks ----
+  /// Starts `pass` as a background task named `name`, listed in
+  /// gp_background_tasks and stopped by ~Cluster right after the front door.
+  /// Call only while the cluster is being built (the constructor and the
+  /// front door it creates), so readers of the list need no lock.
+  PeriodicTask* AddTask(std::string name, int64_t period_us, PeriodicTask::Pass pass);
+
   // ---- Observability ----
   MetricsRegistry& metrics() { return metrics_; }
   /// The one place that starts threads for statements and commits.
@@ -354,7 +355,7 @@ class Cluster {
   /// Cumulative per-fingerprint statement statistics (gp_stat_statements).
   StatementStatsRegistry& statement_stats() { return statement_stats_; }
   /// Metrics-history ring (gp_stat_history), fed by the history daemon.
-  MetricsHistory& metrics_history() { return *metrics_history_; }
+  MetricsHistory& metrics_history() { return metrics_history_; }
   /// Maintenance progress registry (gp_stat_progress).
   ProgressRegistry& progress() { return progress_; }
   /// Takes one history tick now (what the daemon does every period); the
@@ -446,7 +447,6 @@ class Cluster {
   Status VerifyMirrorsConsistent();
 
  private:
-  void MaintenanceLoop();
   /// The table defs segment `index` was created with (external paths are only
   /// materialized on segment 0); used to rebuild the schema during recovery.
   std::vector<TableDef> DefsForSegment(int index) const;
@@ -470,8 +470,7 @@ class Cluster {
   SessionRegistry sessions_;
   StatementStatsRegistry statement_stats_;
   ProgressRegistry progress_;
-  // unique_ptr: capacity comes from options at construction time.
-  std::unique_ptr<MetricsHistory> metrics_history_;
+  MetricsHistory metrics_history_;
   mutable std::mutex traces_mu_;
   std::deque<std::shared_ptr<Trace>> retained_traces_;  // newest at the back
   static constexpr size_t kRetainedTraceCapacity = 256;
@@ -522,18 +521,9 @@ class Cluster {
   std::atomic<int> next_motion_id_{0};
   std::mutex failover_mu_;  // serializes FTS-driven and manual failovers
 
-  std::mutex maintenance_mu_;
-  std::condition_variable maintenance_cv_;  // ~Cluster wakes the loop to exit
-  bool maintenance_running_ = false;        // guarded by maintenance_mu_
-  std::thread maintenance_thread_;
-
-  void DeltaSealLoop();
-  std::atomic<bool> delta_seal_running_{false};
-  std::thread delta_seal_thread_;
-
-  void StatsHistoryLoop();
-  std::atomic<bool> stats_history_running_{false};
-  std::thread stats_history_thread_;
+  // Every periodic daemon, in start order. Declared after everything a pass
+  // touches; ~Cluster stops them all before any member is destroyed.
+  std::vector<std::unique_ptr<PeriodicTask>> tasks_;
 
   // Constructed last (its sessions touch every subsystem) and stopped first
   // in ~Cluster, before anything its in-flight statements could be using.

@@ -23,12 +23,12 @@
 #ifndef GPHTAP_CLUSTER_DTX_RECOVERY_H_
 #define GPHTAP_CLUSTER_DTX_RECOVERY_H_
 
-#include <condition_variable>
+#include <cstdint>
 #include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <thread>
+#include <stop_token>
 #include <vector>
 
 #include "common/metrics.h"
@@ -38,13 +38,15 @@
 
 namespace gphtap {
 
+class PeriodicTask;
+
 class DtxRecoveryDaemon {
  public:
   struct Hooks {
     /// One COMMIT PREPARED attempt against a segment (wire + pin + local
     /// commit). OK or a non-retryable verdict means the segment has a durable
     /// outcome; a retryable failure (down, message dropped) means try again
-    /// next tick.
+    /// next pass.
     std::function<Status(Gxid, int seg_index)> commit_segment;
     /// Releases the prepared transaction's locks on `seg_index`; called only
     /// after mark_committed so waiters blocked on its transaction locks never
@@ -61,19 +63,26 @@ class DtxRecoveryDaemon {
     uint64_t attempts = 0;   // individual per-segment commit attempts
   };
 
-  DtxRecoveryDaemon(Hooks hooks, int64_t period_us, MetricsRegistry* metrics);
-  ~DtxRecoveryDaemon();
+  /// Retry period while a transaction is pending.
+  static constexpr int64_t kPeriodUs = 5'000;
+
+  DtxRecoveryDaemon(Hooks hooks, MetricsRegistry* metrics);
 
   DtxRecoveryDaemon(const DtxRecoveryDaemon&) = delete;
   DtxRecoveryDaemon& operator=(const DtxRecoveryDaemon&) = delete;
 
-  void Start();
-  void Stop();
+  /// The task that runs RunOnce; Enqueue wakes it.
+  void set_task(PeriodicTask* task) { task_ = task; }
 
   /// Hands over an in-doubt-committed transaction: `pending` lists the
   /// segments whose COMMIT PREPARED ack never arrived. The owner keeps the
   /// prepared transaction's locks alive until each segment resolves.
   void Enqueue(Gxid gxid, std::shared_ptr<LockOwner> owner, std::vector<int> pending);
+
+  /// One COMMIT PREPARED attempt per pending (transaction, segment); returns
+  /// whether any transaction is still pending. With none pending the task
+  /// parks until the next Enqueue.
+  bool RunOnce(std::stop_token stop);
 
   Stats stats() const;
 
@@ -87,20 +96,15 @@ class DtxRecoveryDaemon {
     std::vector<int> held;
   };
 
-  void Loop();
-
   const Hooks hooks_;
-  const int64_t period_us_;
+  PeriodicTask* task_ = nullptr;
   Counter* m_enqueued_ = nullptr;
   Counter* m_resolved_ = nullptr;
   Counter* m_attempts_ = nullptr;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool running_ = false;
   std::list<Entry> entries_;
   Stats stats_;
-  std::thread thread_;
 };
 
 }  // namespace gphtap

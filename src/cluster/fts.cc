@@ -1,54 +1,28 @@
 #include "cluster/fts.h"
 
-#include <algorithm>
-#include <chrono>
-
 namespace gphtap {
 
-void FtsDaemon::Start() {
-  if (running_.exchange(true)) return;
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void FtsDaemon::Stop() {
-  if (!running_.exchange(false)) return;
-  {
-    std::lock_guard<std::mutex> g(wake_mu_);
-    wake_cv_.notify_all();
-  }
-  if (thread_.joinable()) thread_.join();
-}
-
-void FtsDaemon::Loop() {
-  std::vector<int> misses;
-  while (running_.load(std::memory_order_relaxed)) {
-    const int n = hooks_.num_segments();
-    if (misses.size() < static_cast<size_t>(n)) misses.resize(static_cast<size_t>(n), 0);
-    for (int i = 0; i < n; ++i) {
-      if (!running_.load(std::memory_order_relaxed)) return;
-      probes_.fetch_add(1, std::memory_order_relaxed);
-      if (m_probes_ != nullptr) m_probes_->Add(1);
-      if (hooks_.probe(i)) {
-        misses[static_cast<size_t>(i)] = 0;
-        continue;
-      }
-      probe_misses_.fetch_add(1, std::memory_order_relaxed);
-      if (m_probe_misses_ != nullptr) m_probe_misses_->Add(1);
-      if (++misses[static_cast<size_t>(i)] < options_.misses_before_failover) continue;
-      misses[static_cast<size_t>(i)] = 0;
-      if (hooks_.can_failover == nullptr || !hooks_.can_failover(i)) continue;
-      if (hooks_.failover(i).ok()) {
-        failovers_.fetch_add(1, std::memory_order_relaxed);
-        if (m_failovers_ != nullptr) m_failovers_->Add(1);
-      } else {
-        failed_failovers_.fetch_add(1, std::memory_order_relaxed);
-      }
+void FtsDaemon::RunOnce(std::stop_token stop) {
+  const int n = hooks_.num_segments();
+  if (misses_.size() < static_cast<size_t>(n)) misses_.resize(static_cast<size_t>(n), 0);
+  for (int i = 0; i < n && !stop.stop_requested(); ++i) {
+    probes_.fetch_add(1, std::memory_order_relaxed);
+    if (m_probes_ != nullptr) m_probes_->Add(1);
+    if (hooks_.probe(i)) {
+      misses_[static_cast<size_t>(i)] = 0;
+      continue;
     }
-    // Park on the wake CV for the probe period; Stop() notifies, so shutdown
-    // does not wait out the period (and never lags it in 1ms slices).
-    std::unique_lock<std::mutex> lk(wake_mu_);
-    wake_cv_.wait_for(lk, std::chrono::microseconds(options_.period_us),
-                      [this] { return !running_.load(std::memory_order_relaxed); });
+    probe_misses_.fetch_add(1, std::memory_order_relaxed);
+    if (m_probe_misses_ != nullptr) m_probe_misses_->Add(1);
+    if (++misses_[static_cast<size_t>(i)] < misses_before_failover_) continue;
+    misses_[static_cast<size_t>(i)] = 0;
+    if (hooks_.can_failover == nullptr || !hooks_.can_failover(i)) continue;
+    if (hooks_.failover(i).ok()) {
+      failovers_.fetch_add(1, std::memory_order_relaxed);
+      if (m_failovers_ != nullptr) m_failovers_->Add(1);
+    } else {
+      failed_failovers_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 }
 

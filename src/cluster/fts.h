@@ -1,17 +1,16 @@
 // Fault Tolerance Service (Section 3.1): a coordinator-side daemon that probes
-// every segment over the interconnect on a fixed period, counts consecutive
-// missed probes per segment, and — once a primary misses enough probes in a
-// row — promotes its mirror. Probing and promotion are injected as hooks so the
-// daemon stays decoupled from Cluster (and trivially testable).
+// every segment over the interconnect, counts consecutive missed probes per
+// segment, and — once a primary misses enough probes in a row — promotes its
+// mirror. The cluster runs one probe round every fts_period_us on a
+// PeriodicTask. Probing and promotion are injected as hooks so the daemon
+// stays decoupled from Cluster (and trivially testable).
 #ifndef GPHTAP_CLUSTER_FTS_H_
 #define GPHTAP_CLUSTER_FTS_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
+#include <stop_token>
 #include <vector>
 
 #include "common/metrics.h"
@@ -29,13 +28,8 @@ class FtsDaemon {
     std::function<bool(int)> probe;
     /// True if segment `i` has a promotable mirror.
     std::function<bool(int)> can_failover;
-    /// Promotes segment `i`'s mirror. Called from the daemon thread.
+    /// Promotes segment `i`'s mirror. Called from the probe round.
     std::function<Status(int)> failover;
-  };
-
-  struct Options {
-    int64_t period_us = 10'000;       // probe round interval
-    int misses_before_failover = 2;   // consecutive missed probes to act
   };
 
   struct Stats {
@@ -45,23 +39,24 @@ class FtsDaemon {
     uint64_t failed_failovers = 0;
   };
 
-  /// `metrics` (optional) registers fts.probes / fts.probe_misses /
+  /// Fails a primary over after `misses_before_failover` consecutive missed
+  /// probes. `metrics` (optional) registers fts.probes / fts.probe_misses /
   /// fts.failovers counters.
-  FtsDaemon(Hooks hooks, Options options, MetricsRegistry* metrics = nullptr)
-      : hooks_(std::move(hooks)), options_(options) {
+  FtsDaemon(Hooks hooks, int misses_before_failover, MetricsRegistry* metrics = nullptr)
+      : hooks_(std::move(hooks)), misses_before_failover_(misses_before_failover) {
     if (metrics != nullptr) {
       m_probes_ = metrics->counter("fts.probes");
       m_probe_misses_ = metrics->counter("fts.probe_misses");
       m_failovers_ = metrics->counter("fts.failovers");
     }
   }
-  ~FtsDaemon() { Stop(); }
 
   FtsDaemon(const FtsDaemon&) = delete;
   FtsDaemon& operator=(const FtsDaemon&) = delete;
 
-  void Start();
-  void Stop();
+  /// One probe round over every serving segment; stops between segments
+  /// once `stop` is requested.
+  void RunOnce(std::stop_token stop);
 
   Stats stats() const {
     return Stats{probes_.load(std::memory_order_relaxed),
@@ -71,17 +66,10 @@ class FtsDaemon {
   }
 
  private:
-  void Loop();
-
   const Hooks hooks_;
-  const Options options_;
+  const int misses_before_failover_;
+  std::vector<int> misses_;  // consecutive misses per segment; rounds never overlap
 
-  std::thread thread_;
-  std::atomic<bool> running_{false};
-  // Wakes the probe loop out of its inter-round sleep so Stop() returns
-  // promptly (same pattern as GddDaemon).
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
   Counter* m_probes_ = nullptr;
   Counter* m_probe_misses_ = nullptr;
   Counter* m_failovers_ = nullptr;

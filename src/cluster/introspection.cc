@@ -232,7 +232,7 @@ StatusOr<std::vector<Row>> Cluster::SystemViewRows(TableId view_id) {
       return rows;
     }
     case SystemViewId::kStatHistory: {
-      for (const MetricsHistory::Row& r : metrics_history_->Rows()) {
+      for (const MetricsHistory::Row& r : metrics_history_.Rows()) {
         rows.push_back(Row{Int(r.tick), Int(r.at_us), Datum(r.metric),
                            Int(r.value), Int(r.delta)});
       }
@@ -254,6 +254,16 @@ StatusOr<std::vector<Row>> Cluster::SystemViewRows(TableId view_id) {
       }
       for (const auto& [name, value] : snap.gauges) {
         rows.push_back(Row{Datum(name), Str("gauge"), Int(value)});
+      }
+      return rows;
+    }
+    case SystemViewId::kBackgroundTasks: {
+      const int64_t now = MonotonicMicros();
+      for (const auto& task : tasks_) {
+        PeriodicTask::Stats s = task->stats();
+        rows.push_back(Row{Datum(task->name()), Int(task->period_us()), Uint(s.runs),
+                           Int(s.runs == 0 ? -1 : now - s.last_start_us),
+                           Int(s.last_run_us), Int(s.durations.Percentile(95))});
       }
       return rows;
     }

@@ -1465,8 +1465,9 @@ StatusOr<QueryResult> Session::ExecuteTruncate(const TableDef& def) {
 
 StatusOr<QueryResult> Session::Execute(const std::string& sql) {
   // Install the wait context for the whole statement (parse through commit)
-  // and publish the query text for gp_stat_activity.
-  WaitContextGuard wait_guard(MakeWaitContext(), /*only_if_absent=*/true);
+  // and publish the query text for gp_stat_activity. It replaces the empty
+  // context a front-door worker inherits from the gang runner.
+  WaitContextGuard wait_guard(MakeWaitContext());
   wait_profile_.Reset();
   stmt_resources_.Reset();
   stmt_plan_cache_hit_ = false;

@@ -1,7 +1,6 @@
 #include "frontend/frontend.h"
 
 #include <algorithm>
-#include <chrono>
 #include <optional>
 
 #include "cluster/cluster.h"
@@ -17,6 +16,16 @@ namespace {
 // well before this (the COMMIT's successor is a transaction opener, which
 // always queues); the cap only matters for pathologically long transactions.
 constexpr int kMaxInlineStreak = 32;
+
+// Sweeper cadence: a quarter of the shorter idle/login timeout, so a session
+// is reaped within 1.25x its timeout, clamped to [1 ms, 50 ms]. 0 = no sweeper.
+int64_t SweepPeriodUs(const FrontDoorOptions& o) {
+  int64_t shortest = 0;
+  for (int64_t t : {o.idle_timeout_us, o.login_timeout_us}) {
+    if (t > 0 && (shortest == 0 || t < shortest)) shortest = t;
+  }
+  return shortest == 0 ? 0 : std::clamp<int64_t>(shortest / 4, 1'000, 50'000);
+}
 
 }  // namespace
 
@@ -88,11 +97,17 @@ FrontDoor::FrontDoor(Cluster* cluster, const FrontDoorOptions& options)
       m_idle_closed_(cluster->metrics().counter("frontend.idle_closed")),
       m_pool_busy_(cluster->metrics().counter("frontend.pool_busy")),
       m_executed_(cluster->metrics().counter("frontend.executed")),
-      m_inline_(cluster->metrics().counter("frontend.inline_dispatch")) {
-  int n = std::max(1, options_.workers);
-  workers_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) workers_.emplace_back([this] { WorkerLoop(); });
-  sweeper_ = std::thread([this] { SweepLoop(); });
+      m_inline_(cluster->metrics().counter("frontend.inline_dispatch")),
+      workers_(&cluster->gangs()) {
+  for (int i = 0; i < std::max(1, options_.workers); ++i) {
+    workers_.Spawn(-1, [this] { WorkerLoop(); });
+  }
+  if (const int64_t period = SweepPeriodUs(options_); period > 0) {
+    sweeper_ = cluster->AddTask("frontend_sweeper", period, [this](std::stop_token) {
+      Sweep();
+      return true;
+    });
+  }
 }
 
 FrontDoor::~FrontDoor() { Stop(); }
@@ -246,8 +261,12 @@ void FrontDoor::WorkerLoop() {
       return stopping_ || !txn_queue_.empty() || !open_queue_.empty();
     });
     if (txn_queue_.empty() && open_queue_.empty()) {
-      if (stopping_) return;
-      continue;
+      if (!stopping_) continue;
+      // This thread outlives the loop: a later gang task on the same worker,
+      // or the Stop caller that ran this loop from Join, must not see a dead
+      // slot.
+      tls_inline_ = nullptr;
+      return;
     }
     std::deque<Work>& q = txn_queue_.empty() ? open_queue_ : txn_queue_;
     Work w = std::move(q.front());
@@ -339,35 +358,25 @@ void FrontDoor::WorkerLoop() {
   }
 }
 
-void FrontDoor::SweepLoop() {
-  std::unique_lock<std::mutex> lk(mu_);
-  while (!stopping_) {
-    sweep_cv_.wait_for(lk,
-                       std::chrono::microseconds(std::max<int64_t>(
-                           options_.sweep_period_us, 1000)),
-                       [&] { return stopping_; });
-    if (stopping_) return;
-    if (options_.idle_timeout_us <= 0 && options_.login_timeout_us <= 0) continue;
-    int64_t now = MonotonicMicros();
-    std::vector<std::unique_ptr<Session>> dead;
-    std::vector<int64_t> ids;
-    for (auto& [id, fs] : live_) {
-      if (fs->busy_ || fs->closed_) continue;
-      bool idle_hit = options_.idle_timeout_us > 0 && fs->ever_ran_ &&
-                      now - fs->last_active_us_ >= options_.idle_timeout_us;
-      bool login_hit = options_.login_timeout_us > 0 && !fs->ever_ran_ &&
-                       now - fs->connected_us_ >= options_.login_timeout_us;
-      if (!idle_hit && !login_hit) continue;
-      dead.push_back(FinalizeLocked(fs.get()));
-      ids.push_back(id);
-      ++idle_closed_;
-      m_idle_closed_->Add(1);
+void FrontDoor::Sweep() {
+  std::vector<std::unique_ptr<Session>> dead;  // destroyed after mu_ is released
+  std::lock_guard<std::mutex> lk(mu_);
+  if (stopping_) return;
+  const int64_t now = MonotonicMicros();
+  for (auto it = live_.begin(); it != live_.end();) {
+    FrontendSession* fs = it->second.get();
+    const bool idle_hit = options_.idle_timeout_us > 0 && fs->ever_ran_ &&
+                          now - fs->last_active_us_ >= options_.idle_timeout_us;
+    const bool login_hit = options_.login_timeout_us > 0 && !fs->ever_ran_ &&
+                           now - fs->connected_us_ >= options_.login_timeout_us;
+    if (fs->busy_ || fs->closed_ || (!idle_hit && !login_hit)) {
+      ++it;
+      continue;
     }
-    for (int64_t id : ids) live_.erase(id);
-    if (dead.empty()) continue;
-    lk.unlock();
-    dead.clear();  // Session dtors (rollback + unregister) outside mu_
-    lk.lock();
+    dead.push_back(FinalizeLocked(fs));
+    it = live_.erase(it);
+    ++idle_closed_;
+    m_idle_closed_->Add(1);
   }
 }
 
@@ -390,20 +399,13 @@ void FrontDoor::CloseInternal(const std::shared_ptr<FrontendSession>& fs) {
 }
 
 void FrontDoor::Stop() {
-  std::vector<std::thread> workers;
-  std::thread sweeper;
   {
     std::lock_guard<std::mutex> lk(mu_);
     stopping_ = true;
-    workers.swap(workers_);
-    sweeper.swap(sweeper_);
     work_cv_.notify_all();
-    sweep_cv_.notify_all();
   }
-  for (auto& t : workers) {
-    if (t.joinable()) t.join();
-  }
-  if (sweeper.joinable()) sweeper.join();
+  if (sweeper_ != nullptr) sweeper_->Stop();
+  workers_.Join();
   // Workers drained both queues on the way out (failing each callback with
   // kUnavailable); with them joined no session is busy. Close every survivor.
   std::vector<std::unique_ptr<Session>> dead;

@@ -30,7 +30,7 @@
 //     through the queue so one chatty transaction cannot monopolize a
 //     worker; transaction-opening statements always take the queued path so
 //     admission control sees every new transaction.
-//   * A sweeper enforces idle-session and login timeouts so abandoned
+//   * A sweeper task enforces idle-session and login timeouts so abandoned
 //     handles cannot pin registry entries forever.
 //   * Fault points frontend.worker_stall (delay) and frontend.accept_drop
 //     let chaos stall the pool and drop connects mid-storm.
@@ -56,11 +56,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "cluster/session.h"
+#include "common/gang_runner.h"
+#include "common/periodic_task.h"
 #include "common/status.h"
 #include "frontend/frontend_options.h"
 
@@ -148,7 +149,7 @@ class FrontDoor {
 
   /// Stops workers and the sweeper, failing still-queued statements with
   /// kUnavailable and closing every live session. Called by ~Cluster before
-  /// any other subsystem comes down; idempotent.
+  /// any other subsystem comes down; idempotent, from one thread at a time.
   void Stop();
 
   const FrontDoorOptions& options() const { return options_; }
@@ -185,8 +186,8 @@ class FrontDoor {
   };
 
   /// Per-worker inline-continuation slot: points at the owning worker's stack
-  /// while its WorkerLoop runs, armed only for the span of a completion
-  /// callback. Touched exclusively by that worker thread (SubmitInternal
+  /// while its WorkerLoop runs (cleared when it returns), armed only for the
+  /// span of a completion callback. Touched exclusively by that worker thread (SubmitInternal
   /// reaches it only when called *on* the worker, inside the callback).
   struct InlineSlot {
     FrontDoor* door = nullptr;
@@ -201,7 +202,8 @@ class FrontDoor {
                         StatementCallback done, bool allow_inline);
   void CloseInternal(const std::shared_ptr<FrontendSession>& fs);
   void WorkerLoop();
-  void SweepLoop();
+  /// Closes sessions past their idle or login timeout.
+  void Sweep();
   /// Detaches fs's Session for destruction. Requires mu_ held, fs not busy.
   std::unique_ptr<Session> FinalizeLocked(FrontendSession* fs);
   int64_t RetryAfterHintLocked() const;
@@ -220,7 +222,6 @@ class FrontDoor {
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
-  std::condition_variable sweep_cv_;
   bool stopping_ = false;
   // Two-level dispatch: continuations of open transactions drain first and
   // never shed; transaction-opening statements are the bounded level.
@@ -240,8 +241,10 @@ class FrontDoor {
   uint64_t idle_closed_ = 0;
   std::atomic<int64_t> busy_us_{0};
 
-  std::vector<std::thread> workers_;
-  std::thread sweeper_;
+  // The WorkerLoops, on the cluster's gang runner; Stop joins them.
+  GangRunner::Gang workers_;
+  // Owned by the cluster's task list; null without an idle or login timeout.
+  PeriodicTask* sweeper_ = nullptr;
 };
 
 }  // namespace gphtap

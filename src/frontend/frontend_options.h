@@ -14,8 +14,8 @@ struct FrontDoorOptions {
   // sessions are unaffected either way.
   bool enabled = false;
 
-  // Fixed pool size: the only OS threads the front door ever owns, however
-  // many logical sessions are connected (plus one sweeper thread).
+  // Fixed pool size: the front door's statement workers, one gang on the
+  // cluster's gang runner however many logical sessions are connected.
   int workers = 8;
 
   // Accept bound: connects beyond this many live logical sessions are shed
@@ -39,6 +39,8 @@ struct FrontDoorOptions {
   // Idle-session timeout: a session with no statement for this long is closed
   // by the sweeper (its gp_stat_activity entry disappears; the next Submit
   // fails with a retryable kUnavailable so the client reconnects). 0 = never.
+  // The sweeper task exists only when this or login_timeout_us is set, and
+  // runs every quarter of the shorter timeout, clamped to [1 ms, 50 ms].
   int64_t idle_timeout_us = 0;
 
   // Login timeout: a session that connects but never runs a statement is
@@ -48,9 +50,6 @@ struct FrontDoorOptions {
   // Base retry-after hint attached to shed responses. The actual hint scales
   // with observed queue pressure so clients pace to the service rate.
   int64_t retry_after_us = 10'000;
-
-  // Sweeper period for idle/login timeout enforcement.
-  int64_t sweep_period_us = 50'000;
 };
 
 }  // namespace gphtap

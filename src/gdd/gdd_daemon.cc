@@ -1,7 +1,6 @@
 #include "gdd/gdd_daemon.h"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 #include <unordered_set>
 
@@ -18,8 +17,7 @@ size_t CountEdges(const std::vector<LocalWaitGraph>& graphs) {
 }
 }  // namespace
 
-GddDaemon::GddDaemon(Hooks hooks, int64_t period_us, MetricsRegistry* metrics)
-    : hooks_(std::move(hooks)), period_us_(period_us) {
+GddDaemon::GddDaemon(Hooks hooks, MetricsRegistry* metrics) : hooks_(std::move(hooks)) {
   if (metrics != nullptr) {
     m_rounds_ = metrics->counter("gdd.rounds");
     m_deadlocks_ = metrics->counter("gdd.deadlocks");
@@ -27,32 +25,6 @@ GddDaemon::GddDaemon(Hooks hooks, int64_t period_us, MetricsRegistry* metrics)
     m_stale_discards_ = metrics->counter("gdd.stale_discards");
     m_edges_collected_ = metrics->counter("gdd.edges_collected");
     m_edges_reduced_ = metrics->counter("gdd.edges_reduced");
-  }
-}
-
-GddDaemon::~GddDaemon() { Stop(); }
-
-void GddDaemon::Start() {
-  bool expected = false;
-  if (!running_.compare_exchange_strong(expected, true)) return;
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void GddDaemon::Stop() {
-  if (!running_.exchange(false)) return;
-  {
-    std::lock_guard<std::mutex> g(wake_mu_);
-    wake_cv_.notify_all();
-  }
-  if (thread_.joinable()) thread_.join();
-}
-
-void GddDaemon::Loop() {
-  while (running_.load(std::memory_order_relaxed)) {
-    RunOnce();
-    std::unique_lock<std::mutex> lk(wake_mu_);
-    wake_cv_.wait_for(lk, std::chrono::microseconds(period_us_),
-                      [this] { return !running_.load(std::memory_order_relaxed); });
   }
 }
 

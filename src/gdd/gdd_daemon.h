@@ -1,17 +1,15 @@
-// The GDD daemon (Section 4.3): a coordinator-side thread that periodically
-// collects per-node wait-for graphs, runs Algorithm 1, re-validates the result
-// against live transactions, and terminates the youngest deadlocked transaction.
+// The GDD daemon (Section 4.3): one detection round collects per-node
+// wait-for graphs, runs Algorithm 1, re-validates the result against live
+// transactions, and terminates the youngest deadlocked transaction. The
+// cluster runs a round every gdd_period_us on a PeriodicTask.
 #ifndef GPHTAP_GDD_GDD_DAEMON_H_
 #define GPHTAP_GDD_GDD_DAEMON_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/metrics.h"
@@ -61,23 +59,16 @@ class GddDaemon {
 
   /// `metrics` (optional) registers gdd.rounds / gdd.deadlocks / gdd.victims /
   /// gdd.stale_discards / gdd.edges_collected / gdd.edges_reduced counters.
-  GddDaemon(Hooks hooks, int64_t period_us, MetricsRegistry* metrics = nullptr);
-  ~GddDaemon();
+  explicit GddDaemon(Hooks hooks, MetricsRegistry* metrics = nullptr);
 
   GddDaemon(const GddDaemon&) = delete;
   GddDaemon& operator=(const GddDaemon&) = delete;
 
-  /// Starts the background detection thread. Idempotent.
-  void Start();
-  /// Stops and joins the background thread. Idempotent.
-  void Stop();
-
-  /// Runs one detection round synchronously (used by tests and by the thread).
+  /// Runs one detection round synchronously (the cluster's periodic pass).
   /// Returns the algorithm result of the final (validated) run.
   GddResult RunOnce();
 
   Stats stats() const;
-  int64_t period_us() const { return period_us_; }
 
   /// The most recent confirmed deadlocks, oldest first (bounded ring).
   std::vector<DeadlockRecord> DeadlockHistory() const;
@@ -88,11 +79,9 @@ class GddDaemon {
   std::string DumpDot() const;
 
  private:
-  void Loop();
   void RecordDeadlock(const GddResult& result, const std::string& reason);
 
   Hooks hooks_;
-  const int64_t period_us_;
 
   static constexpr size_t kDeadlockHistoryCapacity = 64;
 
@@ -106,11 +95,6 @@ class GddDaemon {
   Counter* m_stale_discards_ = nullptr;
   Counter* m_edges_collected_ = nullptr;
   Counter* m_edges_reduced_ = nullptr;
-
-  std::atomic<bool> running_{false};
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  std::thread thread_;
 };
 
 }  // namespace gphtap

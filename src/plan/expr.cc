@@ -1,7 +1,6 @@
 #include "plan/expr.h"
 
 #include <cmath>
-#include <limits>
 
 namespace gphtap {
 
@@ -109,25 +108,10 @@ StatusOr<Datum> EvalArith(BinOp op, const Datum& l, const Datum& r) {
     }
     return Status::InvalidArgument("arithmetic on strings");
   }
-  bool both_int = l.is_int() && r.is_int();
-  if (both_int) {
-    int64_t a = l.int_val(), b = r.int_val();
-    switch (op) {
-      case BinOp::kAdd:
-        return Datum(a + b);
-      case BinOp::kSub:
-        return Datum(a - b);
-      case BinOp::kMul:
-        return Datum(a * b);
-      case BinOp::kDiv:
-      case BinOp::kMod: {
-        int64_t out = 0;
-        GPHTAP_RETURN_IF_ERROR(IntDivMod(op, a, b, &out));
-        return Datum(out);
-      }
-      default:
-        break;
-    }
+  if (l.is_int() && r.is_int()) {
+    int64_t out = 0;
+    GPHTAP_RETURN_IF_ERROR(IntArith(op, l.int_val(), r.int_val(), &out));
+    return Datum(out);
   }
   double a = l.AsDouble(), b = r.AsDouble();
   switch (op) {
@@ -188,25 +172,36 @@ Tri AsTri(const Datum& d) {
   return d.string_val().empty() ? Tri::kFalse : Tri::kTrue;
 }
 
-Datum TriToDatum(Tri t) {
-  if (t == Tri::kNull) return Datum::Null();
-  return Datum(static_cast<int64_t>(t == Tri::kTrue ? 1 : 0));
-}
-
 }  // namespace
 
-Status IntDivMod(BinOp op, int64_t a, int64_t b, int64_t* out) {
-  if (b == 0) return Status::InvalidArgument("division by zero");
-  // x86 traps on INT64_MIN / -1 and INT64_MIN % -1. x % -1 is always 0, and
-  // INT64_MIN / -1 does not fit.
-  if (b == -1) {
-    if (op == BinOp::kDiv && a == std::numeric_limits<int64_t>::min()) {
-      return Status::InvalidArgument("bigint out of range");
-    }
-    *out = op == BinOp::kDiv ? -a : 0;
-    return Status::OK();
+Status IntArith(BinOp op, int64_t a, int64_t b, int64_t* out) {
+  bool overflow = false;
+  switch (op) {
+    case BinOp::kAdd:
+      overflow = __builtin_add_overflow(a, b, out);
+      break;
+    case BinOp::kSub:
+      overflow = __builtin_sub_overflow(a, b, out);
+      break;
+    case BinOp::kMul:
+      overflow = __builtin_mul_overflow(a, b, out);
+      break;
+    case BinOp::kDiv:
+    case BinOp::kMod:
+      if (b == 0) return Status::InvalidArgument("division by zero");
+      // x86 traps on INT64_MIN / -1 and INT64_MIN % -1. x % -1 is always 0,
+      // and x / -1 is -x, which does not fit for INT64_MIN.
+      if (b == -1) {
+        *out = 0;
+        if (op == BinOp::kDiv) overflow = __builtin_sub_overflow(int64_t{0}, a, out);
+      } else {
+        *out = op == BinOp::kDiv ? a / b : a % b;
+      }
+      break;
+    default:
+      return Status::Internal("bad arithmetic op");
   }
-  *out = op == BinOp::kDiv ? a / b : a % b;
+  if (overflow) return Status::InvalidArgument("bigint out of range");
   return Status::OK();
 }
 

@@ -67,10 +67,11 @@ StatusOr<bool> EvalPredicate(const Expr& e, const Row& row);
 /// here (they need short-circuit treatment at the caller).
 StatusOr<Datum> EvalBinaryOp(BinOp op, const Datum& l, const Datum& r);
 
-/// Integer `/` (kDiv) or `%` (kMod) with PostgreSQL's int8div / int8mod edge
-/// cases, shared by both engines: a zero divisor is "division by zero",
-/// INT64_MIN / -1 is "bigint out of range", and INT64_MIN % -1 is 0.
-Status IntDivMod(BinOp op, int64_t a, int64_t b, int64_t* out);
+/// Integer `+ - * / %` with PostgreSQL's int8pl / int8mi / int8mul / int8div
+/// / int8mod semantics, shared by both engines: a result outside int64
+/// (INT64_MIN / -1 included) is "bigint out of range", a zero divisor is
+/// "division by zero", and INT64_MIN % -1 is 0.
+Status IntArith(BinOp op, int64_t a, int64_t b, int64_t* out);
 
 /// SQL truth value of a datum: -1 = NULL/unknown, 0 = false, 1 = true.
 int DatumTruth(const Datum& d);

@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <charconv>
 #include <cstdlib>
 
 #include "sql/lexer.h"
@@ -55,6 +56,24 @@ class Parser {
   StatusOr<std::string> ExpectIdent() {
     if (!Peek().Is(TokenType::kIdent)) return Err("expected identifier");
     return Advance().text;
+  }
+  // Consumes an integer literal, negated when a unary minus precedes it (so
+  // -9223372036854775808 fits). Out of range is an error, not a saturation.
+  StatusOr<int64_t> IntLiteral(bool negative) {
+    const std::string text = (negative ? "-" : "") + Advance().text;
+    int64_t v = 0;
+    auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec != std::errc() || end != text.data() + text.size()) {
+      return Status::InvalidArgument("integer literal " + text +
+                                     " is out of range for type bigint");
+    }
+    return v;
+  }
+  static StatusOr<ExprNodePtr> Literal(Datum d) {
+    auto e = std::make_shared<ExprNode>();
+    e->kind = ExprNodeKind::kLiteral;
+    e->literal = std::move(d);
+    return StatusOr<ExprNodePtr>(std::move(e));
   }
   Status Err(const std::string& msg) const {
     return Status::InvalidArgument("syntax error: " + msg + " near offset " +
@@ -144,10 +163,12 @@ class Parser {
 
   StatusOr<ExprNodePtr> ParseUnary() {
     if (AcceptSymbol("-")) {
+      if (Peek().Is(TokenType::kInt)) {
+        GPHTAP_ASSIGN_OR_RETURN(int64_t v, IntLiteral(/*negative=*/true));
+        return Literal(Datum(v));
+      }
       GPHTAP_ASSIGN_OR_RETURN(ExprNodePtr inner, ParseUnary());
-      auto zero = std::make_shared<ExprNode>();
-      zero->kind = ExprNodeKind::kLiteral;
-      zero->literal = Datum(int64_t{0});
+      GPHTAP_ASSIGN_OR_RETURN(ExprNodePtr zero, Literal(Datum(int64_t{0})));
       return StatusOr<ExprNodePtr>(MakeBinary("-", zero, inner));
     }
     AcceptSymbol("+");
@@ -156,36 +177,20 @@ class Parser {
 
   StatusOr<ExprNodePtr> ParsePrimary() {
     const Token& t = Peek();
-    auto e = std::make_shared<ExprNode>();
     if (t.Is(TokenType::kInt)) {
-      Advance();
-      e->kind = ExprNodeKind::kLiteral;
-      e->literal = Datum(static_cast<int64_t>(std::strtoll(t.text.c_str(), nullptr, 10)));
-      return StatusOr<ExprNodePtr>(std::move(e));
+      GPHTAP_ASSIGN_OR_RETURN(int64_t v, IntLiteral(/*negative=*/false));
+      return Literal(Datum(v));
     }
     if (t.Is(TokenType::kFloat)) {
-      Advance();
-      e->kind = ExprNodeKind::kLiteral;
-      e->literal = Datum(std::strtod(t.text.c_str(), nullptr));
-      return StatusOr<ExprNodePtr>(std::move(e));
+      return Literal(Datum(std::strtod(Advance().text.c_str(), nullptr)));
     }
-    if (t.Is(TokenType::kString)) {
-      Advance();
-      e->kind = ExprNodeKind::kLiteral;
-      e->literal = Datum(t.text);
-      return StatusOr<ExprNodePtr>(std::move(e));
-    }
+    if (t.Is(TokenType::kString)) return Literal(Datum(Advance().text));
     if (t.IsWord("null")) {
       Advance();
-      e->kind = ExprNodeKind::kLiteral;
-      e->literal = Datum::Null();
-      return StatusOr<ExprNodePtr>(std::move(e));
+      return Literal(Datum::Null());
     }
     if (t.IsWord("true") || t.IsWord("false")) {
-      Advance();
-      e->kind = ExprNodeKind::kLiteral;
-      e->literal = Datum(static_cast<int64_t>(t.IsWord("true") ? 1 : 0));
-      return StatusOr<ExprNodePtr>(std::move(e));
+      return Literal(Datum(static_cast<int64_t>(Advance().IsWord("true") ? 1 : 0)));
     }
     if (t.IsSymbol("(")) {
       Advance();
@@ -193,6 +198,7 @@ class Parser {
       GPHTAP_RETURN_IF_ERROR(ExpectSymbol(")"));
       return StatusOr<ExprNodePtr>(std::move(inner));
     }
+    auto e = std::make_shared<ExprNode>();
     if (t.IsSymbol("*")) {
       Advance();
       e->kind = ExprNodeKind::kStar;
@@ -444,7 +450,7 @@ class Parser {
     }
     if (AcceptWord("limit")) {
       if (!Peek().Is(TokenType::kInt)) return Err("LIMIT expects an integer");
-      sel->limit = std::strtoll(Advance().text.c_str(), nullptr, 10);
+      GPHTAP_ASSIGN_OR_RETURN(sel->limit, IntLiteral(/*negative=*/false));
     }
     return sel;
   }
@@ -605,9 +611,8 @@ class Parser {
     bool negative = AcceptSymbol("-");
     const Token& t = Peek();
     if (t.Is(TokenType::kInt)) {
-      Advance();
-      int64_t v = std::strtoll(t.text.c_str(), nullptr, 10);
-      return Datum(negative ? -v : v);
+      GPHTAP_ASSIGN_OR_RETURN(int64_t v, IntLiteral(negative));
+      return Datum(v);
     }
     if (t.Is(TokenType::kFloat)) {
       Advance();

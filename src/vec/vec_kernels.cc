@@ -141,8 +141,8 @@ Status VecEvalLogical(const Expr& e, const ColumnBatch& batch,
   return Status::OK();
 }
 
-// Int64 x int64 kernel: branchless compare/add/sub/mul loops split by null
-// presence; div/mod go row by row through IntDivMod (they can error).
+// Int64 x int64 kernel: branchless compare loops split by null presence;
+// arithmetic goes row by row through IntArith (it can raise).
 Status EvalBinaryIntInt(BinOp op, const ColumnVector& l, const ColumnVector& r,
                         const std::vector<int32_t>& pos, size_t rows,
                         ColumnVector* out) {
@@ -151,28 +151,19 @@ Status EvalBinaryIntInt(BinOp op, const ColumnVector& l, const ColumnVector& r,
   const int64_t* a = l.ints.data();
   const int64_t* b = r.ints.data();
   int64_t* o = out->ints.data();
-  if (op == BinOp::kDiv || op == BinOp::kMod) {
+  if (!IsCompare(op)) {
     for (int32_t p : pos) {
       const size_t i = static_cast<size_t>(p);
       if (nullable && (l.IsNull(i) || r.IsNull(i))) {
         out->SetNull(i);
         continue;
       }
-      GPHTAP_RETURN_IF_ERROR(IntDivMod(op, a[i], b[i], &o[i]));
+      GPHTAP_RETURN_IF_ERROR(IntArith(op, a[i], b[i], &o[i]));
     }
     return Status::OK();
   }
   if (!nullable) {
     switch (op) {
-      case BinOp::kAdd:
-        for (int32_t p : pos) o[p] = a[p] + b[p];
-        return Status::OK();
-      case BinOp::kSub:
-        for (int32_t p : pos) o[p] = a[p] - b[p];
-        return Status::OK();
-      case BinOp::kMul:
-        for (int32_t p : pos) o[p] = a[p] * b[p];
-        return Status::OK();
       case BinOp::kEq:
         for (int32_t p : pos) o[p] = a[p] == b[p];
         return Status::OK();
@@ -201,10 +192,7 @@ Status EvalBinaryIntInt(BinOp op, const ColumnVector& l, const ColumnVector& r,
       out->SetNull(i);
       continue;
     }
-    o[i] = IsCompare(op) ? CompareIntOp(op, a[i], b[i])
-           : op == BinOp::kAdd ? a[i] + b[i]
-           : op == BinOp::kSub ? a[i] - b[i]
-                               : a[i] * b[i];
+    o[i] = CompareIntOp(op, a[i], b[i]);
   }
   return Status::OK();
 }
@@ -269,7 +257,6 @@ Status EvalBinaryBoxed(BinOp op, const ColumnVector& lv, const ColumnVector& rv,
                        ColumnVector* out) {
   out->ResetTyped(Tag::kDatum, rows);
   const bool cmp = IsCompare(op);
-  const bool fast_arith = op == BinOp::kAdd || op == BinOp::kSub || op == BinOp::kMul;
   for (int32_t p : pos) {
     const size_t i = static_cast<size_t>(p);
     Datum l = lv.GetDatum(i);
@@ -277,16 +264,14 @@ Status EvalBinaryBoxed(BinOp op, const ColumnVector& lv, const ColumnVector& rv,
     Datum& o = out->datums[i];
     if (l.is_int() && v.is_int()) {
       int64_t a = l.int_val(), b = v.int_val();
+      int64_t r = 0;
       if (cmp) {
-        o = Datum(CompareIntOp(op, a, b));
-        continue;
+        r = CompareIntOp(op, a, b);
+      } else {
+        GPHTAP_RETURN_IF_ERROR(IntArith(op, a, b, &r));
       }
-      if (fast_arith) {
-        o = Datum(op == BinOp::kAdd   ? a + b
-                  : op == BinOp::kSub ? a - b
-                                      : a * b);
-        continue;
-      }
+      o = Datum(r);
+      continue;
     }
     GPHTAP_ASSIGN_OR_RETURN(o, EvalBinaryOp(op, l, v));
   }

@@ -121,8 +121,9 @@ TEST(MirrorTest, TruncateReplicates) {
   EXPECT_TRUE(consistent.ok()) << consistent.ToString();
 }
 
-// The FTS probe loop sleeps on a condition variable, so Stop() must return
-// promptly even with a probe period far longer than any acceptable shutdown.
+// The FTS task waits out its period on a stop-aware condition variable, so
+// shutdown returns promptly even with a probe period far longer than any
+// acceptable shutdown.
 TEST(MirrorTest, FtsStopsPromptlyDespiteLongProbePeriod) {
   ClusterOptions o = MirroredCluster();
   o.fts_enabled = true;
@@ -132,7 +133,7 @@ TEST(MirrorTest, FtsStopsPromptlyDespiteLongProbePeriod) {
   ASSERT_TRUE(s->Execute("CREATE TABLE t (k int)").ok());
   s.reset();
   Stopwatch sw;
-  cluster.reset();  // joins the FTS thread via FtsDaemon::Stop()
+  cluster.reset();  // stops the FTS task mid-period
   EXPECT_LT(sw.ElapsedMicros(), 500'000) << "FTS shutdown waited out its period";
 }
 

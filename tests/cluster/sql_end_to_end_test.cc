@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <limits>
 
 #include "api/gphtap.h"
 
@@ -439,6 +440,56 @@ TEST_F(SqlEndToEndTest, BigintMinDivisionByMinusOneDoesNotTrap) {
       QueryResult neg = Exec("SELECT v / -1 FROM " + table + " WHERE k = 2");
       ASSERT_EQ(neg.rows.size(), 1u) << where;
       EXPECT_EQ(neg.rows[0][0].int_val(), -7) << where;
+    }
+  }
+}
+
+// Integer + - * raise "bigint out of range" as PostgreSQL's int8pl / int8mi /
+// int8mul do, instead of wrapping, on both engines and every storage kind. The
+// literal -9223372036854775808 is INT64_MIN, and a literal outside int64 is
+// rejected instead of saturated.
+TEST_F(SqlEndToEndTest, BigintOverflowRaises) {
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  QueryResult lit = Exec("SELECT -9223372036854775808, -(9223372036854775807)");
+  ASSERT_EQ(lit.rows.size(), 1u);
+  EXPECT_EQ(lit.rows[0][0].int_val(), min);
+  EXPECT_EQ(lit.rows[0][1].int_val(), min + 1);
+  for (const char* sql : {"SELECT 9223372036854775807 + 1", "SELECT 9223372036854775807 * 2",
+                          "SELECT -9223372036854775808 - 1",
+                          "SELECT -(-9223372036854775808)"}) {
+    Status s = ExecErr(sql);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_NE(s.message().find("bigint out of range"), std::string::npos)
+        << sql << ": " << s.ToString();
+  }
+  EXPECT_EQ(ExecErr("SELECT 9223372036854775808").code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ExecErr("SELECT -9223372036854775809").code(), StatusCode::kInvalidArgument);
+
+  for (const char* storage : {"heap", "ao_column"}) {
+    const std::string table = std::string("ovf_") + storage;
+    Exec("CREATE TABLE " + table + " (k int, v int) WITH (storage=" + storage +
+         ") DISTRIBUTED BY (k)");
+    Exec("INSERT INTO " + table +
+         " VALUES (1, 9223372036854775807), (2, -9223372036854775808), (3, 7)");
+    for (const char* mode : {"on", "off"}) {
+      Exec(std::string("SET vectorized_execution = ") + mode);
+      const std::string where = std::string(storage) + ", vectorized_execution = " + mode;
+      for (const char* expr : {"v + 1", "v - 1", "v * 2", "1 - v", "v * -1"}) {
+        Status s = ExecErr(std::string("SELECT ") + expr + " FROM " + table);
+        EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << where << ": " << expr;
+        EXPECT_NE(s.message().find("bigint out of range"), std::string::npos)
+            << where << ": " << expr << ": " << s.ToString();
+      }
+      QueryResult in_range =
+          Exec("SELECT v + 1, v - 1, v * 2, v * -1 FROM " + table + " WHERE k = 3");
+      ASSERT_EQ(in_range.rows.size(), 1u) << where;
+      EXPECT_EQ(in_range.rows[0][0].int_val(), 8) << where;
+      EXPECT_EQ(in_range.rows[0][1].int_val(), 6) << where;
+      EXPECT_EQ(in_range.rows[0][2].int_val(), 14) << where;
+      EXPECT_EQ(in_range.rows[0][3].int_val(), -7) << where;
+      QueryResult min_row = Exec("SELECT v FROM " + table + " WHERE k = 2");
+      ASSERT_EQ(min_row.rows.size(), 1u) << where;
+      EXPECT_EQ(min_row.rows[0][0].int_val(), min) << where;
     }
   }
 }

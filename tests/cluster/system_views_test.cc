@@ -1,11 +1,13 @@
 // System views over live cluster state, queried through the normal SQL path:
 // gp_stat_activity shows a blocked session's wait event while it is blocked,
 // gp_locks exposes the lock tables, gp_dist_deadlocks replays the GDD's
-// merged wait-for graph, and Cluster::DumpChromeTrace exports retained query
-// traces as Chrome trace_event JSON.
+// merged wait-for graph, gp_background_tasks lists every periodic daemon,
+// and Cluster::DumpChromeTrace exports retained query traces as Chrome
+// trace_event JSON.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -156,6 +158,62 @@ TEST_F(SystemViewsTest, WaitEventsViewAccumulatesLockWaits) {
   EXPECT_EQ(r->rows[0][0].string_val(), "Lock");
   EXPECT_GE(r->rows[0][2].int_val(), 1);
   EXPECT_GT(r->rows[0][3].int_val(), 0);
+}
+
+// Every enabled daemon runs on one PeriodicTask and reports its runs, the age
+// of its last pass and its duration in gp_background_tasks.
+TEST_F(SystemViewsTest, BackgroundTasksViewListsEveryRunningTask) {
+  constexpr int64_t kPeriodUs = 100'000;
+  ClusterOptions options;
+  options.num_segments = 2;
+  options.gdd_period_us = kPeriodUs;
+  options.mirrors_enabled = true;
+  options.fts_enabled = true;
+  options.fts_period_us = kPeriodUs;
+  options.maintenance_period_us = kPeriodUs;
+  options.delta_store_enabled = true;
+  options.delta_seal_period_us = kPeriodUs;
+  options.stats_history_period_us = kPeriodUs;
+  options.frontend.enabled = true;
+  options.frontend.idle_timeout_us = 200'000;  // sweeps at a quarter of it
+  StartCluster(options);
+  auto s = cluster_->Connect();
+  const std::string q =
+      "SELECT name, period_us, runs, last_run_age_us, last_run_us, p95_run_us "
+      "FROM gp_background_tasks";
+  const std::map<std::string, int64_t> periods = {
+      {"gdd", kPeriodUs},           {"fts", kPeriodUs},
+      {"dtx_recovery", DtxRecoveryDaemon::kPeriodUs},
+      {"maintenance", kPeriodUs},   {"delta_seal", kPeriodUs},
+      {"stats_history", kPeriodUs}, {"frontend_sweeper", 50'000}};
+  std::map<std::string, Row> rows;
+  const int64_t deadline = MonotonicMicros() + 5'000'000;
+  for (;;) {
+    auto r = s->Execute(q);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    rows.clear();
+    for (const Row& row : r->rows) rows[row[0].string_val()] = row;
+    bool all_ran = rows.size() == periods.size();
+    for (const auto& [name, row] : rows) all_ran = all_ran && row[2].int_val() >= 1;
+    if (all_ran || MonotonicMicros() > deadline) break;
+    PreciseSleepUs(2'000);
+  }
+  ASSERT_EQ(rows.size(), periods.size());
+  for (const auto& [name, period] : periods) {
+    ASSERT_EQ(rows.count(name), 1u) << name;
+    const Row& row = rows[name];
+    EXPECT_EQ(row[1].int_val(), period) << name;
+    EXPECT_GE(row[2].int_val(), 1) << name;
+    EXPECT_GE(row[3].int_val(), 0) << name;
+    EXPECT_GE(row[4].int_val(), 0) << name;
+    EXPECT_GE(row[5].int_val(), 0) << name;
+    if (name == "dtx_recovery") {
+      // Nothing pending: it parks after its first pass instead of polling.
+      EXPECT_EQ(row[2].int_val(), 1);
+    } else {
+      EXPECT_LT(row[3].int_val(), 2 * period) << name;
+    }
+  }
 }
 
 // Figure 6 deadlock, then introspection: the killed transaction, the merged

@@ -250,7 +250,6 @@ TEST(FrontendTest, IdleAndLoginTimeoutsReapSessions) {
   ClusterOptions o = FrontDoorCluster();
   o.frontend.idle_timeout_us = 30'000;
   o.frontend.login_timeout_us = 30'000;
-  o.frontend.sweep_period_us = 5'000;
   Cluster cluster(o);
 
   auto idle = cluster.ConnectLogical();

@@ -7,10 +7,21 @@
 #include <set>
 #include <thread>
 
+#include "common/periodic_task.h"
+
 namespace gphtap {
 namespace {
 
 WaitEdge Solid(uint64_t w, uint64_t h) { return WaitEdge{w, h, false}; }
+
+// The cluster runs detection rounds on a PeriodicTask; the background cases
+// below do the same.
+PeriodicTask::Pass Rounds(GddDaemon* d) {
+  return [d](std::stop_token) {
+    d->RunOnce();
+    return true;
+  };
+}
 
 struct FakeCluster {
   std::mutex mu;
@@ -50,7 +61,7 @@ TEST(GddDaemonTest, NoDeadlockNoKill) {
   FakeCluster fc;
   fc.graphs = {{0, {Solid(1, 2)}}};
   fc.running = {1, 2};
-  GddDaemon d(fc.MakeHooks(), 10'000);
+  GddDaemon d(fc.MakeHooks());
   auto r = d.RunOnce();
   EXPECT_FALSE(r.deadlock);
   EXPECT_TRUE(fc.killed.empty());
@@ -61,7 +72,7 @@ TEST(GddDaemonTest, DeadlockKillsYoungest) {
   FakeCluster fc;
   fc.graphs = {{0, {Solid(2, 1)}}, {1, {Solid(1, 2)}}};
   fc.running = {1, 2};
-  GddDaemon d(fc.MakeHooks(), 10'000);
+  GddDaemon d(fc.MakeHooks());
   auto r = d.RunOnce();
   EXPECT_TRUE(r.deadlock);
   ASSERT_EQ(fc.killed.size(), 1u);
@@ -73,7 +84,7 @@ TEST(GddDaemonTest, StaleDetectionDiscardedWhenTxnFinished) {
   FakeCluster fc;
   fc.graphs = {{0, {Solid(2, 1)}}, {1, {Solid(1, 2)}}};
   fc.running = {1};  // txn 2 already finished: the graph is stale
-  GddDaemon d(fc.MakeHooks(), 10'000);
+  GddDaemon d(fc.MakeHooks());
   d.RunOnce();
   EXPECT_TRUE(fc.killed.empty());
   EXPECT_EQ(d.stats().stale_discards, 1u);
@@ -94,7 +105,7 @@ TEST(GddDaemonTest, SecondCollectionClearsFalsePositive) {
     }
     return inner();
   };
-  GddDaemon d(hooks, 10'000);
+  GddDaemon d(hooks);
   auto r = d.RunOnce();
   EXPECT_FALSE(r.deadlock);
   EXPECT_TRUE(fc.killed.empty());
@@ -104,10 +115,10 @@ TEST(GddDaemonTest, SecondCollectionClearsFalsePositive) {
 TEST(GddDaemonTest, BackgroundThreadRunsPeriodically) {
   FakeCluster fc;
   fc.running = {};
-  GddDaemon d(fc.MakeHooks(), 5'000);  // 5ms period
-  d.Start();
+  GddDaemon d(fc.MakeHooks());
+  PeriodicTask task("gdd", 5'000, Rounds(&d));  // 5ms period
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  d.Stop();
+  task.Stop();
   EXPECT_GE(d.stats().runs, 3u);
 }
 
@@ -115,8 +126,8 @@ TEST(GddDaemonTest, BackgroundThreadBreaksLiveDeadlock) {
   FakeCluster fc;
   fc.graphs = {{0, {Solid(2, 1)}}, {1, {Solid(1, 2)}}};
   fc.running = {1, 2};
-  GddDaemon d(fc.MakeHooks(), 2'000);
-  d.Start();
+  GddDaemon d(fc.MakeHooks());
+  PeriodicTask task("gdd", 2'000, Rounds(&d));
   // Wait until the daemon notices and kills.
   for (int i = 0; i < 200; ++i) {
     {
@@ -125,7 +136,7 @@ TEST(GddDaemonTest, BackgroundThreadBreaksLiveDeadlock) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  d.Stop();
+  task.Stop();
   ASSERT_EQ(fc.killed.size(), 1u);
   EXPECT_EQ(fc.killed[0], 2u);
   // After the kill the remaining graph has no cycle; further runs are quiet.
@@ -133,13 +144,12 @@ TEST(GddDaemonTest, BackgroundThreadBreaksLiveDeadlock) {
   EXPECT_FALSE(r.deadlock);
 }
 
-TEST(GddDaemonTest, StartStopIdempotent) {
+TEST(GddDaemonTest, BackgroundStopIdempotent) {
   FakeCluster fc;
-  GddDaemon d(fc.MakeHooks(), 5'000);
-  d.Start();
-  d.Start();
-  d.Stop();
-  d.Stop();
+  GddDaemon d(fc.MakeHooks());
+  PeriodicTask task("gdd", 5'000, Rounds(&d));
+  task.Stop();
+  task.Stop();
   SUCCEED();
 }
 

@@ -177,15 +177,26 @@ TEST(SnapshotStressTest, OnePhaseCommitWindowNeverLeaks) {
   EXPECT_EQ(setup->Execute("SELECT count(*) FROM t")->rows[0][0].int_val(), 300);
 }
 
-// The maintenance loop waits out its period on a condition variable that
-// ~Cluster notifies, so shutdown never sits through a full period.
+// Every background task waits out its period on a stop-aware condition
+// variable, so shutdown never sits through a full period: here every task
+// the cluster can run, each at a 10 s period.
 TEST(SnapshotStressTest, LongMaintenancePeriodDoesNotDelayShutdown) {
+  constexpr int64_t kPeriodUs = 10'000'000;
   ClusterOptions o;
   o.num_segments = 2;
-  o.maintenance_period_us = 10'000'000;
+  o.gdd_period_us = kPeriodUs;
+  o.mirrors_enabled = true;
+  o.fts_enabled = true;
+  o.fts_period_us = kPeriodUs;
+  o.maintenance_period_us = kPeriodUs;
+  o.delta_store_enabled = true;
+  o.delta_seal_period_us = kPeriodUs;
+  o.stats_history_period_us = kPeriodUs;
+  o.frontend.enabled = true;
+  o.frontend.idle_timeout_us = kPeriodUs;
   auto cluster = std::make_unique<Cluster>(o);
-  // Let the loop finish its first pass and start waiting.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Let every task finish its first pass and start waiting.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
   Stopwatch shutdown;
   cluster.reset();
   EXPECT_LT(shutdown.ElapsedMicros(), 1'000'000);

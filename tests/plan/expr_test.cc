@@ -52,6 +52,38 @@ TEST(ExprTest, IntMinDivisionByMinusOne) {
   EXPECT_EQ(eval(BinOp::kMod, -7, 2)->int_val(), -1);
 }
 
+// int8pl / int8mi / int8mul: a result outside int64 raises instead of
+// wrapping.
+TEST(ExprTest, IntOverflowRaises) {
+  Row row;
+  auto eval = [&](BinOp op, int64_t a, int64_t b) {
+    return EvalExpr(*Expr::Binary(op, Expr::Const(I(a)), Expr::Const(I(b))), row);
+  };
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  struct Case {
+    BinOp op;
+    int64_t a, b;
+  };
+  for (const Case& c : {Case{BinOp::kAdd, max, 1}, Case{BinOp::kAdd, min, -1},
+                        Case{BinOp::kSub, min, 1}, Case{BinOp::kSub, 0, min},
+                        Case{BinOp::kMul, max, 2}, Case{BinOp::kMul, min, -1},
+                        Case{BinOp::kMul, int64_t{1} << 32, int64_t{1} << 31}}) {
+    auto r = eval(c.op, c.a, c.b);
+    ASSERT_FALSE(r.ok()) << c.a << " " << BinOpName(c.op) << " " << c.b;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(r.status().message(), "bigint out of range");
+  }
+  EXPECT_EQ(eval(BinOp::kAdd, max, 0)->int_val(), max);
+  EXPECT_EQ(eval(BinOp::kAdd, max, min)->int_val(), -1);
+  EXPECT_EQ(eval(BinOp::kSub, min, -1)->int_val(), min + 1);
+  EXPECT_EQ(eval(BinOp::kSub, -1, max)->int_val(), min);
+  EXPECT_EQ(eval(BinOp::kMul, min, 1)->int_val(), min);
+  EXPECT_EQ(eval(BinOp::kMul, max, -1)->int_val(), min + 1);
+  EXPECT_EQ(eval(BinOp::kMul, int64_t{1} << 31, int64_t{1} << 31)->int_val(),
+            int64_t{1} << 62);
+}
+
 TEST(ExprTest, MixedArithmeticWidens) {
   Row row;
   auto r = EvalExpr(

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace gphtap {
 namespace {
 
@@ -194,6 +196,31 @@ TEST(ParserTest, ExpressionPrecedence) {
   EXPECT_EQ(e.op, "=");
   EXPECT_EQ(e.args[0]->op, "+");
   EXPECT_EQ(e.args[0]->args[1]->op, "*");
+}
+
+// A unary minus folds into an integer literal, so INT64_MIN is writable; a
+// literal outside int64 is an error, not a saturated value.
+TEST(ParserTest, IntegerLiteralRange) {
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  Statement s = Parse("SELECT -9223372036854775808, 9223372036854775807, -5 * 2, - 3");
+  ASSERT_EQ(s.select->items.size(), 4u);
+  EXPECT_EQ(s.select->items[0].expr->literal.int_val(), min);
+  EXPECT_EQ(s.select->items[1].expr->literal.int_val(), max);
+  const auto& product = *s.select->items[2].expr;
+  EXPECT_EQ(product.op, "*");
+  EXPECT_EQ(product.args[0]->literal.int_val(), -5);
+  EXPECT_EQ(s.select->items[3].expr->literal.int_val(), -3);
+  for (const char* sql : {"SELECT 9223372036854775808", "SELECT -9223372036854775809",
+                          "SELECT 1 FROM t LIMIT 99999999999999999999",
+                          "INSERT INTO t VALUES (18446744073709551616)"}) {
+    EXPECT_FALSE(ParseStatement(sql).ok()) << sql;
+  }
+  Statement part = Parse(
+      "CREATE TABLE p (k int) DISTRIBUTED BY (k) PARTITION BY RANGE (k) "
+      "(PARTITION lo START -9223372036854775808 END 0)");
+  ASSERT_EQ(part.create_table->partitions.size(), 1u);
+  EXPECT_EQ(part.create_table->partitions[0].start->int_val(), min);
 }
 
 TEST(ParserTest, AndOrPrecedence) {

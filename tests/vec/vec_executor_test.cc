@@ -248,5 +248,47 @@ TEST(VecExecutorTest, IntMinDivisionByMinusOne) {
   EXPECT_EQ(out.ints[1], -7);
 }
 
+// The int kernel and the boxed kernel both raise on + - * overflow, as the
+// row engine does, and only for the rows selected.
+TEST(VecExecutorTest, IntOverflowRaises) {
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  ColumnBatch batch;
+  batch.Reset(1);
+  batch.AppendRow(Row{Datum(max)});
+  batch.AppendRow(Row{Datum(min)});
+  batch.AppendRow(Row{Datum(int64_t{7})});
+  batch.AppendRow(Row{Datum::Null()});
+  struct Case {
+    BinOp op;
+    int64_t k;
+    int64_t seven_gives;
+  };
+  for (const Case& c : {Case{BinOp::kAdd, 1, 8}, Case{BinOp::kSub, 1, 6},
+                        Case{BinOp::kMul, 2, 14}, Case{BinOp::kMul, -1, -7}}) {
+    auto e = Expr::Binary(c.op, Expr::Column(0), Expr::Const(Datum(c.k)));
+    ColumnVector out;
+    batch.sel = {0, 1, 2, 3};
+    Status s = VecEval(*e, batch, batch.sel, &out);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << BinOpName(c.op) << " " << c.k;
+    EXPECT_EQ(s.message(), "bigint out of range");
+    batch.sel = {2, 3};
+    ASSERT_TRUE(VecEval(*e, batch, batch.sel, &out).ok()) << BinOpName(c.op) << " " << c.k;
+    EXPECT_EQ(out.ints[2], c.seven_gives);
+    EXPECT_TRUE(out.IsNull(3));
+  }
+  // A boxed operand (a string column beside ints) takes the Datum kernel.
+  ColumnBatch mixed;
+  mixed.Reset(1);
+  mixed.AppendRow(Row{Datum(max)});
+  mixed.AppendRow(Row{Datum(std::string("x"))});
+  mixed.sel = {0};
+  ColumnVector out;
+  auto plus_one = Expr::Binary(BinOp::kAdd, Expr::Column(0), Expr::Const(Datum(int64_t{1})));
+  Status boxed = VecEval(*plus_one, mixed, mixed.sel, &out);
+  EXPECT_EQ(boxed.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(boxed.message(), "bigint out of range");
+}
+
 }  // namespace
 }  // namespace gphtap
