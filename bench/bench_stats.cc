@@ -1,7 +1,7 @@
 // Stats-collector overhead: TPC-B throughput with the statement-stats
 // collector + history daemon on vs fully off. The acceptance gate (checked by
 // run_tier1.sh) is <= 2% tps overhead: fingerprinting is one lexer pass per
-// statement and the per-statement Sample is a handful of relaxed atomic adds,
+// statement and the per-statement record is a handful of relaxed atomic adds,
 // so the collector must be effectively free. Repeats are interleaved
 // (on/off/on/off...) and the best run per mode is reported so machine noise
 // does not masquerade as overhead.

@@ -111,12 +111,11 @@ WaitContext Session::MakeWaitContext() {
   WaitContext ctx;
   ctx.registry = &cluster_->wait_events();
   ctx.session = &info_->wait;
-  ctx.profile = &wait_profile_;
+  // The statement record rides along so slices / buffer pool / motion charge
+  // this statement without explicit plumbing.
+  ctx.record = &record_;
   ctx.node = -1;  // coordinator; slice/DML workers override per segment
   ctx.group = group_->name();
-  // Statement resource accumulator rides along so slices / buffer pool /
-  // motion charge this statement without explicit plumbing.
-  ctx.resources = &stmt_resources_;
   // Ambient interruption: blocking points poll this owner's cancellation /
   // statement deadline. Null before the first transaction begins; RunStatement
   // patches the installed context once EnsureTxn creates the owner.
@@ -664,11 +663,22 @@ PlannerOptions Session::MakePlannerOptions() {
   return popts;
 }
 
-StatusOr<QueryResult> Session::RunPlannedSelect(const CachedPlan& plan) {
+Status Session::LockForRead(const std::vector<TableDef>& tables) {
+  // System views are lock-free snapshots of live state — observing a stuck
+  // cluster must not itself queue behind anything.
+  for (const TableDef& t : tables) {
+    if (t.is_system_view) continue;
+    GPHTAP_RETURN_IF_ERROR(LockRelationCoordinator(t, LockMode::kAccessShare));
+  }
+  return Status::OK();
+}
+
+StatusOr<QueryResult> Session::RunPlannedSelect(const CachedPlan& plan, bool keep_rows) {
   // Per-query distributed trace: a root "query" span on the coordinator;
   // ExecutePlan opens one child span per slice (coordinator + segments).
   std::shared_ptr<Trace> trace;
   uint64_t root_span = 0;
+  WaitContext* cur = CurrentWaitContext();  // installed by RunStatement
   if (trace_enabled_ || cluster_->options().trace_queries) {
     trace = std::make_shared<Trace>(cluster_->NextTraceId());
     root_span = trace->StartSpan("query");
@@ -676,10 +686,8 @@ StatusOr<QueryResult> Session::RunPlannedSelect(const CachedPlan& plan) {
     // Coordinator-side waits during this query (locks, commit acks) become
     // wait-interval child spans of the root; ExecutePlan re-parents per
     // slice for the producer threads.
-    if (WaitContext* cur = CurrentWaitContext()) {
-      cur->trace = trace.get();
-      cur->parent_span = root_span;
-    }
+    record_.trace = trace.get();
+    cur->parent_span = root_span;
   }
 
   for (size_t i = 0; i < plan.gang.size(); ++i) {
@@ -691,33 +699,26 @@ StatusOr<QueryResult> Session::RunPlannedSelect(const CachedPlan& plan) {
   QueryPlan qp;
   qp.root = plan.root;
   qp.gang = plan.gang;
-  ExecProfile profile;
-  profile.trace = trace.get();
-  profile.parent_span = root_span;
   Status s = ExecutePlan(cluster_, qp, gxid_, owner_, snapshot_, group_.get(),
-                         mem.get(),
-                         [&](Row&& row) -> Status {
-                           result.rows.push_back(std::move(row));
+                         mem.get(), [&](Row&& row) -> Status {
+                           ++result.affected;
+                           if (keep_rows) result.rows.push_back(std::move(row));
                            return Status::OK();
-                         },
-                         trace ? &profile : nullptr);
+                         });
   cluster_->net().Deliver(MsgKind::kResult);
   if (trace) {
     if (s.ok()) {
-      trace->EndSpan(root_span, static_cast<int64_t>(result.rows.size()));
+      trace->EndSpan(root_span, result.affected);
     } else {
       // Aborted queries used to leak open spans (producers bail between
       // StartSpan and EndSpan); close them all and flag them aborted.
       trace->CloseOpenSpans(/*mark_aborted=*/true);
     }
-    if (WaitContext* cur = CurrentWaitContext()) {
-      cur->trace = nullptr;
-      cur->parent_span = 0;
-    }
+    record_.trace = nullptr;
+    cur->parent_span = 0;
     cluster_->RetainTrace(trace);
   }
   GPHTAP_RETURN_IF_ERROR(s);
-  result.affected = static_cast<int64_t>(result.rows.size());
   return result;
 }
 
@@ -725,14 +726,7 @@ StatusOr<QueryResult> Session::ExecuteSelect(const SelectQuery& query,
                                              const std::string* cache_sql) {
   return RunReadOnlyStatement([&] {
     return RunStatement([&]() -> StatusOr<QueryResult> {
-    // Parse-analyze locks on the coordinator. System views are lock-free
-    // snapshots of live state — observing a stuck cluster must not itself
-    // queue behind anything.
-    for (const TableDef& t : query.tables) {
-      if (t.is_system_view) continue;
-      GPHTAP_RETURN_IF_ERROR(LockRelationCoordinator(t, LockMode::kAccessShare));
-    }
-
+    GPHTAP_RETURN_IF_ERROR(LockForRead(query.tables));
     // Stamp the catalog version before planning: a concurrent DDL landing
     // mid-plan leaves the entry stale-stamped, so later lookups re-plan.
     const uint64_t catalog_version = cluster_->catalog_version();
@@ -748,7 +742,7 @@ StatusOr<QueryResult> Session::ExecuteSelect(const SelectQuery& query,
     if (cache_sql != nullptr && PlanCacheEligible()) {
       cluster_->plan_cache().Insert(*cache_sql, cached);
     }
-    return RunPlannedSelect(*cached);
+    return RunPlannedSelect(*cached, /*keep_rows=*/true);
     });
   });
 }
@@ -759,14 +753,26 @@ StatusOr<QueryResult> Session::ExecuteCachedPlan(
     return RunStatement([&]() -> StatusOr<QueryResult> {
       // Same parse-analyze locks a fresh plan would take; the plan tree itself
       // is immutable shared state.
-      for (const TableDef& t : plan->tables) {
-        if (t.is_system_view) continue;
-        GPHTAP_RETURN_IF_ERROR(LockRelationCoordinator(t, LockMode::kAccessShare));
-      }
-      return RunPlannedSelect(*plan);
+      GPHTAP_RETURN_IF_ERROR(LockForRead(plan->tables));
+      return RunPlannedSelect(*plan, /*keep_rows=*/true);
     });
   });
 }
+
+namespace {
+
+// EXPLAIN's first line: the gang the leaf slices dispatch to.
+std::string GangLine(const std::vector<int>& gang) {
+  std::string line = "gang: segments {";
+  for (size_t i = 0; i < gang.size(); ++i) {
+    if (i) line += ",";
+    line += std::to_string(gang[i]);
+  }
+  line += gang.size() == 1 ? "}  (direct dispatch)" : "}";
+  return line;
+}
+
+}  // namespace
 
 StatusOr<QueryResult> Session::ExplainSelect(const SelectQuery& query) {
   GPHTAP_ASSIGN_OR_RETURN(PlannedSelect planned,
@@ -774,13 +780,7 @@ StatusOr<QueryResult> Session::ExplainSelect(const SelectQuery& query) {
 
   QueryResult result;
   result.columns = {"QUERY PLAN"};
-  std::string gang = "gang: segments {";
-  for (size_t i = 0; i < planned.gang.size(); ++i) {
-    if (i) gang += ",";
-    gang += std::to_string(planned.gang[i]);
-  }
-  gang += planned.gang.size() == 1 ? "}  (direct dispatch)" : "}";
-  result.rows.push_back(Row{Datum(gang)});
+  result.rows.push_back(Row{Datum(GangLine(planned.gang))});
   // Split the plan tree rendering into one row per line, like EXPLAIN output.
   std::string text = planned.root->ToString();
   size_t start = 0;
@@ -797,47 +797,25 @@ StatusOr<QueryResult> Session::ExplainSelect(const SelectQuery& query) {
 StatusOr<QueryResult> Session::ExplainAnalyzeSelect(const SelectQuery& query) {
   return RunReadOnlyStatement([&] {
     return RunStatement([&]() -> StatusOr<QueryResult> {
-    for (const TableDef& t : query.tables) {
-      if (t.is_system_view) continue;
-      GPHTAP_RETURN_IF_ERROR(LockRelationCoordinator(t, LockMode::kAccessShare));
-    }
-
+    GPHTAP_RETURN_IF_ERROR(LockForRead(query.tables));
     GPHTAP_ASSIGN_OR_RETURN(PlannedSelect planned,
                             PlanSelect(query, MakePlannerOptions()));
     AssignPlanNodeIds(planned.root.get());
+    CachedPlan plan;
+    plan.root = std::move(planned.root);
+    plan.gang = std::move(planned.gang);
+    plan.columns = std::move(planned.columns);
 
-    for (size_t i = 0; i < planned.gang.size(); ++i) {
-      cluster_->net().Deliver(MsgKind::kDispatch);
-    }
-    auto mem = group_->NewMemoryAccount();
-    OperatorStatsCollector op_stats;
-    ExecProfile profile;
-    profile.op_stats = &op_stats;
-    QueryPlan qp;
-    qp.root = std::move(planned.root);
-    qp.gang = planned.gang;
-    int64_t rows_out = 0;
+    record_.BeginAnalyze();
     Stopwatch sw;
-    Status s = ExecutePlan(cluster_, qp, gxid_, owner_, snapshot_, group_.get(),
-                           mem.get(),
-                           [&](Row&&) -> Status {
-                             ++rows_out;
-                             return Status::OK();
-                           },
-                           &profile);
-    int64_t total_us = sw.ElapsedMicros();
-    cluster_->net().Deliver(MsgKind::kResult);
-    GPHTAP_RETURN_IF_ERROR(s);
+    StatusOr<QueryResult> run = RunPlannedSelect(plan, /*keep_rows=*/false);
+    const int64_t total_us = sw.ElapsedMicros();
+    record_.analyze = false;
+    GPHTAP_RETURN_IF_ERROR(run.status());
 
     QueryResult result;
     result.columns = {"QUERY PLAN"};
-    std::string gang = "gang: segments {";
-    for (size_t i = 0; i < qp.gang.size(); ++i) {
-      if (i) gang += ",";
-      gang += std::to_string(qp.gang[i]);
-    }
-    gang += qp.gang.size() == 1 ? "}  (direct dispatch)" : "}";
-    result.rows.push_back(Row{Datum(gang)});
+    result.rows.push_back(Row{Datum(GangLine(plan.gang))});
 
     // One row per node: the node's own header line (first line of its
     // rendering) annotated with the measured actuals. Times are inclusive of
@@ -846,7 +824,7 @@ StatusOr<QueryResult> Session::ExplainAnalyzeSelect(const SelectQuery& query) {
       std::string text = node.ToString(indent);
       size_t eol = text.find('\n');
       std::string line = text.substr(0, eol == std::string::npos ? text.size() : eol);
-      OperatorStatsCollector::OpStats os = op_stats.Get(node.node_id);
+      OperatorActuals os = record_.Operator(node.node_id);
       // A labeled scan's batch count rides directly on the store label
       // ("store=delta-merged (vectorized) batches=12"), answering which engine
       // served the scan and how in one glance.
@@ -889,12 +867,12 @@ StatusOr<QueryResult> Session::ExplainAnalyzeSelect(const SelectQuery& query) {
       result.rows.push_back(Row{Datum(line)});
       for (const auto& child : node.children) self(self, *child, indent + 1);
     };
-    emit(emit, *qp.root, 0);
+    emit(emit, *plan.root, 0);
 
     char total[64];
     std::snprintf(total, sizeof(total), "Execution time: %.3f ms (%lld rows)",
                   static_cast<double>(total_us) / 1000.0,
-                  static_cast<long long>(rows_out));
+                  static_cast<long long>(run->affected));
     result.rows.push_back(Row{Datum(std::string(total))});
     result.affected = static_cast<int64_t>(result.rows.size());
     return result;
@@ -972,10 +950,10 @@ StatusOr<QueryResult> Session::ExecuteInsert(const TableDef& def,
 
     int64_t inserted = 0;
     for (auto& [seg_index, seg_rows] : buckets) {
-      // The per-segment apply is this statement's "slice": charge its wall
-      // time to the statement resources so DML shows exec CPU and per-segment
-      // skew in gp_stat_statements just like gang-dispatched reads do.
-      Stopwatch seg_sw;
+      // The per-segment apply is this statement's "slice": charged to the
+      // record so DML shows exec CPU and per-segment skew in
+      // gp_stat_statements just like gang-dispatched reads do.
+      StatementRecord::SliceScope charge(&record_);
       Segment* seg = cluster_->segment(seg_index);
       cluster_->net().Deliver(MsgKind::kDispatch);
       GPHTAP_ASSIGN_OR_RETURN(SegmentPin pin, seg->Pin());
@@ -990,9 +968,6 @@ StatusOr<QueryResult> Session::ExecuteInsert(const TableDef& def,
         ++inserted;
       }
       cluster_->net().Deliver(MsgKind::kResult);
-      stmt_resources_.exec_cpu_ns.fetch_add(
-          static_cast<uint64_t>(seg_sw.ElapsedNanos()), std::memory_order_relaxed);
-      stmt_resources_.RecordSliceUs(seg_sw.ElapsedMicros());
     }
     QueryResult r;
     r.affected = def.distribution.kind == DistributionKind::kReplicated
@@ -1028,18 +1003,10 @@ std::vector<int> Session::TargetSegmentsForWrite(const TableDef& def, const Expr
 Status Session::DmlWorker(Segment* seg, const TableDef& def,
                           const std::vector<std::pair<int, ExprPtr>>* sets,
                           const ExprPtr& where, int64_t* affected) {
-  // The worker is this statement's per-segment "slice"; charge its wall time
-  // on every exit path so UPDATE/DELETE show exec CPU and per-segment skew in
-  // gp_stat_statements (relaxed adds — workers run concurrently).
-  struct SliceCharge {
-    Stopwatch sw;
-    StatementResources* res;
-    ~SliceCharge() {
-      res->exec_cpu_ns.fetch_add(static_cast<uint64_t>(sw.ElapsedNanos()),
-                                 std::memory_order_relaxed);
-      res->RecordSliceUs(sw.ElapsedMicros());
-    }
-  } charge{Stopwatch(), &stmt_resources_};
+  // The worker is this statement's per-segment "slice", charged on every exit
+  // path so UPDATE/DELETE show exec CPU and per-segment skew in
+  // gp_stat_statements. Blocked lock waits cost no CPU.
+  StatementRecord::SliceScope charge(&record_);
   // Service pin for the whole worker: held across lock waits (a crash cancels
   // the wait and the pin drains), released before the commit protocol runs.
   GPHTAP_ASSIGN_OR_RETURN(SegmentPin pin, seg->Pin());
@@ -1468,10 +1435,7 @@ StatusOr<QueryResult> Session::Execute(const std::string& sql) {
   // and publish the query text for gp_stat_activity. It replaces the empty
   // context a front-door worker inherits from the gang runner.
   WaitContextGuard wait_guard(MakeWaitContext());
-  wait_profile_.Reset();
-  stmt_resources_.Reset();
-  stmt_plan_cache_hit_ = false;
-  stmt_fingerprint_override_.clear();
+  record_.Reset();
   // Per-statement retry count: RunReadOnlyStatement resets it too, but write
   // statements never pass through there and must not inherit the previous
   // statement's count.
@@ -1483,42 +1447,36 @@ StatusOr<QueryResult> Session::Execute(const std::string& sql) {
   auto result = sql_driver::ExecuteSql(this, sql);
   const int64_t elapsed_us = sw.ElapsedMicros();
   const uint64_t retries = info_->retries.load(std::memory_order_relaxed);
+  const bool slow = threshold_us > 0 && elapsed_us >= threshold_us;
   std::string fingerprint;
-  if (stats_enabled || (threshold_us > 0 && elapsed_us >= threshold_us)) {
+  if (stats_enabled || slow) {
     // EXECUTE of a prepared statement set an override so it accumulates under
     // the prepared text, not under "execute name($1)".
-    fingerprint = !stmt_fingerprint_override_.empty() ? stmt_fingerprint_override_
-                                                      : FingerprintSql(sql);
+    fingerprint = !record_.fingerprint.empty() ? record_.fingerprint : FingerprintSql(sql);
   }
   if (stats_enabled) {
-    StatementStatsRegistry::Sample sample;
-    sample.ok = result.ok();
-    sample.timed_out = !result.ok() && result.status().code() == StatusCode::kTimedOut;
-    sample.retries = retries;
-    sample.plan_cache_hit = stmt_plan_cache_hit_;
+    StatementOutcome outcome;
+    outcome.ok = result.ok();
+    outcome.timed_out = !result.ok() && result.status().code() == StatusCode::kTimedOut;
+    outcome.retries = retries;
     // Writes report affected rows; reads report returned rows.
     if (result.ok()) {
-      sample.rows = result->affected > 0 ? static_cast<uint64_t>(result->affected)
-                                         : result->rows.size();
+      outcome.rows = result->affected > 0 ? static_cast<uint64_t>(result->affected)
+                                          : result->rows.size();
     }
-    sample.elapsed_us = elapsed_us;
-    sample.resources = &stmt_resources_;
-    sample.top_waits = wait_profile_.Top(3);
-    cluster_->statement_stats().Record(fingerprint, sample);
+    outcome.elapsed_us = elapsed_us;
+    cluster_->statement_stats().Record(fingerprint, record_, outcome);
   }
-  if (threshold_us > 0 && elapsed_us >= threshold_us) {
+  if (slow) {
     std::vector<SlowQueryLog::WaitItem> waits;
-    for (const QueryWaitProfile::Item& item : wait_profile_.Top(3)) {
-      SlowQueryLog::WaitItem w;
-      w.event = std::string(WaitEventClassName(ClassOfEvent(item.event))) + ":" +
-                WaitEventName(item.event);
-      w.count = item.count;
-      w.total_us = item.total_us;
-      waits.push_back(std::move(w));
+    for (const StatementRecord::Wait& w : record_.TopWaits(3)) {
+      waits.push_back({std::string(WaitEventClassName(ClassOfEvent(w.event))) + ":" +
+                           WaitEventName(w.event),
+                       w.count, w.total_us});
     }
     cluster_->slow_query_log().Record(sql, elapsed_us, MonotonicMicros(),
                                       std::move(waits), fingerprint,
-                                      stmt_plan_cache_hit_, retries);
+                                      record_.plan_cache_hit, retries);
   }
   // Errors that never reached the statement executor (parse/analyze time)
   // still abort an open explicit transaction, PostgreSQL-style.

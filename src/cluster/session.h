@@ -17,7 +17,7 @@
 #include "common/wait_event.h"
 #include "plan/planner.h"
 #include "plan/select_query.h"
-#include "stats/statement_resources.h"
+#include "stats/statement_record.h"
 
 namespace gphtap {
 
@@ -164,15 +164,14 @@ class Session {
   };
   const Stats& stats() const { return stats_; }
 
-  // ---- Cumulative statement statistics hooks (gp_stat_statements) ----
-  // Called by the SQL driver during dispatch; Execute() folds them into the
-  // cluster's StatementStatsRegistry at statement end.
+  // ---- Statement identity hooks (gp_stat_statements, slow-query log) ----
+  // Called by the SQL driver during dispatch; they set the statement record.
   /// The statement was served from the plan cache (or a prepared statement's
   /// generic plan) instead of being planned fresh.
-  void NoteStmtPlanCacheHit() { stmt_plan_cache_hit_ = true; }
+  void NoteStmtPlanCacheHit() { record_.plan_cache_hit = true; }
   /// Overrides the fingerprint the statement is accumulated under (EXECUTE of
   /// a prepared statement attributes to the prepared text).
-  void SetStmtFingerprint(const std::string& fp) { stmt_fingerprint_override_ = fp; }
+  void SetStmtFingerprint(const std::string& fp) { record_.fingerprint = fp; }
 
  private:
   // Wraps a statement in an implicit transaction when none is open.
@@ -197,9 +196,13 @@ class Session {
   // ExplainSelect / ExplainAnalyzeSelect).
   PlannerOptions MakePlannerOptions();
 
-  // The dispatch/trace/execute tail shared by the fresh-plan and cached-plan
-  // select paths. Runs inside RunStatement.
-  StatusOr<QueryResult> RunPlannedSelect(const CachedPlan& plan);
+  // Parse-analyze AccessShare locks on the coordinator for a SELECT's tables.
+  Status LockForRead(const std::vector<TableDef>& tables);
+
+  // The dispatch/trace/execute tail shared by the fresh-plan, cached-plan and
+  // EXPLAIN ANALYZE select paths. Runs inside RunStatement. Without
+  // `keep_rows` the rows are only counted (EXPLAIN ANALYZE discards them).
+  StatusOr<QueryResult> RunPlannedSelect(const CachedPlan& plan, bool keep_rows);
 
   // Arms/disarms the per-statement absolute deadline + lock timeout on the
   // transaction's LockOwner and publishes it to gp_stat_activity.
@@ -348,15 +351,10 @@ class Session {
   // Published live state (gp_stat_activity) — registered at connect,
   // unregistered at disconnect. Never null after construction.
   std::shared_ptr<SessionInfo> info_;
-  // Per-statement wait accumulation; Execute() resets it per statement and
-  // hands the top entries to the slow-query log.
-  QueryWaitProfile wait_profile_;
-  // Per-statement gang resource accumulator, carried on the wait context so
-  // executor slices / buffer pool / motion attribute to it ambiently. Reset by
-  // Execute() at statement start, read at statement end.
-  StatementResources stmt_resources_;
-  bool stmt_plan_cache_hit_ = false;
-  std::string stmt_fingerprint_override_;
+  // The current statement's record, carried on the wait context so slices,
+  // DML workers, the buffer pool and motion charge it ambiently. Reset by
+  // Execute() at statement start and rendered at statement end.
+  StatementRecord record_;
 };
 
 }  // namespace gphtap

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <thread>
 
 namespace gphtap {
@@ -16,6 +17,15 @@ inline int64_t MonotonicNanos() {
 }
 
 inline int64_t MonotonicMicros() { return MonotonicNanos() / 1000; }
+
+/// CPU time the calling thread has consumed, in nanoseconds; blocked time does
+/// not count. Each read is a system call (a few hundred ns), so callers read it
+/// once per task, never per row.
+inline int64_t ThreadCpuNanos() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return int64_t{ts.tv_sec} * 1'000'000'000 + ts.tv_nsec;
+}
 
 /// Sleeps for `us` microseconds; busy-spins below 30us for accuracy at small costs.
 inline void PreciseSleepUs(int64_t us) {

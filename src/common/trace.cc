@@ -94,37 +94,6 @@ std::string Trace::ToString() const {
   return out.str();
 }
 
-void OperatorStatsCollector::Record(int node_id, int64_t rows, int64_t elapsed_us,
-                                    int64_t batches) {
-  std::lock_guard<std::mutex> g(mu_);
-  OpStats& s = stats_[node_id];
-  s.rows += rows;
-  s.batches += batches;
-  ++s.executions;
-  s.total_time_us += elapsed_us;
-  s.max_time_us = std::max(s.max_time_us, elapsed_us);
-}
-
-void OperatorStatsCollector::RecordMotionWait(int node_id, int64_t send_wait_us,
-                                              int64_t recv_wait_us) {
-  std::lock_guard<std::mutex> g(mu_);
-  OpStats& s = stats_[node_id];
-  s.send_wait_us += send_wait_us;
-  s.recv_wait_us += recv_wait_us;
-}
-
-void OperatorStatsCollector::RecordStoreRows(int node_id, const std::string& store,
-                                             int64_t rows) {
-  std::lock_guard<std::mutex> g(mu_);
-  stats_[node_id].store_rows[store] += rows;
-}
-
-OperatorStatsCollector::OpStats OperatorStatsCollector::Get(int node_id) const {
-  std::lock_guard<std::mutex> g(mu_);
-  auto it = stats_.find(node_id);
-  return it == stats_.end() ? OpStats{} : it->second;
-}
-
 void SlowQueryLog::Record(const std::string& sql, int64_t duration_us, int64_t at_us,
                           std::vector<WaitItem> top_waits, std::string fingerprint,
                           bool plan_cache_hit, uint64_t retries) {

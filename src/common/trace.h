@@ -6,17 +6,15 @@
 // clock. Spans carry the segment index they ran on (kCoordinatorNode for the
 // coordinator) so tests and the text dump can show where time went.
 //
-// OperatorStatsCollector accumulates per-plan-operator actual rows / wall time
-// keyed by PlanNode::node_id; Session::ExplainAnalyzeSelect renders it as an
-// annotated plan. SlowQueryLog is a small ring buffer of statements that
-// exceeded ClusterOptions::slow_query_threshold_us.
+// A traced statement's StatementRecord (stats/statement_record.h) points at
+// its Trace. SlowQueryLog is a small ring buffer of statements that exceeded
+// ClusterOptions::slow_query_threshold_us, filled from their records.
 #ifndef GPHTAP_COMMON_TRACE_H_
 #define GPHTAP_COMMON_TRACE_H_
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -69,40 +67,6 @@ class Trace {
   mutable std::mutex mu_;
   std::atomic<uint64_t> next_id_{1};
   std::vector<TraceSpan> spans_;
-};
-
-/// Per-operator actuals for EXPLAIN ANALYZE, keyed by PlanNode::node_id.
-/// An operator that runs on several gang members records once per execution;
-/// rows accumulate, time keeps the slowest execution (the critical path).
-class OperatorStatsCollector {
- public:
-  struct OpStats {
-    int64_t rows = 0;
-    int64_t batches = 0;  // ColumnBatches emitted (vectorized operators only)
-    int64_t executions = 0;
-    int64_t total_time_us = 0;
-    int64_t max_time_us = 0;
-    // Motion nodes only: interconnect blocked time, reported separately from
-    // operator wall time in EXPLAIN ANALYZE.
-    int64_t send_wait_us = 0;
-    int64_t recv_wait_us = 0;
-    // Scan nodes only: visible rows served per physical store ("heap",
-    // "ao-column", "delta-sealed", "delta-open", ...), accumulated across the
-    // gang. EXPLAIN ANALYZE renders these on the scan line.
-    std::map<std::string, int64_t> store_rows;
-  };
-
-  void Record(int node_id, int64_t rows, int64_t elapsed_us, int64_t batches = 0);
-  /// Adds interconnect blocked time to a motion node's stats.
-  void RecordMotionWait(int node_id, int64_t send_wait_us, int64_t recv_wait_us);
-  /// Accumulates rows a scan served from one physical store.
-  void RecordStoreRows(int node_id, const std::string& store, int64_t rows);
-  /// Zero-valued OpStats when the node never executed.
-  OpStats Get(int node_id) const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<int, OpStats> stats_;
 };
 
 /// Fixed-capacity ring of the slowest-offending statements.

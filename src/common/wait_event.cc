@@ -3,7 +3,9 @@
 #include <algorithm>
 
 #include "common/clock.h"
+#include "common/trace.h"
 #include "lock/lock_owner.h"
+#include "stats/statement_record.h"
 
 namespace gphtap {
 
@@ -111,30 +113,6 @@ std::vector<WaitEventRegistry::Entry> WaitEventRegistry::Snapshot() const {
   return out;
 }
 
-void QueryWaitProfile::Record(WaitEvent event, int64_t elapsed_us) {
-  std::lock_guard<std::mutex> g(mu_);
-  Item& it = items_[event];
-  it.event = event;
-  ++it.count;
-  it.total_us += elapsed_us;
-}
-
-void QueryWaitProfile::Reset() {
-  std::lock_guard<std::mutex> g(mu_);
-  items_.clear();
-}
-
-std::vector<QueryWaitProfile::Item> QueryWaitProfile::Top(size_t n) const {
-  std::lock_guard<std::mutex> g(mu_);
-  std::vector<Item> out;
-  out.reserve(items_.size());
-  for (const auto& [event, item] : items_) out.push_back(item);
-  std::sort(out.begin(), out.end(),
-            [](const Item& a, const Item& b) { return a.total_us > b.total_us; });
-  if (out.size() > n) out.resize(n);
-  return out;
-}
-
 namespace {
 thread_local WaitContext* tls_wait_context = nullptr;
 }  // namespace
@@ -204,9 +182,11 @@ WaitEventScope::~WaitEventScope() {
   if (ctx_->registry != nullptr) {
     ctx_->registry->Record(event_, node_, ctx_->group, elapsed);
   }
-  if (ctx_->profile != nullptr) ctx_->profile->Record(event_, elapsed);
-  if (ctx_->trace != nullptr) {
-    ctx_->trace->AddCompletedSpan(
+  StatementRecord* record = ctx_->record;
+  if (record == nullptr) return;
+  record->AddWait(event_, elapsed);
+  if (record->trace != nullptr) {
+    record->trace->AddCompletedSpan(
         std::string("wait:") + WaitEventClassName(ClassOfEvent(event_)) + ":" +
             WaitEventName(event_),
         ctx_->parent_span, node_, start_us_, end_us);

@@ -13,11 +13,11 @@
 //   * accumulates (count, total, max, histogram) into the cluster-wide
 //     WaitEventRegistry keyed by (event, node, resource group), backing
 //     gp_wait_events,
-//   * accumulates into the per-statement QueryWaitProfile (slow-query log
-//     top-3 waits), and
-//   * appends a completed "wait:<event>" child span to the query's Trace so
-//     waits appear on the query timeline.
-// All four sinks are optional; with no context installed a scope is a no-op,
+//   * accumulates into the statement's StatementRecord (slow-query log top-3
+//     waits, gp_stat_statements top wait), and
+//   * appends a completed "wait:<event>" child span to the record's Trace, if
+//     the statement is traced, so waits appear on the query timeline.
+// All sinks are optional; with no context installed a scope is a no-op,
 // so library code (tests, benches) never pays for instrumentation it did not
 // ask for.
 #ifndef GPHTAP_COMMON_WAIT_EVENT_H_
@@ -32,12 +32,11 @@
 
 #include "common/histogram.h"
 #include "common/status.h"
-#include "common/trace.h"
 
 namespace gphtap {
 
 class LockOwner;
-struct StatementResources;
+class StatementRecord;
 
 enum class WaitEventClass {
   kNone = 0,
@@ -110,32 +109,15 @@ class WaitEventRegistry {
   std::map<Key, Entry> entries_;
 };
 
-/// Per-statement wait accumulation; the slow-query log keeps the top entries.
-class QueryWaitProfile {
- public:
-  struct Item {
-    WaitEvent event = WaitEvent::kNone;
-    uint64_t count = 0;
-    int64_t total_us = 0;
-  };
-
-  void Record(WaitEvent event, int64_t elapsed_us);
-  void Reset();
-  /// Up to `n` items, sorted by total_us descending.
-  std::vector<Item> Top(size_t n) const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<WaitEvent, Item> items_;
-};
-
 /// Ambient per-thread wait destination. All sinks optional.
 struct WaitContext {
   WaitEventRegistry* registry = nullptr;
   SessionWaitState* session = nullptr;
-  QueryWaitProfile* profile = nullptr;
-  Trace* trace = nullptr;       // wait-interval spans land here when set
-  uint64_t parent_span = 0;     // parent for wait spans
+  // The statement's record (stats/statement_record.h): per-event waits, gang
+  // resources, operator actuals and the optional trace. Owned by the session;
+  // the gang runner copies it into every slice and worker of the statement.
+  StatementRecord* record = nullptr;
+  uint64_t parent_span = 0;     // parent for wait spans (per thread)
   int node = -1;                // node label for registry + spans (coordinator=-1)
   std::string group;            // resource group name ("" = none/default)
   // Cancellation + statement-deadline handle of the owning transaction, for
@@ -143,11 +125,6 @@ struct WaitContext {
   // parameter (WAL fsync, motion queue waits). The session keeps the owner
   // alive for the statement's duration, so a raw pointer is safe here.
   LockOwner* owner = nullptr;
-  // Gang-wide per-statement resource accumulator (src/stats/). The executor
-  // copies the caller's context into every producer slice, so segment-side
-  // code (buffer pool, motion) attributes to the statement ambiently. Owned by
-  // the session; reset at statement start, read at statement end.
-  StatementResources* resources = nullptr;
 };
 
 /// Cancellation/deadline state of the ambient owner (OK when none installed).
@@ -162,7 +139,7 @@ Status CheckAmbientInterrupt();
 inline constexpr int64_t kInterruptPollUs = 5000;
 
 /// The thread's installed context, or nullptr. The pointer is mutable: the
-/// session updates trace/parent_span in place as a query progresses.
+/// session updates owner/parent_span in place as a query progresses.
 WaitContext* CurrentWaitContext();
 
 /// Installs `ctx` as the thread's wait context for the guard's lifetime and

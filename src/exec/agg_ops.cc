@@ -2,12 +2,30 @@
 
 namespace gphtap {
 
-void AggUpdateValue(AggFunc fn, AggState* s, const Datum& v) {
+namespace {
+
+// Adds one sum()/avg() input, int while every input is an int.
+Status AddToSum(AggState* s, const Datum& v) {
+  s->has_value = true;
+  if (v.is_int() && s->sum_is_int) {
+    return IntArith(BinOp::kAdd, s->isum, v.int_val(), &s->isum);
+  }
+  if (s->sum_is_int) {
+    s->sum = static_cast<double>(s->isum);
+    s->sum_is_int = false;
+  }
+  s->sum += v.AsDouble();
+  return Status::OK();
+}
+
+}  // namespace
+
+Status AggUpdateValue(AggFunc fn, AggState* s, const Datum& v) {
   if (fn == AggFunc::kCountStar) {
     ++s->count;
-    return;
+    return Status::OK();
   }
-  if (v.is_null()) return;
+  if (v.is_null()) return Status::OK();
   switch (fn) {
     case AggFunc::kCount:
       ++s->count;
@@ -15,17 +33,7 @@ void AggUpdateValue(AggFunc fn, AggState* s, const Datum& v) {
     case AggFunc::kSum:
     case AggFunc::kAvg:
       ++s->count;
-      if (v.is_int() && s->sum_is_int) {
-        s->isum += v.int_val();
-      } else {
-        if (s->sum_is_int) {
-          s->sum = static_cast<double>(s->isum);
-          s->sum_is_int = false;
-        }
-        s->sum += v.AsDouble();
-      }
-      s->has_value = true;
-      break;
+      return AddToSum(s, v);
     case AggFunc::kMin:
       if (!s->has_value || v.Compare(s->acc) < 0) s->acc = v;
       s->has_value = true;
@@ -37,6 +45,7 @@ void AggUpdateValue(AggFunc fn, AggState* s, const Datum& v) {
     case AggFunc::kCountStar:
       break;
   }
+  return Status::OK();
 }
 
 Status AggUpdate(const AggSpec& spec, AggState* s, const Row& row) {
@@ -45,8 +54,7 @@ Status AggUpdate(const AggSpec& spec, AggState* s, const Row& row) {
     return Status::OK();
   }
   GPHTAP_ASSIGN_OR_RETURN(Datum v, EvalExpr(*spec.arg, row));
-  AggUpdateValue(spec.fn, s, v);
-  return Status::OK();
+  return AggUpdateValue(spec.fn, s, v);
 }
 
 Datum AggSumDatum(const AggState& s) {
@@ -83,18 +91,7 @@ Status AggMergePartial(const AggSpec& spec, AggState* s, const Row& row, int col
       return Status::OK();
     case AggFunc::kSum:
     case AggFunc::kAvg: {
-      if (!v0.is_null()) {
-        if (v0.is_int() && s->sum_is_int) {
-          s->isum += v0.int_val();
-        } else {
-          if (s->sum_is_int) {
-            s->sum = static_cast<double>(s->isum);
-            s->sum_is_int = false;
-          }
-          s->sum += v0.AsDouble();
-        }
-        s->has_value = true;
-      }
+      if (!v0.is_null()) GPHTAP_RETURN_IF_ERROR(AddToSum(s, v0));
       if (spec.fn == AggFunc::kAvg) {
         const Datum& c = row[static_cast<size_t>(col) + 1];
         if (!c.is_null()) s->count += c.int_val();

@@ -23,8 +23,9 @@ struct AggState {
 };
 
 /// Folds one already-evaluated argument value into the state. NULLs are
-/// ignored (except kCountStar, which ignores the value entirely).
-void AggUpdateValue(AggFunc fn, AggState* s, const Datum& v);
+/// ignored (except kCountStar, which ignores the value entirely). An int sum
+/// outside int64 is "bigint out of range", as in int8pl.
+Status AggUpdateValue(AggFunc fn, AggState* s, const Datum& v);
 
 /// Evaluates the agg's argument against `row`, then folds it in.
 Status AggUpdate(const AggSpec& spec, AggState* s, const Row& row);

@@ -8,13 +8,11 @@
 
 #include "cluster/cluster.h"
 #include "common/clock.h"
-#include "common/trace.h"
 #include "net/motion_exchange.h"
 #include "resgroup/resource_group.h"
+#include "stats/statement_record.h"
 
 namespace gphtap {
-
-struct StatementResources;
 
 using ExchangeMap = std::unordered_map<int, std::shared_ptr<MotionExchange>>;
 
@@ -43,19 +41,21 @@ struct ExecContext {
   int64_t deadline_us = 0;
   int64_t rows_until_deadline_check = 0;
 
-  // EXPLAIN ANALYZE per-operator actuals; null = not collecting.
-  OperatorStatsCollector* op_stats = nullptr;
-
-  // Per-statement gang-wide resource accumulator (gp_stat_statements); null =
-  // not collecting. Updated off the per-row hot path only (batch boundaries,
-  // fallback events, slice teardown).
-  StatementResources* resources = nullptr;
+  // The statement's record: the WaitContext::record of the thread that ran
+  // ExecutePlan, shared by every slice; null = not recording. Updated off the
+  // per-row hot path only (batch boundaries, fallback events, operator end).
+  StatementRecord* record = nullptr;
 
   // The slice's root node. ExecuteNode explodes a vectorize-marked subtree's
   // batches into rows for its caller; when that caller is a row operator
   // mid-plan the boundary is a genuine engine fallback (vec.fallbacks), but at
   // the slice root it is just final delivery and not counted.
   const void* slice_root = nullptr;
+
+  /// The record when it collects per-operator actuals (EXPLAIN ANALYZE).
+  StatementRecord* actuals() const {
+    return record != nullptr && record->analyze ? record : nullptr;
+  }
 
   /// Builds the visibility context for this node.
   VisibilityContext Vis() const {

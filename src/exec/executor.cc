@@ -7,9 +7,9 @@
 #include "common/clock.h"
 #include "common/gang_runner.h"
 #include "common/logging.h"
+#include "common/trace.h"
 #include "common/wait_event.h"
 #include "exec/agg_ops.h"
-#include "stats/statement_resources.h"
 #include "storage/heap_table.h"
 #include "vec/vec_executor.h"
 #include "vec/vec_kernels.h"
@@ -106,9 +106,8 @@ Status ExecScanCommon(const PlanNode& node, ExecContext& ctx, Table* table,
   } else {
     scan = table->Scan(vis, cb);
   }
-  if (ctx.op_stats != nullptr && visible_rows > 0) {
-    ctx.op_stats->RecordStoreRows(node.node_id, ScanStoreLabel(table->def().storage),
-                                  visible_rows);
+  if (StatementRecord* actuals = ctx.actuals(); actuals != nullptr && visible_rows > 0) {
+    actuals->AddStoreRows(node.node_id, ScanStoreLabel(table->def().storage), visible_rows);
   }
   if (!inner.ok()) return inner;
   return scan;
@@ -136,9 +135,8 @@ Status ExecIndexScan(const PlanNode& node, ExecContext& ctx, const RowSink& sink
     }
     GPHTAP_RETURN_IF_ERROR(sink(std::move(v->row)));
   }
-  if (ctx.op_stats != nullptr && visible_rows > 0) {
-    ctx.op_stats->RecordStoreRows(node.node_id, ScanStoreLabel(heap->def().storage),
-                                  visible_rows);
+  if (StatementRecord* actuals = ctx.actuals(); actuals != nullptr && visible_rows > 0) {
+    actuals->AddStoreRows(node.node_id, ScanStoreLabel(heap->def().storage), visible_rows);
   }
   return Status::OK();
 }
@@ -458,8 +456,8 @@ Status ExecuteNode(const PlanNode& node, ExecContext& ctx, const RowSink& sink) 
       if (ctx.cluster != nullptr) {
         ctx.cluster->metrics().counter("vec.fallbacks")->Add(1);
       }
-      if (ctx.resources != nullptr) {
-        ctx.resources->vec_fallbacks.fetch_add(1, std::memory_order_relaxed);
+      if (ctx.record != nullptr) {
+        ctx.record->vec_fallbacks.fetch_add(1, std::memory_order_relaxed);
       }
     }
     return ExecuteNodeVec(node, ctx, [&](ColumnBatch&& batch) -> Status {
@@ -470,9 +468,8 @@ Status ExecuteNode(const PlanNode& node, ExecContext& ctx, const RowSink& sink) 
       return Status::OK();
     });
   }
-  if (ctx.op_stats == nullptr || node.node_id < 0) {
-    return ExecuteNodeImpl(node, ctx, sink);
-  }
+  StatementRecord* actuals = ctx.actuals();
+  if (actuals == nullptr || node.node_id < 0) return ExecuteNodeImpl(node, ctx, sink);
   // Inclusive timing (children execute inside the parent's push pipeline),
   // same convention as PostgreSQL's EXPLAIN ANALYZE.
   int64_t rows = 0;
@@ -481,7 +478,7 @@ Status ExecuteNode(const PlanNode& node, ExecContext& ctx, const RowSink& sink) 
     ++rows;
     return sink(std::move(row));
   });
-  ctx.op_stats->Record(node.node_id, rows, sw.ElapsedMicros());
+  actuals->AddOperator(node.node_id, rows, sw.ElapsedMicros());
   return s;
 }
 
@@ -498,11 +495,12 @@ void CollectMotions(const PlanNode& node, std::vector<const PlanNode*>* out) {
 Status ExecutePlan(Cluster* cluster, const QueryPlan& plan, Gxid gxid,
                    const std::shared_ptr<LockOwner>& owner,
                    const DistributedSnapshot& snapshot, ResourceGroup* group,
-                   QueryMemoryAccount* mem, const RowSink& sink,
-                   const ExecProfile* profile) {
-  Trace* trace = profile != nullptr ? profile->trace : nullptr;
-  OperatorStatsCollector* op_stats = profile != nullptr ? profile->op_stats : nullptr;
-  const uint64_t parent_span = profile != nullptr ? profile->parent_span : 0;
+                   QueryMemoryAccount* mem, const RowSink& sink) {
+  // The statement's record and span parent ride the caller's wait context.
+  const WaitContext* caller_wait = CurrentWaitContext();
+  StatementRecord* record = caller_wait != nullptr ? caller_wait->record : nullptr;
+  Trace* trace = record != nullptr ? record->trace : nullptr;
+  const uint64_t parent_span = caller_wait != nullptr ? caller_wait->parent_span : 0;
 
   std::vector<const PlanNode*> motions;
   CollectMotions(*plan.root, &motions);
@@ -542,15 +540,6 @@ Status ExecutePlan(Cluster* cluster, const QueryPlan& plan, Gxid gxid,
     }
   };
 
-  // Producers: one gang task per (motion, gang member). The runner gives each
-  // the caller's ambient wait context (registry / session / profile sinks)
-  // relabelled with its segment, so blocking inside a slice — motion
-  // back-pressure, segment locks, buffer misses — is attributed to the owning
-  // statement; the slice parents its waits under its own span.
-  const WaitContext* caller_wait = CurrentWaitContext();
-  // Statement-level resource accumulator (gp_stat_statements): inherited from
-  // the session's wait context, shared by every slice of the gang.
-  StatementResources* res = caller_wait != nullptr ? caller_wait->resources : nullptr;
   // One slice's context; `segment` is null for the coordinator's top slice.
   auto slice_context = [&](Segment* segment, int receiver_index, const PlanNode* root) {
     ExecContext ctx;
@@ -566,20 +555,16 @@ Status ExecutePlan(Cluster* cluster, const QueryPlan& plan, Gxid gxid,
     ctx.group = group;
     ctx.mem = mem;
     ctx.cpu_ns_per_row = cluster->options().exec_cpu_ns_per_row;
-    ctx.op_stats = op_stats;
     ctx.deadline_us = deadline_us;
-    ctx.resources = res;
+    ctx.record = record;
     ctx.slice_root = root;
     return ctx;
   };
-  // Charges a finished slice's simulated CPU and its wall time.
-  auto finish_slice = [&](ExecContext& ctx, const Stopwatch& sw) {
-    ctx.FlushCpu();
-    if (res == nullptr) return;
-    res->exec_cpu_ns.fetch_add(static_cast<uint64_t>(sw.ElapsedNanos()),
-                               std::memory_order_relaxed);
-    res->RecordSliceUs(sw.ElapsedMicros());
-  };
+  // Producers: one gang task per (motion, gang member). The runner gives each
+  // the caller's ambient wait context (registry / session / record) relabelled
+  // with its segment, so blocking inside a slice — motion back-pressure,
+  // segment locks, buffer misses — is attributed to the owning statement; the
+  // slice parents its waits under its own span.
   GangRunner::Gang producers(&cluster->gangs());
   for (const PlanNode* m : motions) {
     for (size_t gi = 0; gi < plan.gang.size(); ++gi) {
@@ -591,7 +576,6 @@ Status ExecutePlan(Cluster* cluster, const QueryPlan& plan, Gxid gxid,
                                   parent_span, seg_index);
         }
         WaitContext* slice_wait = CurrentWaitContext();
-        slice_wait->trace = trace;
         slice_wait->parent_span = span;
         slice_wait->owner = owner.get();
         // Service pin for the whole slice: a down segment fails the query with
@@ -613,7 +597,8 @@ Status ExecutePlan(Cluster* cluster, const QueryPlan& plan, Gxid gxid,
         int receivers = ex.num_receivers();
         int64_t rows_out = 0;
         Status s;
-        Stopwatch slice_sw;
+        // Charged when the task returns; Join only returns after that.
+        StatementRecord::SliceScope charge(record);
         if (slice_root.vectorize && VecEngineSupports(slice_root.kind)) {
           // Vectorized slice: ship whole ColumnBatch chunks instead of rows.
           s = ExecuteNodeVec(slice_root, ctx, [&](ColumnBatch&& batch) -> Status {
@@ -666,7 +651,7 @@ Status ExecutePlan(Cluster* cluster, const QueryPlan& plan, Gxid gxid,
             return Status::OK();
           });
         }
-        finish_slice(ctx, slice_sw);
+        ctx.FlushCpu();
         record_error(s);
         ex.CloseSender();
         if (trace != nullptr) trace->EndSpan(span, rows_out);
@@ -693,10 +678,13 @@ Status ExecutePlan(Cluster* cluster, const QueryPlan& plan, Gxid gxid,
       return sink(std::move(row));
     };
   }
-  Stopwatch top_sw;
-  Status top_status = ExecuteNode(*plan.root, top, top_sink);
+  Status top_status;
+  {
+    StatementRecord::SliceScope charge(record);
+    top_status = ExecuteNode(*plan.root, top, top_sink);
+  }
   if (top_status.code() == StatusCode::kStopIteration) top_status = Status::OK();
-  finish_slice(top, top_sw);
+  top.FlushCpu();
   if (trace != nullptr) trace->EndSpan(top_span, top_rows);
   // A cancellation (GDD kill, statement timeout) aborts the exchanges, which a
   // receiver observes as a clean end-of-stream — so an ok top status does not
@@ -717,17 +705,17 @@ Status ExecutePlan(Cluster* cluster, const QueryPlan& plan, Gxid gxid,
 
   // Interconnect blocked time, attributed per motion so EXPLAIN ANALYZE can
   // report "how long did this exchange stall" apart from operator time.
-  if (op_stats != nullptr) {
+  if (StatementRecord* actuals = top.actuals()) {
     for (const PlanNode* m : motions) {
       MotionExchange& ex = *exchanges[m->motion_id];
-      op_stats->RecordMotionWait(m->node_id, ex.send_wait_us(), ex.recv_wait_us());
+      actuals->AddMotionWait(m->node_id, ex.send_wait_us(), ex.recv_wait_us());
     }
   }
   // Gang network attribution: total payload bytes shipped by this statement's
   // exchanges (same tally SimNet was charged with).
-  if (res != nullptr) {
+  if (record != nullptr) {
     for (auto& [id, ex] : exchanges) {
-      res->net_bytes.fetch_add(ex->bytes_sent(), std::memory_order_relaxed);
+      record->net_bytes.fetch_add(ex->bytes_sent(), std::memory_order_relaxed);
     }
   }
 

@@ -42,22 +42,15 @@ struct QueryPlan {
   std::vector<int> gang;
 };
 
-/// Optional observability attachment for one query execution: a trace to hang
-/// per-slice spans under, and/or an EXPLAIN ANALYZE operator-stats collector.
-struct ExecProfile {
-  Trace* trace = nullptr;
-  uint64_t parent_span = 0;  // span id the slice spans become children of
-  OperatorStatsCollector* op_stats = nullptr;
-};
-
-/// Runs the full sliced plan against the cluster. Producer threads are spawned
-/// per (motion, gang member); the caller's thread drives the top slice.
-/// `profile` (optional) collects spans / per-operator actuals.
+/// Runs the full sliced plan against the cluster. Producers run as gang tasks,
+/// one per (motion, gang member); the caller's thread drives the top slice.
+/// The caller's WaitContext::record, when set, collects the statement's slice
+/// charges, motion bytes, operator actuals (when `analyze` is on) and spans
+/// (when traced; slice spans hang under the caller's parent_span).
 Status ExecutePlan(Cluster* cluster, const QueryPlan& plan, Gxid gxid,
                    const std::shared_ptr<LockOwner>& owner,
                    const DistributedSnapshot& snapshot, ResourceGroup* group,
-                   QueryMemoryAccount* mem, const RowSink& sink,
-                   const ExecProfile* profile = nullptr);
+                   QueryMemoryAccount* mem, const RowSink& sink);
 
 }  // namespace gphtap
 

@@ -201,9 +201,10 @@ Status IntArith(BinOp op, int64_t a, int64_t b, int64_t* out) {
     default:
       return Status::Internal("bad arithmetic op");
   }
-  if (overflow) return Status::InvalidArgument("bigint out of range");
-  return Status::OK();
+  return overflow ? BigintOutOfRange() : Status::OK();
 }
+
+Status BigintOutOfRange() { return Status::InvalidArgument("bigint out of range"); }
 
 StatusOr<Datum> EvalBinaryOp(BinOp op, const Datum& l, const Datum& r) {
   switch (op) {

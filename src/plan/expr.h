@@ -72,6 +72,8 @@ StatusOr<Datum> EvalBinaryOp(BinOp op, const Datum& l, const Datum& r);
 /// (INT64_MIN / -1 included) is "bigint out of range", a zero divisor is
 /// "division by zero", and INT64_MIN % -1 is 0.
 Status IntArith(BinOp op, int64_t a, int64_t b, int64_t* out);
+/// The error an int64 result out of range raises (IntArith, int sums).
+Status BigintOutOfRange();
 
 /// SQL truth value of a datum: -1 = NULL/unknown, 0 = false, 1 = true.
 int DatumTruth(const Datum& d);

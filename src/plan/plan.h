@@ -93,7 +93,7 @@ struct PlanNode {
   int output_arity = 0;
 
   /// Pre-order id assigned by AssignPlanNodeIds; -1 = unassigned. Keys the
-  /// EXPLAIN ANALYZE per-operator actuals (OperatorStatsCollector).
+  /// EXPLAIN ANALYZE per-operator actuals (StatementRecord::Operator).
   int node_id = -1;
 
   /// Marked by the planner when this subtree runs on the vectorized batch

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 
 namespace gphtap {
 
@@ -10,38 +11,43 @@ constexpr const char* kOverflowKey = "<overflow>";
 }  // namespace
 
 void StatementStatsRegistry::Record(const std::string& fingerprint,
-                                    const Sample& sample) {
+                                    const StatementRecord& record,
+                                    const StatementOutcome& outcome) {
+  const Histogram slices = record.slice_histogram();
+  const std::vector<StatementRecord::Wait> waits =
+      record.TopWaits(std::numeric_limits<size_t>::max());
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = slots_.find(fingerprint);
-  if (it == slots_.end()) {
-    if (slots_.size() >= capacity_) {
-      it = slots_.try_emplace(kOverflowKey).first;
-    } else {
-      it = slots_.try_emplace(fingerprint).first;
+  auto it = entries_.find(fingerprint);
+  if (it == entries_.end()) {
+    const std::string key = entries_.size() >= capacity_ ? kOverflowKey : fingerprint;
+    it = entries_.try_emplace(key).first;
+    it->second.fingerprint = key;
+  }
+  Entry& e = it->second;
+  e.calls += 1;
+  if (!outcome.ok) e.errors += 1;
+  if (outcome.timed_out) e.timeouts += 1;
+  e.retries += outcome.retries;
+  if (record.plan_cache_hit) e.plan_cache_hits += 1;
+  e.rows += outcome.rows;
+  e.total_us += outcome.elapsed_us;
+  if (e.calls == 1 || outcome.elapsed_us < e.min_us) e.min_us = outcome.elapsed_us;
+  if (outcome.elapsed_us > e.max_us) e.max_us = outcome.elapsed_us;
+  e.latency.Record(outcome.elapsed_us);
+  e.gang_slices.Merge(slices);
+  e.vec_batches += record.vec_batches.load(std::memory_order_relaxed);
+  e.vec_fallbacks += record.vec_fallbacks.load(std::memory_order_relaxed);
+  e.exec_cpu_ns += record.exec_cpu_ns.load(std::memory_order_relaxed);
+  e.net_bytes += record.net_bytes.load(std::memory_order_relaxed);
+  e.buffer_hits += record.buffer_hits.load(std::memory_order_relaxed);
+  e.buffer_misses += record.buffer_misses.load(std::memory_order_relaxed);
+  for (const StatementRecord::Wait& w : waits) {
+    const int64_t total = e.wait_us[w.event] += w.total_us;
+    if (total > e.top_wait_us) {
+      e.top_wait = w.event;
+      e.top_wait_us = total;
     }
   }
-  Slot& s = it->second;
-  s.calls += 1;
-  if (!sample.ok) s.errors += 1;
-  if (sample.timed_out) s.timeouts += 1;
-  s.retries += sample.retries;
-  if (sample.plan_cache_hit) s.plan_cache_hits += 1;
-  s.rows += sample.rows;
-  s.total_us += sample.elapsed_us;
-  if (s.calls == 1 || sample.elapsed_us < s.min_us) s.min_us = sample.elapsed_us;
-  if (sample.elapsed_us > s.max_us) s.max_us = sample.elapsed_us;
-  s.latency.Record(sample.elapsed_us);
-  if (sample.resources != nullptr) {
-    const StatementResources& r = *sample.resources;
-    s.gang_slices.Merge(r.slice_histogram());
-    s.vec_batches += r.vec_batches.load(std::memory_order_relaxed);
-    s.vec_fallbacks += r.vec_fallbacks.load(std::memory_order_relaxed);
-    s.exec_cpu_ns += r.exec_cpu_ns.load(std::memory_order_relaxed);
-    s.net_bytes += r.net_bytes.load(std::memory_order_relaxed);
-    s.buffer_hits += r.buffer_hits.load(std::memory_order_relaxed);
-    s.buffer_misses += r.buffer_misses.load(std::memory_order_relaxed);
-  }
-  for (const auto& w : sample.top_waits) s.wait_us[w.event] += w.total_us;
 }
 
 std::vector<StatementStatsRegistry::Entry> StatementStatsRegistry::Snapshot()
@@ -49,35 +55,12 @@ std::vector<StatementStatsRegistry::Entry> StatementStatsRegistry::Snapshot()
   std::vector<Entry> out;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    out.reserve(slots_.size());
-    for (const auto& [fp, s] : slots_) {
-      Entry e;
-      e.fingerprint = fp;
-      e.calls = s.calls;
-      e.errors = s.errors;
-      e.timeouts = s.timeouts;
-      e.retries = s.retries;
-      e.plan_cache_hits = s.plan_cache_hits;
-      e.rows = s.rows;
-      e.total_us = s.total_us;
-      e.min_us = s.min_us;
-      e.max_us = s.max_us;
-      e.p95_us = s.latency.Percentile(95.0);
-      e.gang_p95_us = s.gang_slices.Percentile(95.0);
-      e.vec_batches = s.vec_batches;
-      e.vec_fallbacks = s.vec_fallbacks;
-      e.exec_cpu_ns = s.exec_cpu_ns;
-      e.net_bytes = s.net_bytes;
-      e.buffer_hits = s.buffer_hits;
-      e.buffer_misses = s.buffer_misses;
-      for (const auto& [event, us] : s.wait_us) {
-        if (us > e.top_wait_us) {
-          e.top_wait = event;
-          e.top_wait_us = us;
-        }
-      }
-      out.push_back(std::move(e));
-    }
+    out.reserve(entries_.size());
+    for (const auto& [fp, e] : entries_) out.push_back(e);
+  }
+  for (Entry& e : out) {
+    e.p95_us = e.latency.Percentile(95.0);
+    e.gang_p95_us = e.gang_slices.Percentile(95.0);
   }
   std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
     if (a.total_us != b.total_us) return a.total_us > b.total_us;
@@ -88,7 +71,7 @@ std::vector<StatementStatsRegistry::Entry> StatementStatsRegistry::Snapshot()
 
 void StatementStatsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  slots_.clear();
+  entries_.clear();
 }
 
 }  // namespace gphtap

@@ -2,7 +2,7 @@
 
 #include "common/clock.h"
 #include "common/wait_event.h"
-#include "stats/statement_resources.h"
+#include "stats/statement_record.h"
 
 namespace gphtap {
 
@@ -10,10 +10,10 @@ BufferPool::BufferPool(Options options) : options_(options) {}
 
 void BufferPool::Access(TableId table, uint64_t page) {
   // Ambient per-statement attribution (gp_stat_statements buffer columns):
-  // the executor installs the statement's accumulator on each slice thread's
-  // wait context, so the pool needs no per-call plumbing.
-  StatementResources* res = nullptr;
-  if (WaitContext* wc = CurrentWaitContext(); wc != nullptr) res = wc->resources;
+  // each slice thread's wait context carries the statement's record, so the
+  // pool needs no per-call plumbing.
+  StatementRecord* record = nullptr;
+  if (WaitContext* wc = CurrentWaitContext(); wc != nullptr) record = wc->record;
   bool miss = false;
   {
     std::lock_guard<std::mutex> g(mu_);
@@ -22,13 +22,13 @@ void BufferPool::Access(TableId table, uint64_t page) {
     if (it != resident_.end()) {
       ++stats_.hits;
       if (m_hits_ != nullptr) m_hits_->Add(1);
-      if (res != nullptr) res->buffer_hits.fetch_add(1, std::memory_order_relaxed);
+      if (record != nullptr) record->buffer_hits.fetch_add(1, std::memory_order_relaxed);
       lru_.splice(lru_.begin(), lru_, it->second);
       return;
     }
     ++stats_.misses;
     if (m_misses_ != nullptr) m_misses_->Add(1);
-    if (res != nullptr) res->buffer_misses.fetch_add(1, std::memory_order_relaxed);
+    if (record != nullptr) record->buffer_misses.fetch_add(1, std::memory_order_relaxed);
     miss = true;
     if (resident_.size() >= options_.capacity_pages && !lru_.empty()) {
       resident_.erase(lru_.back());

@@ -13,7 +13,6 @@
 #include "delta/delta_index.h"
 #include "exec/agg_ops.h"
 #include "exec/executor.h"
-#include "stats/statement_resources.h"
 #include "storage/column_store.h"
 #include "storage/heap_table.h"
 #include "vec/vec_kernels.h"
@@ -60,8 +59,8 @@ class RowPacker {
  public:
   RowPacker(ExecContext& ctx, const BatchSink& sink) : sink_(sink) {
     if (ctx.cluster != nullptr) ctx.cluster->metrics().counter("vec.fallbacks")->Add(1);
-    if (ctx.resources != nullptr) {
-      ctx.resources->vec_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    if (ctx.record != nullptr) {
+      ctx.record->vec_fallbacks.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
@@ -126,9 +125,8 @@ Status ExecSeqScanVecFallback(const PlanNode& node, ExecContext& ctx, Table* tab
   };
   Status scan = node.scan_cols.empty() ? table->Scan(vis, cb)
                                        : table->ScanColumns(vis, node.scan_cols, cb);
-  if (ctx.op_stats != nullptr && visible_rows > 0) {
-    ctx.op_stats->RecordStoreRows(node.node_id, ScanStoreLabel(table->def().storage),
-                                  visible_rows);
+  if (StatementRecord* actuals = ctx.actuals(); actuals != nullptr && visible_rows > 0) {
+    actuals->AddStoreRows(node.node_id, ScanStoreLabel(table->def().storage), visible_rows);
   }
   if (!inner.ok()) return inner;
   GPHTAP_RETURN_IF_ERROR(scan);
@@ -197,16 +195,14 @@ Status ExecSeqScanDeltaMerged(const PlanNode& node, ExecContext& ctx,
         return FilterIntoSink(node, ctx, sink, std::move(batch), &inner);
       },
       &sealed_rows, &open_rows);
-  if (ctx.op_stats != nullptr) {
-    ctx.op_stats->RecordStoreRows(node.node_id, "delta-merged",
-                                  static_cast<int64_t>(sealed_rows + open_rows));
+  if (StatementRecord* actuals = ctx.actuals()) {
+    actuals->AddStoreRows(node.node_id, "delta-merged",
+                          static_cast<int64_t>(sealed_rows + open_rows));
     if (sealed_rows > 0) {
-      ctx.op_stats->RecordStoreRows(node.node_id, "delta-sealed",
-                                    static_cast<int64_t>(sealed_rows));
+      actuals->AddStoreRows(node.node_id, "delta-sealed", static_cast<int64_t>(sealed_rows));
     }
     if (open_rows > 0) {
-      ctx.op_stats->RecordStoreRows(node.node_id, "delta-open",
-                                    static_cast<int64_t>(open_rows));
+      actuals->AddStoreRows(node.node_id, "delta-open", static_cast<int64_t>(open_rows));
     }
   }
   if (!inner.ok()) return inner;
@@ -241,8 +237,8 @@ Status ExecSeqScanVec(const PlanNode& node, ExecContext& ctx, const BatchSink& s
     visible_rows += static_cast<int64_t>(batch.ActiveRows());
     return FilterIntoSink(node, ctx, sink, std::move(batch), &inner);
   });
-  if (ctx.op_stats != nullptr && visible_rows > 0) {
-    ctx.op_stats->RecordStoreRows(node.node_id, "ao-column", visible_rows);
+  if (StatementRecord* actuals = ctx.actuals(); actuals != nullptr && visible_rows > 0) {
+    actuals->AddStoreRows(node.node_id, "ao-column", visible_rows);
   }
   if (!inner.ok()) return inner;
   return scan;
@@ -415,7 +411,8 @@ Status ExecHashAggVec(const PlanNode& node, ExecContext& ctx, const BatchSink& s
           GPHTAP_RETURN_IF_ERROR(mem_status);
         }
         for (size_t a = 0; a < node.aggs.size(); ++a) {
-          VecAggUpdate(node.aggs[a].fn, argvals[a], b.sel, &it->second.states[a]);
+          GPHTAP_RETURN_IF_ERROR(
+              VecAggUpdate(node.aggs[a].fn, argvals[a], b.sel, &it->second.states[a]));
         }
         return Status::OK();
       }
@@ -444,8 +441,8 @@ Status ExecHashAggVec(const PlanNode& node, ExecContext& ctx, const BatchSink& s
           if (node.aggs[a].fn == AggFunc::kCountStar) {
             ++st.count;
           } else {
-            AggUpdateValue(node.aggs[a].fn, &st,
-                           argvals[a].GetDatum(static_cast<size_t>(r)));
+            GPHTAP_RETURN_IF_ERROR(AggUpdateValue(
+                node.aggs[a].fn, &st, argvals[a].GetDatum(static_cast<size_t>(r))));
           }
         }
       }
@@ -553,19 +550,19 @@ Status ExecuteNodeVec(const PlanNode& node, ExecContext& ctx, const BatchSink& s
   };
   Stopwatch sw;
   Status s = ExecuteNodeVecImpl(node, ctx, counting);
-  if (ctx.op_stats != nullptr && node.node_id >= 0) {
-    ctx.op_stats->Record(node.node_id, rows, sw.ElapsedMicros(), batches);
+  if (StatementRecord* actuals = ctx.actuals(); actuals != nullptr && node.node_id >= 0) {
+    actuals->AddOperator(node.node_id, rows, sw.ElapsedMicros(), batches);
   }
   if (ctx.cluster != nullptr) {
     MetricsRegistry& m = ctx.cluster->metrics();
     m.counter("vec.batches")->Add(static_cast<uint64_t>(batches));
     m.counter("vec.rows")->Add(static_cast<uint64_t>(rows));
   }
-  if (ctx.resources != nullptr && batches > 0) {
+  if (ctx.record != nullptr && batches > 0) {
     // Same per-node semantics as the vec.batches counter (nested marked nodes
     // each count their output), so the view column joins against the metric.
-    ctx.resources->vec_batches.fetch_add(static_cast<uint64_t>(batches),
-                                         std::memory_order_relaxed);
+    ctx.record->vec_batches.fetch_add(static_cast<uint64_t>(batches),
+                                      std::memory_order_relaxed);
   }
   return s;
 }

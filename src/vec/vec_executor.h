@@ -26,8 +26,8 @@ using BatchSink = std::function<Status(ColumnBatch&&)>;
 bool VecEngineSupports(PlanKind kind);
 
 /// Executes one vectorize-marked plan subtree, pushing batches into `sink`.
-/// Records per-operator rows/batches into ctx.op_stats and bumps the cluster
-/// `vec.*` metrics.
+/// Records per-operator rows/batches into the statement record (EXPLAIN
+/// ANALYZE) and bumps the cluster `vec.*` metrics.
 Status ExecuteNodeVec(const PlanNode& node, ExecContext& ctx, const BatchSink& sink);
 
 }  // namespace gphtap

@@ -450,11 +450,11 @@ Status VecPartitionBatch(const ColumnBatch& in, const std::vector<int>& hash_col
   return Status::OK();
 }
 
-void VecAggUpdate(AggFunc fn, const ColumnVector& vals,
-                  const std::vector<int32_t>& pos, AggState* s) {
+Status VecAggUpdate(AggFunc fn, const ColumnVector& vals,
+                    const std::vector<int32_t>& pos, AggState* s) {
   if (fn == AggFunc::kCountStar) {
     s->count += static_cast<int64_t>(pos.size());
-    return;
+    return Status::OK();
   }
   if (fn == AggFunc::kCount && vals.tag != Tag::kDatum) {
     if (vals.nulls.empty()) {
@@ -462,29 +462,33 @@ void VecAggUpdate(AggFunc fn, const ColumnVector& vals,
     } else {
       for (int32_t r : pos) s->count += vals.nulls[static_cast<size_t>(r)] == 0;
     }
-    return;
+    return Status::OK();
   }
   if ((fn == AggFunc::kSum || fn == AggFunc::kAvg) && vals.tag == Tag::kInt64 &&
       s->sum_is_int) {
     // Unboxed int-sum hot loop (a typed int column can never force the
-    // accumulator to widen).
+    // accumulator to widen). It adds in row order from the running sum, as the
+    // row engine does, and checks the OR of the overflow flags once per batch
+    // so the loop stays branch-free.
     const int64_t* v = vals.ints.data();
+    int64_t acc = s->isum;
+    bool overflow = false;
     if (vals.nulls.empty()) {
-      int64_t acc = 0;
-      for (int32_t r : pos) acc += v[r];
-      s->isum += acc;
+      for (int32_t r : pos) overflow |= __builtin_add_overflow(acc, v[r], &acc);
       s->count += static_cast<int64_t>(pos.size());
       if (!pos.empty()) s->has_value = true;
     } else {
       for (int32_t r : pos) {
         const size_t i = static_cast<size_t>(r);
         if (vals.nulls[i]) continue;
-        s->isum += v[i];
+        overflow |= __builtin_add_overflow(acc, v[i], &acc);
         ++s->count;
         s->has_value = true;
       }
     }
-    return;
+    if (overflow) return BigintOutOfRange();
+    s->isum = acc;
+    return Status::OK();
   }
   if ((fn == AggFunc::kSum || fn == AggFunc::kAvg) && vals.tag == Tag::kDouble) {
     const double* v = vals.dbls.data();
@@ -499,26 +503,15 @@ void VecAggUpdate(AggFunc fn, const ColumnVector& vals,
       ++s->count;
       s->has_value = true;
     }
-    return;
+    return Status::OK();
   }
-  if ((fn == AggFunc::kSum || fn == AggFunc::kAvg) && vals.tag == Tag::kDatum &&
-      s->sum_is_int) {
-    // Boxed int-sum loop; bail to the generic path on the first non-int value.
-    size_t i = 0;
-    for (; i < pos.size(); ++i) {
-      const Datum& v = vals.datums[static_cast<size_t>(pos[i])];
-      if (v.is_null()) continue;
-      if (!v.is_int()) break;
-      s->isum += v.int_val();
-      ++s->count;
-      s->has_value = true;
-    }
-    for (; i < pos.size(); ++i) {
-      AggUpdateValue(fn, s, vals.datums[static_cast<size_t>(pos[i])]);
-    }
-    return;
+  for (int32_t r : pos) {
+    const size_t i = static_cast<size_t>(r);
+    // Boxed values are folded in place, without a copy out of the column.
+    GPHTAP_RETURN_IF_ERROR(vals.tag == Tag::kDatum ? AggUpdateValue(fn, s, vals.datums[i])
+                                                   : AggUpdateValue(fn, s, vals.GetDatum(i)));
   }
-  for (int32_t r : pos) AggUpdateValue(fn, s, vals.GetDatum(static_cast<size_t>(r)));
+  return Status::OK();
 }
 
 }  // namespace gphtap

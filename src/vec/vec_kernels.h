@@ -52,9 +52,10 @@ uint64_t VecHashRowKey(const ColumnBatch& in, const std::vector<int>& hash_cols,
 
 /// Folds a pre-evaluated argument column (dense by row index) into an
 /// aggregate state for every position in `pos`. Tight unboxed inner loops for
-/// int/double sum/count; falls back to AggUpdateValue otherwise.
-void VecAggUpdate(AggFunc fn, const ColumnVector& vals,
-                  const std::vector<int32_t>& pos, AggState* s);
+/// int/double sum/count; falls back to AggUpdateValue otherwise. An int sum
+/// outside int64 is "bigint out of range", as in the row engine.
+Status VecAggUpdate(AggFunc fn, const ColumnVector& vals,
+                    const std::vector<int32_t>& pos, AggState* s);
 
 }  // namespace gphtap
 

@@ -492,6 +492,51 @@ TEST_F(SqlEndToEndTest, BigintOverflowRaises) {
       EXPECT_EQ(min_row.rows[0][0].int_val(), min) << where;
     }
   }
+
+  // sum() and avg() add with int8pl's check. Two rows of the maximum overflow
+  // wherever they land. In the split tables the two rows sit on different
+  // segments, so each segment's partial sum fits and only the coordinator's
+  // merge of the partials overflows.
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  const int n = cluster_->num_segments();
+  auto segment_of = [n](int64_t k) {
+    return Cluster::SegmentForHash(HashRowKey(Row{Datum(k)}, {0}), n);
+  };
+  int64_t k2 = 2;
+  while (segment_of(k2) == segment_of(1)) ++k2;
+  for (const char* storage : {"heap", "ao_column"}) {
+    const std::string twice = std::string("sum_max_") + storage;
+    const std::string split = std::string("sum_split_") + storage;
+    for (const std::string& table : {twice, split}) {
+      Exec("CREATE TABLE " + table + " (k int, v int) WITH (storage=" + storage +
+           ") DISTRIBUTED BY (k)");
+    }
+    Exec("INSERT INTO " + twice + " VALUES (1, 9223372036854775807), (2, 9223372036854775807)");
+    Exec("INSERT INTO " + split + " VALUES (1, 9223372036854775807), (" +
+         std::to_string(k2) + ", 1)");
+    const TableDef def = *cluster_->LookupTable(split);
+    int nonempty = 0;
+    for (int seg = 0; seg < n; ++seg) {
+      nonempty += cluster_->segment(seg)->GetTable(def.id)->StoredVersionCount() > 0;
+    }
+    ASSERT_EQ(nonempty, 2) << split << ": the two rows must sit on two segments";
+    for (const char* mode : {"on", "off"}) {
+      Exec(std::string("SET vectorized_execution = ") + mode);
+      const std::string where = std::string(storage) + ", vectorized_execution = " + mode;
+      for (const std::string& table : {twice, split}) {
+        for (const char* agg : {"sum(v)", "avg(v)"}) {
+          Status s = ExecErr(std::string("SELECT ") + agg + " FROM " + table);
+          EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << where << ": " << agg << " " << table;
+          EXPECT_NE(s.message().find("bigint out of range"), std::string::npos)
+              << where << ": " << agg << " " << table << ": " << s.ToString();
+        }
+      }
+      QueryResult fits = Exec("SELECT sum(v), avg(v) FROM " + split + " WHERE k = 1");
+      ASSERT_EQ(fits.rows.size(), 1u) << where;
+      EXPECT_EQ(fits.rows[0][0].int_val(), max) << where;
+      EXPECT_DOUBLE_EQ(fits.rows[0][1].double_val(), static_cast<double>(max)) << where;
+    }
+  }
 }
 
 // Integer literals assigned to a double column are stored as doubles

@@ -100,6 +100,40 @@ TEST(StatsViewsTest, GangResourcesAreNonZeroAfterDistributedWork) {
   EXPECT_GE(r->rows[0][3].int_val(), 0);
 }
 
+// exec_cpu_ns is the thread CPU time of the statement's slices and DML
+// workers, not their wall time: an UPDATE parked about 200 ms behind another
+// session's row lock shows the wait in total_us and almost none of it as CPU.
+TEST(StatsViewsTest, ExecCpuIsThreadCpuTimeNotLockWait) {
+  Cluster cluster(StatsCluster());
+  auto holder = cluster.Connect();
+  auto waiter = cluster.Connect();
+  ASSERT_TRUE(holder->Execute("CREATE TABLE acct (k int, v int) DISTRIBUTED BY (k)").ok());
+  ASSERT_TRUE(holder->Execute("INSERT INTO acct VALUES (1, 0)").ok());
+  ASSERT_TRUE(holder->Execute("BEGIN").ok());
+  ASSERT_TRUE(holder->Execute("UPDATE acct SET v = 1 WHERE k = 1").ok());
+  std::thread blocked([&] {
+    EXPECT_TRUE(waiter->Execute("UPDATE acct SET v = v + 10 WHERE k = 1").ok());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ASSERT_TRUE(holder->Execute("COMMIT").ok());
+  blocked.join();
+
+  auto r = holder->Execute("SELECT fingerprint, calls, total_us, exec_cpu_ns "
+                           "FROM gp_stat_statements");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const Row* update = nullptr;
+  for (const Row& row : r->rows) {
+    if (row[0].string_val().rfind("update acct set v = v", 0) == 0) update = &row;
+  }
+  ASSERT_NE(update, nullptr) << "no fingerprint for the blocked UPDATE";
+  EXPECT_EQ((*update)[1].int_val(), 1);
+  const int64_t total_us = (*update)[2].int_val();
+  const int64_t exec_cpu_ns = (*update)[3].int_val();
+  EXPECT_GE(total_us, 150'000) << "the UPDATE did not wait behind the row lock";
+  EXPECT_GT(exec_cpu_ns, 0);
+  EXPECT_LT(exec_cpu_ns, total_us * 1000 / 4) << "exec_cpu_ns counted the lock wait";
+}
+
 TEST(StatsViewsTest, PreparedStatementsMapOntoTheLiteralFingerprint) {
   Cluster cluster(StatsCluster());
   auto s = cluster.Connect();

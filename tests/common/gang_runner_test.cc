@@ -17,6 +17,7 @@
 
 #include "common/clock.h"
 #include "common/metrics.h"
+#include "stats/statement_record.h"
 
 namespace gphtap {
 namespace {
@@ -78,12 +79,12 @@ TEST(GangRunnerTest, BackToBackGangsReuseTheirWorkers) {
 TEST(GangRunnerTest, ReusedWorkerSeesNoWaitContextOfItsPreviousTask) {
   MetricsRegistry metrics;
   GangRunner runner(&metrics, kNeverRetireUs);
-  QueryWaitProfile profile;
+  StatementRecord record;
   WaitContext seen_first;
   WaitContext seen_second;
   {
     WaitContext caller;
-    caller.profile = &profile;
+    caller.record = &record;
     caller.group = "olap";
     caller.node = -1;
     WaitContextGuard guard(caller);
@@ -115,10 +116,10 @@ TEST(GangRunnerTest, ReusedWorkerSeesNoWaitContextOfItsPreviousTask) {
   ASSERT_EQ(Count(metrics, "gang.threads_started"), 1u) << "the worker was not reused";
   EXPECT_NE(second_thread, std::this_thread::get_id());
   EXPECT_EQ(seen_first.node, 2);
-  EXPECT_EQ(seen_first.profile, &profile);
+  EXPECT_EQ(seen_first.record, &record);
   EXPECT_EQ(seen_first.group, "olap");
   EXPECT_EQ(seen_second.node, 3);
-  EXPECT_EQ(seen_second.profile, nullptr);
+  EXPECT_EQ(seen_second.record, nullptr);
   EXPECT_EQ(seen_second.group, "");
   EXPECT_EQ(seen_second.parent_span, 0u);
 }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/trace.h"
+#include "stats/statement_record.h"
 
 namespace gphtap {
 namespace {
@@ -122,15 +123,15 @@ TEST(TraceTest, SpanTreeParentChildOrdering) {
 }
 
 TEST(OperatorStatsTest, AccumulatesRowsKeepsMaxTime) {
-  OperatorStatsCollector c;
-  c.Record(3, 100, 50);
-  c.Record(3, 200, 80);
-  auto s = c.Get(3);
+  StatementRecord c;
+  c.AddOperator(3, 100, 50);
+  c.AddOperator(3, 200, 80);
+  auto s = c.Operator(3);
   EXPECT_EQ(s.rows, 300);
   EXPECT_EQ(s.executions, 2);
   EXPECT_EQ(s.total_time_us, 130);
   EXPECT_EQ(s.max_time_us, 80);
-  EXPECT_EQ(c.Get(99).rows, 0);
+  EXPECT_EQ(c.Operator(99).rows, 0);
 }
 
 TEST(SlowQueryLogTest, RingDropsOldest) {

@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/trace.h"
+#include "stats/statement_record.h"
 
 namespace gphtap {
 namespace {
@@ -37,11 +39,11 @@ TEST(WaitEventScopeTest, NoContextInstalledIsANoop) {
 TEST(WaitEventScopeTest, PublishesLiveStateAndRecordsOnExit) {
   WaitEventRegistry registry;
   SessionWaitState session;
-  QueryWaitProfile profile;
+  StatementRecord record;
   WaitContext ctx;
   ctx.registry = &registry;
   ctx.session = &session;
-  ctx.profile = &profile;
+  ctx.record = &record;
   ctx.node = 2;
   ctx.group = "oltp";
   WaitContextGuard guard(ctx);
@@ -64,7 +66,7 @@ TEST(WaitEventScopeTest, PublishesLiveStateAndRecordsOnExit) {
   EXPECT_GE(entries[0].total_us, 400);
   EXPECT_GE(entries[0].max_us, 400);
 
-  std::vector<QueryWaitProfile::Item> top = profile.Top(3);
+  std::vector<StatementRecord::Wait> top = record.TopWaits(3);
   ASSERT_EQ(top.size(), 1u);
   EXPECT_EQ(top[0].event, WaitEvent::kLockTuple);
   EXPECT_EQ(top[0].count, 1u);
@@ -98,8 +100,10 @@ TEST(WaitEventScopeTest, NodeOverrideAndNestedScopesRestore) {
 TEST(WaitEventScopeTest, WaitIntervalsBecomeTraceSpans) {
   Trace trace(7);
   uint64_t parent = trace.StartSpan("query");
+  StatementRecord record;
+  record.trace = &trace;
   WaitContext ctx;
-  ctx.trace = &trace;
+  ctx.record = &record;
   ctx.parent_span = parent;
   WaitContextGuard guard(ctx);
 
@@ -156,25 +160,6 @@ TEST(WaitEventRegistryTest, ConcurrentRecordingAccumulates) {
   uint64_t total = 0;
   for (const auto& e : registry.Snapshot()) total += e.count;
   EXPECT_EQ(total, static_cast<uint64_t>(kThreads * kWaitsPerThread));
-}
-
-TEST(QueryWaitProfileTest, TopSortsByTotalTimeAndResetClears) {
-  QueryWaitProfile profile;
-  profile.Record(WaitEvent::kLockTuple, 10);
-  profile.Record(WaitEvent::kLockTuple, 10);
-  profile.Record(WaitEvent::kMotionRecv, 500);
-  profile.Record(WaitEvent::kWalFsync, 100);
-  profile.Record(WaitEvent::kBufferRead, 1);
-
-  std::vector<QueryWaitProfile::Item> top = profile.Top(3);
-  ASSERT_EQ(top.size(), 3u);
-  EXPECT_EQ(top[0].event, WaitEvent::kMotionRecv);
-  EXPECT_EQ(top[1].event, WaitEvent::kWalFsync);
-  EXPECT_EQ(top[2].event, WaitEvent::kLockTuple);
-  EXPECT_EQ(top[2].count, 2u);
-
-  profile.Reset();
-  EXPECT_TRUE(profile.Top(3).empty());
 }
 
 }  // namespace

@@ -1,12 +1,20 @@
 // Unit tests for the stats subsystem: fingerprint normalization (literals,
-// $N params, whitespace/case, PREPARE unwrapping), the cumulative
-// per-fingerprint statement registry, the metrics-history ring, and the
-// maintenance-progress registry.
+// $N params, whitespace/case, PREPARE unwrapping), the per-execution statement
+// record (concurrent recording from a gang's threads; the TSan build exercises
+// the locking), the cumulative per-fingerprint statement registry, the
+// metrics-history ring, and the maintenance-progress registry.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+#include <vector>
+
+#include "common/trace.h"
 #include "stats/fingerprint.h"
 #include "stats/metrics_history.h"
 #include "stats/progress.h"
+#include "stats/statement_record.h"
 #include "stats/statement_stats.h"
 
 namespace gphtap {
@@ -61,22 +69,155 @@ TEST(FingerprintTest, LexerRejectedInputFallsBackToCollapsedRaw) {
 }
 
 // ---------------------------------------------------------------------------
+// StatementRecord
+// ---------------------------------------------------------------------------
+
+TEST(StatementRecordTest, TopWaitsSortByTotalTimeAndResetClears) {
+  StatementRecord record;
+  record.AddWait(WaitEvent::kLockTuple, 10);
+  record.AddWait(WaitEvent::kLockTuple, 10);
+  record.AddWait(WaitEvent::kMotionRecv, 500);
+  record.AddWait(WaitEvent::kWalFsync, 100);
+  record.AddWait(WaitEvent::kBufferRead, 1);
+
+  std::vector<StatementRecord::Wait> top = record.TopWaits(3);
+  ASSERT_EQ(top.size(), 3u);
+  EXPECT_EQ(top[0].event, WaitEvent::kMotionRecv);
+  EXPECT_EQ(top[1].event, WaitEvent::kWalFsync);
+  EXPECT_EQ(top[2].event, WaitEvent::kLockTuple);
+  EXPECT_EQ(top[2].count, 2u);
+
+  record.Reset();
+  EXPECT_TRUE(record.TopWaits(3).empty());
+}
+
+// A gang's slices, DML workers and commit fan-out charge one record from many
+// threads at once; every part must come out exact.
+TEST(StatementRecordTest, ConcurrentRecordingIsExact) {
+  constexpr int kThreads = 8;
+  constexpr int kOps = 2000;
+  StatementRecord record;
+  record.BeginAnalyze();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&record, t] {
+      for (int i = 0; i < kOps; ++i) {
+        record.AddWait(i % 2 == 0 ? WaitEvent::kLockTuple : WaitEvent::kMotionSend, 3);
+        record.buffer_hits.fetch_add(1, std::memory_order_relaxed);
+        record.net_bytes.fetch_add(2, std::memory_order_relaxed);
+        record.vec_batches.fetch_add(1, std::memory_order_relaxed);
+        record.AddOperator(t % 2, 1, 5, 1);
+        record.AddStoreRows(t % 2, "heap", 1);
+        record.AddMotionWait(t % 2, 1, 2);
+        record.ChargeSlice(100, 10);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  constexpr int64_t kTotal = int64_t{kThreads} * kOps;
+  std::vector<StatementRecord::Wait> waits = record.TopWaits(10);
+  ASSERT_EQ(waits.size(), 2u);
+  for (const StatementRecord::Wait& w : waits) {
+    EXPECT_EQ(w.count, static_cast<uint64_t>(kTotal / 2));
+    EXPECT_EQ(w.total_us, kTotal / 2 * 3);
+  }
+  EXPECT_EQ(record.buffer_hits.load(), static_cast<uint64_t>(kTotal));
+  EXPECT_EQ(record.net_bytes.load(), static_cast<uint64_t>(2 * kTotal));
+  EXPECT_EQ(record.vec_batches.load(), static_cast<uint64_t>(kTotal));
+  EXPECT_EQ(record.exec_cpu_ns.load(), static_cast<uint64_t>(100 * kTotal));
+  EXPECT_EQ(record.slice_histogram().count(), kTotal);
+  int64_t rows = 0, executions = 0, store_rows = 0, send_wait = 0, recv_wait = 0;
+  for (int node = 0; node < 2; ++node) {
+    OperatorActuals a = record.Operator(node);
+    rows += a.rows;
+    executions += a.executions;
+    store_rows += a.store_rows["heap"];
+    send_wait += a.send_wait_us;
+    recv_wait += a.recv_wait_us;
+    EXPECT_EQ(a.batches, kTotal / 2);
+    EXPECT_EQ(a.total_time_us, kTotal / 2 * 5);
+    EXPECT_EQ(a.max_time_us, 5);
+  }
+  EXPECT_EQ(rows, kTotal);
+  EXPECT_EQ(executions, kTotal);
+  EXPECT_EQ(store_rows, kTotal);
+  EXPECT_EQ(send_wait, kTotal);
+  EXPECT_EQ(recv_wait, 2 * kTotal);
+}
+
+TEST(StatementRecordTest, ResetClearsEveryPart) {
+  Trace trace(1);
+  StatementRecord record;
+  record.fingerprint = "select $1";
+  record.plan_cache_hit = true;
+  record.trace = &trace;
+  record.BeginAnalyze();
+  for (std::atomic<uint64_t>* c :
+       {&record.exec_cpu_ns, &record.net_bytes, &record.buffer_hits, &record.buffer_misses,
+        &record.vec_batches, &record.vec_fallbacks}) {
+    c->store(7);
+  }
+  record.ChargeSlice(5, 50);
+  record.AddWait(WaitEvent::kWalFsync, 9);
+  record.AddOperator(1, 10, 20, 2);
+  record.AddMotionWait(2, 3, 4);
+  record.AddStoreRows(1, "heap", 10);
+
+  record.Reset();
+  EXPECT_TRUE(record.fingerprint.empty());
+  EXPECT_FALSE(record.plan_cache_hit);
+  EXPECT_EQ(record.trace, nullptr);
+  EXPECT_FALSE(record.analyze);
+  for (const std::atomic<uint64_t>* c :
+       {&record.exec_cpu_ns, &record.net_bytes, &record.buffer_hits, &record.buffer_misses,
+        &record.vec_batches, &record.vec_fallbacks}) {
+    EXPECT_EQ(c->load(), 0u);
+  }
+  EXPECT_EQ(record.slice_histogram().count(), 0);
+  EXPECT_TRUE(record.TopWaits(10).empty());
+  for (int node : {1, 2}) {
+    OperatorActuals a = record.Operator(node);
+    EXPECT_EQ(a.rows, 0);
+    EXPECT_EQ(a.executions, 0);
+    EXPECT_EQ(a.send_wait_us, 0);
+    EXPECT_TRUE(a.store_rows.empty());
+  }
+}
+
+// A real slice's CPU time is the thread's, not its wall time: a slice that
+// sleeps charges its full wall time to the histogram and almost no CPU.
+TEST(StatementRecordTest, SliceScopeChargesThreadCpuNotWallTime) {
+  StatementRecord record;
+  {
+    StatementRecord::SliceScope charge(&record);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_LT(record.exec_cpu_ns.load(), 25'000'000u);
+  EXPECT_EQ(record.slice_histogram().count(), 1);
+  EXPECT_GE(record.slice_histogram().max(), 45'000);
+  { StatementRecord::SliceScope none(nullptr); }  // no record: a no-op
+}
+
+// ---------------------------------------------------------------------------
 // StatementStatsRegistry
 // ---------------------------------------------------------------------------
 
 TEST(StatementStatsTest, AccumulatesCallsRowsAndLatency) {
   StatementStatsRegistry reg;
-  StatementStatsRegistry::Sample s1;
+  StatementRecord r1;
+  StatementOutcome s1;
   s1.rows = 10;
   s1.elapsed_us = 100;
-  reg.Record("select $1", s1);
+  reg.Record("select $1", r1, s1);
 
-  StatementStatsRegistry::Sample s2;
+  StatementRecord r2;
+  StatementOutcome s2;
   s2.rows = 5;
   s2.elapsed_us = 300;
-  s2.plan_cache_hit = true;
+  r2.plan_cache_hit = true;
   s2.retries = 2;
-  reg.Record("select $1", s2);
+  reg.Record("select $1", r2, s2);
 
   auto entries = reg.Snapshot();
   ASSERT_EQ(entries.size(), 1u);
@@ -95,13 +236,14 @@ TEST(StatementStatsTest, AccumulatesCallsRowsAndLatency) {
 
 TEST(StatementStatsTest, ErrorsAndTimeoutsAreBucketed) {
   StatementStatsRegistry reg;
-  StatementStatsRegistry::Sample err;
+  StatementRecord record;
+  StatementOutcome err;
   err.ok = false;
-  reg.Record("f", err);
-  StatementStatsRegistry::Sample to;
+  reg.Record("f", record, err);
+  StatementOutcome to;
   to.ok = false;
   to.timed_out = true;
-  reg.Record("f", to);
+  reg.Record("f", record, to);
 
   auto entries = reg.Snapshot();
   ASSERT_EQ(entries.size(), 1u);
@@ -112,23 +254,22 @@ TEST(StatementStatsTest, ErrorsAndTimeoutsAreBucketed) {
 
 TEST(StatementStatsTest, GangResourcesAndTopWaitAggregate) {
   StatementStatsRegistry reg;
-  StatementResources res;
+  StatementRecord res;
   res.exec_cpu_ns.fetch_add(1'000'000);
   res.net_bytes.fetch_add(4096);
   res.buffer_hits.fetch_add(8);
   res.buffer_misses.fetch_add(2);
   res.vec_batches.fetch_add(3);
   res.vec_fallbacks.fetch_add(1);
-  res.RecordSliceUs(50);
-  res.RecordSliceUs(500);
+  res.ChargeSlice(0, 50);
+  res.ChargeSlice(0, 500);
 
-  StatementStatsRegistry::Sample s;
+  StatementOutcome s;
   s.elapsed_us = 600;
-  s.resources = &res;
-  s.top_waits.push_back({WaitEvent::kLockRelation, 3, 900});
-  s.top_waits.push_back({WaitEvent::kMotionSend, 1, 100});
-  reg.Record("q", s);
-  reg.Record("q", s);  // second call doubles everything
+  for (int i = 0; i < 3; ++i) res.AddWait(WaitEvent::kLockRelation, 300);
+  res.AddWait(WaitEvent::kMotionSend, 100);
+  reg.Record("q", res, s);
+  reg.Record("q", res, s);  // second call doubles everything
 
   auto entries = reg.Snapshot();
   ASSERT_EQ(entries.size(), 1u);
@@ -148,12 +289,13 @@ TEST(StatementStatsTest, GangResourcesAndTopWaitAggregate) {
 
 TEST(StatementStatsTest, CapacityOverflowSpillsIntoOneBucket) {
   StatementStatsRegistry reg(/*capacity=*/2);
-  StatementStatsRegistry::Sample s;
+  StatementRecord r;
+  StatementOutcome s;
   s.elapsed_us = 1;
-  reg.Record("a", s);
-  reg.Record("b", s);
-  reg.Record("c", s);
-  reg.Record("d", s);
+  reg.Record("a", r, s);
+  reg.Record("b", r, s);
+  reg.Record("c", r, s);
+  reg.Record("d", r, s);
 
   auto entries = reg.Snapshot();
   ASSERT_EQ(entries.size(), 3u);  // a, b, <overflow>
@@ -166,12 +308,13 @@ TEST(StatementStatsTest, CapacityOverflowSpillsIntoOneBucket) {
 
 TEST(StatementStatsTest, SnapshotSortsByTotalTimeDescending) {
   StatementStatsRegistry reg;
-  StatementStatsRegistry::Sample cheap;
+  StatementRecord r;
+  StatementOutcome cheap;
   cheap.elapsed_us = 10;
-  StatementStatsRegistry::Sample expensive;
+  StatementOutcome expensive;
   expensive.elapsed_us = 10'000;
-  reg.Record("cheap", cheap);
-  reg.Record("expensive", expensive);
+  reg.Record("cheap", r, cheap);
+  reg.Record("expensive", r, expensive);
   auto entries = reg.Snapshot();
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].fingerprint, "expensive");
@@ -180,8 +323,7 @@ TEST(StatementStatsTest, SnapshotSortsByTotalTimeDescending) {
 
 TEST(StatementStatsTest, ResetClears) {
   StatementStatsRegistry reg;
-  StatementStatsRegistry::Sample s;
-  reg.Record("x", s);
+  reg.Record("x", StatementRecord(), StatementOutcome());
   reg.Reset();
   EXPECT_TRUE(reg.Snapshot().empty());
 }

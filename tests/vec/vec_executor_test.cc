@@ -288,6 +288,38 @@ TEST(VecExecutorTest, IntOverflowRaises) {
   Status boxed = VecEval(*plus_one, mixed, mixed.sel, &out);
   EXPECT_EQ(boxed.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(boxed.message(), "bigint out of range");
+
+  // sum() and avg() over ints: the unboxed loop with and without a NULL mask,
+  // an overflow that lands in a later batch, and boxed values. A running sum
+  // that stays in range (max - 1 + 1) is not an error.
+  ColumnBatch dense;
+  dense.Reset(1);
+  for (int64_t v : {max, int64_t{1}, int64_t{-1}}) dense.AppendRow(Row{Datum(v)});
+  ColumnBatch sparse = dense;
+  sparse.AppendRow(Row{Datum::Null()});
+  mixed.AppendRow(Row{Datum(int64_t{1})});
+  for (AggFunc fn : {AggFunc::kSum, AggFunc::kAvg}) {
+    const std::string name = fn == AggFunc::kSum ? "sum" : "avg";
+    AggState across;
+    ASSERT_TRUE(VecAggUpdate(fn, dense.columns[0], {0}, &across).ok()) << name;
+    struct Overflow {
+      const ColumnVector& col;
+      std::vector<int32_t> pos;
+      AggState state;
+    };
+    for (Overflow o : {Overflow{dense.columns[0], {0, 1}, AggState{}},
+                       Overflow{sparse.columns[0], {0, 3, 1}, AggState{}},
+                       Overflow{dense.columns[0], {1}, across},
+                       Overflow{mixed.columns[0], {0, 2}, AggState{}}}) {
+      Status s = VecAggUpdate(fn, o.col, o.pos, &o.state);
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << name;
+      EXPECT_EQ(s.message(), "bigint out of range") << name;
+    }
+    AggState fits;
+    ASSERT_TRUE(VecAggUpdate(fn, sparse.columns[0], {0, 2, 3, 1}, &fits).ok()) << name;
+    EXPECT_EQ(fits.isum, max) << name;
+    EXPECT_EQ(fits.count, 3) << name;
+  }
 }
 
 }  // namespace
