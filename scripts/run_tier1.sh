@@ -2,7 +2,8 @@
 # Tier-1 verification: full build + test suite, then the concurrency-heavy
 # subset (locks, GDD, commit protocol, mirrors, crash recovery, metrics)
 # again under ThreadSanitizer, the expression and SQL subset under
-# UndefinedBehaviorSanitizer, then smoke-mode benchmarks whose BENCH_*.json
+# UndefinedBehaviorSanitizer, the executor and DML subset under
+# AddressSanitizer, then smoke-mode benchmarks whose BENCH_*.json
 # output is validated for the required keys.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -24,6 +25,15 @@ cmake --build build-ubsan -j "$(nproc)" --target expr_test parser_test vec_execu
 (cd build-ubsan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ctest --output-on-failure -j "$(nproc)" -R \
   'expr_test|parser_test|vec_executor_test|vec_differential_test|sql_end_to_end_test')
+
+# The executor, the planner and the UPDATE/DELETE paths under
+# AddressSanitizer, LeakSanitizer included: the ModifyTable node holds tuple
+# copies across lock waits. The first report stops the run.
+cmake -B build-asan -S . -DGPHTAP_SANITIZE=address
+cmake --build build-asan -j "$(nproc)" --target executor_test planner_test \
+  sql_end_to_end_test prepare_execute_test gdd_cases_test commit_protocol_test
+(cd build-asan && ASAN_OPTIONS=halt_on_error=1 ctest --output-on-failure -j "$(nproc)" -R \
+  '^(executor_test|planner_test|sql_end_to_end_test|prepare_execute_test|gdd_cases_test|commit_protocol_test)$')
 
 # Advisory bench diffing: the previous run's BENCH_*.json is kept as .prev and
 # a per-series tps/p99 delta table is printed after each fresh run. Informative

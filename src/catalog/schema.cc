@@ -40,7 +40,7 @@ Status Schema::CheckRow(const Row& row) const {
         }
         break;
       case TypeId::kDouble:
-        if (!d.is_int() && !d.is_double()) {
+        if (!d.is_double()) {
           return Status::InvalidArgument("column " + cols_[i].name + " expects DOUBLE");
         }
         break;
@@ -60,6 +60,13 @@ void Schema::CoerceRow(Row* row) const {
     Datum& d = (*row)[i];
     if (cols_[i].type == TypeId::kDouble && d.is_int()) d = Datum(d.AsDouble());
   }
+}
+
+bool TableDef::append_optimized() const {
+  auto ao = [](StorageKind k) { return k == StorageKind::kAoRow || k == StorageKind::kAoColumn; };
+  return ao(storage) || (partitions.has_value() &&
+                         std::any_of(partitions->ranges.begin(), partitions->ranges.end(),
+                                     [&](const RangePartitionSpec& r) { return ao(r.storage); }));
 }
 
 std::string Schema::ToString() const {
@@ -86,6 +93,20 @@ const char* StorageKindName(StorageKind k) {
       return "external";
   }
   return "?";
+}
+
+const char* ScanStoreLabel(StorageKind kind) {
+  switch (kind) {
+    case StorageKind::kHeap:
+      return "heap";
+    case StorageKind::kAoRow:
+      return "ao-row";
+    case StorageKind::kAoColumn:
+      return "ao-column";
+    case StorageKind::kExternal:
+      return "external";
+  }
+  return "heap";
 }
 
 const char* CompressionKindName(CompressionKind k) {

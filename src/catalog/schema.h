@@ -30,7 +30,9 @@ class Schema {
   /// Index of a column by case-insensitive name, or -1.
   int FindColumn(const std::string& name) const;
 
-  /// Validates that `row` matches arity and types (ints may widen to double).
+  /// Validates that `row` matches arity and types: every value is NULL or of
+  /// its column's type. Storage rejects anything else, so writers coerce
+  /// first (CoerceRow).
   Status CheckRow(const Row& row) const;
 
   /// Converts ints in double columns to doubles in place (PostgreSQL's
@@ -71,6 +73,9 @@ enum class StorageKind : uint8_t {
 };
 
 const char* StorageKindName(StorageKind k);
+/// EXPLAIN's label for the store a scan reads ("heap", "ao-row", "ao-column",
+/// "external"). Distinct from StorageKindName, the storage-clause spelling.
+const char* ScanStoreLabel(StorageKind kind);
 
 enum class CompressionKind : uint8_t { kNone = 0, kRle = 1, kDelta = 2, kDict = 3, kLz = 4 };
 
@@ -121,6 +126,11 @@ struct TableDef {
   // dispatch is off (any snapshot, pre- or post-cutover, stays correct under
   // full fan-out) and replicated writes fan to every serving segment.
   bool rebalancing = false;
+
+  /// Append-optimized storage, or a partitioned root with an append-optimized
+  /// leaf. Its UPDATE / DELETE writers serialize on the relation
+  /// (ExclusiveLock): the visibility map is not safe for concurrent writers.
+  bool append_optimized() const;
 };
 
 }  // namespace gphtap

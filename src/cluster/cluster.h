@@ -461,7 +461,7 @@ class Cluster {
   // Declared before every consumer: subsystems resolve metric pointers into
   // this registry at construction and may update them until their own dtors.
   MetricsRegistry metrics_;
-  // Worker threads for gang slices, commit and DML fan-outs. Destroyed after
+  // Worker threads for gang slices and commit fan-outs. Destroyed after
   // the ~Cluster body has stopped the front door, so no task is running.
   GangRunner gangs_;
   SlowQueryLog slow_query_log_;

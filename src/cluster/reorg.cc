@@ -49,9 +49,7 @@ Status Session::MarkDeletedResolved(Table* table, TupleId tid, LocalXid xid) {
     }
     return Status::Internal("unhandled mark-delete outcome");
   }
-  if (auto* ao = dynamic_cast<AoRowTable*>(table)) return ao->MarkDeleted(tid, xid);
-  if (auto* aoc = dynamic_cast<AoColumnTable*>(table)) return aoc->MarkDeleted(tid, xid);
-  return Status::NotSupported("reorg on unsupported storage");
+  return table->MarkDeleted(tid, xid);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
+#include <deque>
 
 #include "common/clock.h"
 #include "exec/executor.h"
@@ -10,10 +10,7 @@
 #include "sql/prepared_statement.h"
 #include "stats/fingerprint.h"
 #include "stats/statement_stats.h"
-#include "storage/ao_table.h"
-#include "storage/column_store.h"
 #include "storage/heap_table.h"
-#include "storage/partitioned_table.h"
 
 namespace gphtap {
 
@@ -114,7 +111,7 @@ WaitContext Session::MakeWaitContext() {
   // The statement record rides along so slices / buffer pool / motion charge
   // this statement without explicit plumbing.
   ctx.record = &record_;
-  ctx.node = -1;  // coordinator; slice/DML workers override per segment
+  ctx.node = -1;  // coordinator; gang tasks override per segment
   ctx.group = group_->name();
   // Ambient interruption: blocking points poll this owner's cancellation /
   // statement deadline. Null before the first transaction begins; RunStatement
@@ -613,8 +610,6 @@ StatusOr<QueryResult> Session::RunReadOnlyStatement(Fn&& fn) {
 }
 
 Status Session::EnsureSegmentWrite(Segment* seg) {
-  // Serialized: parallel DML workers register concurrently.
-  std::lock_guard<std::mutex> g(write_reg_mu_);
   if (write_segments_.count(seg->index())) return Status::OK();
   // Transaction lock: every writer holds ExclusiveLock on its own transaction
   // on that segment; blocked updaters take ShareLock on it (solid wait edges).
@@ -673,7 +668,7 @@ Status Session::LockForRead(const std::vector<TableDef>& tables) {
   return Status::OK();
 }
 
-StatusOr<QueryResult> Session::RunPlannedSelect(const CachedPlan& plan, bool keep_rows) {
+StatusOr<QueryResult> Session::RunPlan(const CachedPlan& plan, bool keep_rows) {
   // Per-query distributed trace: a root "query" span on the coordinator;
   // ExecutePlan opens one child span per slice (coordinator + segments).
   std::shared_ptr<Trace> trace;
@@ -690,9 +685,9 @@ StatusOr<QueryResult> Session::RunPlannedSelect(const CachedPlan& plan, bool kee
     cur->parent_span = root_span;
   }
 
-  for (size_t i = 0; i < plan.gang.size(); ++i) {
-    cluster_->net().Deliver(MsgKind::kDispatch);
-  }
+  // UPDATE / DELETE: every gang member answers with its affected count.
+  const bool modify = plan.root->kind == PlanKind::kModifyTable;
+  for (size_t i = 0; i < plan.gang.size(); ++i) cluster_->net().Deliver(MsgKind::kDispatch);
   auto mem = group_->NewMemoryAccount();
   QueryResult result;
   result.columns = plan.columns;
@@ -701,11 +696,18 @@ StatusOr<QueryResult> Session::RunPlannedSelect(const CachedPlan& plan, bool kee
   qp.gang = plan.gang;
   Status s = ExecutePlan(cluster_, qp, gxid_, owner_, snapshot_, group_.get(),
                          mem.get(), [&](Row&& row) -> Status {
+                           if (modify) {
+                             result.affected += row[0].int_val();
+                             return Status::OK();
+                           }
                            ++result.affected;
                            if (keep_rows) result.rows.push_back(std::move(row));
                            return Status::OK();
                          });
-  cluster_->net().Deliver(MsgKind::kResult);
+  // One result per member for a write, one gathered stream for a read.
+  for (size_t i = 0; i < (modify ? plan.gang.size() : 1); ++i) {
+    cluster_->net().Deliver(MsgKind::kResult);
+  }
   if (trace) {
     if (s.ok()) {
       trace->EndSpan(root_span, result.affected);
@@ -724,25 +726,27 @@ StatusOr<QueryResult> Session::RunPlannedSelect(const CachedPlan& plan, bool kee
 
 StatusOr<QueryResult> Session::ExecuteSelect(const SelectQuery& query,
                                              const std::string* cache_sql) {
+  return RunSelect(query, cache_sql, /*analyze=*/false);
+}
+
+StatusOr<QueryResult> Session::RunSelect(const SelectQuery& query,
+                                         const std::string* cache_sql, bool analyze) {
   return RunReadOnlyStatement([&] {
     return RunStatement([&]() -> StatusOr<QueryResult> {
-    GPHTAP_RETURN_IF_ERROR(LockForRead(query.tables));
-    // Stamp the catalog version before planning: a concurrent DDL landing
-    // mid-plan leaves the entry stale-stamped, so later lookups re-plan.
-    const uint64_t catalog_version = cluster_->catalog_version();
-    GPHTAP_ASSIGN_OR_RETURN(PlannedSelect planned,
-                            PlanSelect(query, MakePlannerOptions()));
-
-    auto cached = std::make_shared<CachedPlan>();
-    cached->root = std::move(planned.root);
-    cached->gang = std::move(planned.gang);
-    cached->columns = std::move(planned.columns);
-    cached->tables = query.tables;
-    cached->catalog_version = catalog_version;
-    if (cache_sql != nullptr && PlanCacheEligible()) {
-      cluster_->plan_cache().Insert(*cache_sql, cached);
-    }
-    return RunPlannedSelect(*cached, /*keep_rows=*/true);
+      GPHTAP_RETURN_IF_ERROR(LockForRead(query.tables));
+      // Stamp the catalog version before planning: a concurrent DDL landing
+      // mid-plan leaves the entry stale-stamped, so later lookups re-plan.
+      const uint64_t catalog_version = cluster_->catalog_version();
+      GPHTAP_ASSIGN_OR_RETURN(PlannedSelect planned,
+                              PlanSelect(query, MakePlannerOptions()));
+      auto plan = std::make_shared<CachedPlan>(
+          CachedPlan{std::move(planned.root), std::move(planned.gang),
+                     std::move(planned.columns), query.tables, catalog_version});
+      if (analyze) return RunAnalyzed(*plan);
+      if (cache_sql != nullptr && PlanCacheEligible()) {
+        cluster_->plan_cache().Insert(*cache_sql, plan);
+      }
+      return RunPlan(*plan, /*keep_rows=*/true);
     });
   });
 }
@@ -754,7 +758,7 @@ StatusOr<QueryResult> Session::ExecuteCachedPlan(
       // Same parse-analyze locks a fresh plan would take; the plan tree itself
       // is immutable shared state.
       GPHTAP_RETURN_IF_ERROR(LockForRead(plan->tables));
-      return RunPlannedSelect(*plan, /*keep_rows=*/true);
+      return RunPlan(*plan, /*keep_rows=*/true);
     });
   });
 }
@@ -772,112 +776,97 @@ std::string GangLine(const std::vector<int>& gang) {
   return line;
 }
 
-}  // namespace
+// What EXPLAIN ANALYZE measured for `node`: rows, loops and time inclusive of
+// children (push-model pipeline), summed across gang members.
+std::string ActualsText(const PlanNode& node, const OperatorActuals& os) {
+  std::string line;
+  // A labeled scan's batch count rides directly on the store label
+  // ("store=delta-merged (vectorized) batches=12"), answering which engine
+  // served the scan and how in one glance.
+  bool store_batches = os.batches > 0 && !node.scan_store.empty();
+  if (store_batches) line += " batches=" + std::to_string(os.batches);
+  char buf[128];
+  if (os.batches > 0 && !store_batches) {
+    std::snprintf(buf, sizeof(buf), "  (actual rows=%lld batches=%lld loops=%lld time=%.3f ms)",
+                  static_cast<long long>(os.rows), static_cast<long long>(os.batches),
+                  static_cast<long long>(os.executions),
+                  static_cast<double>(os.total_time_us) / 1000.0);
+  } else {
+    std::snprintf(buf, sizeof(buf), "  (actual rows=%lld loops=%lld time=%.3f ms)",
+                  static_cast<long long>(os.rows), static_cast<long long>(os.executions),
+                  static_cast<double>(os.total_time_us) / 1000.0);
+  }
+  line += buf;
+  if (!os.store_rows.empty()) {
+    // Visible rows the scan drew from each physical store, pre-filter.
+    line += "  (stores:";
+    for (const auto& [store, n] : os.store_rows) line += " " + store + "=" + std::to_string(n);
+    line += ")";
+  }
+  if (node.kind == PlanKind::kMotion) {
+    // Time spent blocked on the exchange, reported separately from the
+    // inclusive operator time: send = producers on a full queue, recv =
+    // consumers on an empty one.
+    std::snprintf(buf, sizeof(buf), "  (motion wait: send=%.3f ms recv=%.3f ms)",
+                  static_cast<double>(os.send_wait_us) / 1000.0,
+                  static_cast<double>(os.recv_wait_us) / 1000.0);
+    line += buf;
+  }
+  return line;
+}
 
-StatusOr<QueryResult> Session::ExplainSelect(const SelectQuery& query) {
-  GPHTAP_ASSIGN_OR_RETURN(PlannedSelect planned,
-                          PlanSelect(query, MakePlannerOptions()));
-
+// EXPLAIN output: the gang line, then one line per plan node in pre-order,
+// each annotated with its actuals under EXPLAIN ANALYZE (`actuals` set).
+QueryResult RenderPlan(const std::vector<int>& gang, const PlanNode& root,
+                       const StatementRecord* actuals) {
   QueryResult result;
   result.columns = {"QUERY PLAN"};
-  result.rows.push_back(Row{Datum(GangLine(planned.gang))});
-  // Split the plan tree rendering into one row per line, like EXPLAIN output.
-  std::string text = planned.root->ToString();
-  size_t start = 0;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    if (end > start) result.rows.push_back(Row{Datum(text.substr(start, end - start))});
-    start = end + 1;
-  }
+  result.rows.push_back(Row{Datum(GangLine(gang))});
+  auto emit = [&](auto&& self, const PlanNode& node, int indent) -> void {
+    std::string text = node.ToString(indent);
+    std::string line = text.substr(0, text.find('\n'));
+    if (actuals != nullptr) line += ActualsText(node, actuals->Operator(node.node_id));
+    result.rows.push_back(Row{Datum(line)});
+    for (const auto& child : node.children) self(self, *child, indent + 1);
+  };
+  emit(emit, root, 0);
   result.affected = static_cast<int64_t>(result.rows.size());
   return result;
 }
 
-StatusOr<QueryResult> Session::ExplainAnalyzeSelect(const SelectQuery& query) {
-  return RunReadOnlyStatement([&] {
-    return RunStatement([&]() -> StatusOr<QueryResult> {
-    GPHTAP_RETURN_IF_ERROR(LockForRead(query.tables));
-    GPHTAP_ASSIGN_OR_RETURN(PlannedSelect planned,
-                            PlanSelect(query, MakePlannerOptions()));
-    AssignPlanNodeIds(planned.root.get());
-    CachedPlan plan;
-    plan.root = std::move(planned.root);
-    plan.gang = std::move(planned.gang);
-    plan.columns = std::move(planned.columns);
+}  // namespace
 
-    record_.BeginAnalyze();
-    Stopwatch sw;
-    StatusOr<QueryResult> run = RunPlannedSelect(plan, /*keep_rows=*/false);
-    const int64_t total_us = sw.ElapsedMicros();
-    record_.analyze = false;
-    GPHTAP_RETURN_IF_ERROR(run.status());
+StatusOr<QueryResult> Session::ExplainSelect(const SelectQuery& query, bool analyze) {
+  if (analyze) return RunSelect(query, nullptr, /*analyze=*/true);
+  GPHTAP_ASSIGN_OR_RETURN(PlannedSelect plan, PlanSelect(query, MakePlannerOptions()));
+  return RenderPlan(plan.gang, *plan.root, nullptr);
+}
 
-    QueryResult result;
-    result.columns = {"QUERY PLAN"};
-    result.rows.push_back(Row{Datum(GangLine(plan.gang))});
+StatusOr<QueryResult> Session::ExplainModify(
+    const TableDef& def, const std::vector<std::pair<int, ExprPtr>>* sets,
+    const ExprPtr& where, bool analyze) {
+  if (analyze) return ExecuteDml(def, sets, where, /*analyze=*/true);
+  GPHTAP_ASSIGN_OR_RETURN(PlannedSelect plan,
+                          PlanModify(def, sets, where, MakePlannerOptions()));
+  return RenderPlan(plan.gang, *plan.root, nullptr);
+}
 
-    // One row per node: the node's own header line (first line of its
-    // rendering) annotated with the measured actuals. Times are inclusive of
-    // children (push-model pipeline), summed across gang members.
-    auto emit = [&](auto&& self, const PlanNode& node, int indent) -> void {
-      std::string text = node.ToString(indent);
-      size_t eol = text.find('\n');
-      std::string line = text.substr(0, eol == std::string::npos ? text.size() : eol);
-      OperatorActuals os = record_.Operator(node.node_id);
-      // A labeled scan's batch count rides directly on the store label
-      // ("store=delta-merged (vectorized) batches=12"), answering which engine
-      // served the scan and how in one glance.
-      bool store_batches = os.batches > 0 && !node.scan_store.empty();
-      if (store_batches) line += " batches=" + std::to_string(os.batches);
-      char buf[128];
-      if (os.batches > 0 && !store_batches) {
-        std::snprintf(buf, sizeof(buf),
-                      "  (actual rows=%lld batches=%lld loops=%lld time=%.3f ms)",
-                      static_cast<long long>(os.rows),
-                      static_cast<long long>(os.batches),
-                      static_cast<long long>(os.executions),
-                      static_cast<double>(os.total_time_us) / 1000.0);
-      } else {
-        std::snprintf(buf, sizeof(buf), "  (actual rows=%lld loops=%lld time=%.3f ms)",
-                      static_cast<long long>(os.rows),
-                      static_cast<long long>(os.executions),
-                      static_cast<double>(os.total_time_us) / 1000.0);
-      }
-      line += buf;
-      if (!os.store_rows.empty()) {
-        // Visible rows the scan drew from each physical store, pre-filter.
-        line += "  (stores:";
-        for (const auto& [store, n] : os.store_rows) {
-          line += " " + store + "=" + std::to_string(n);
-        }
-        line += ")";
-      }
-      if (node.kind == PlanKind::kMotion) {
-        // Time spent blocked on the exchange, reported separately from the
-        // inclusive operator time: send = producers on a full queue, recv =
-        // consumers on an empty one.
-        char wbuf[96];
-        std::snprintf(wbuf, sizeof(wbuf),
-                      "  (motion wait: send=%.3f ms recv=%.3f ms)",
-                      static_cast<double>(os.send_wait_us) / 1000.0,
-                      static_cast<double>(os.recv_wait_us) / 1000.0);
-        line += wbuf;
-      }
-      result.rows.push_back(Row{Datum(line)});
-      for (const auto& child : node.children) self(self, *child, indent + 1);
-    };
-    emit(emit, *plan.root, 0);
+StatusOr<QueryResult> Session::RunAnalyzed(const CachedPlan& plan) {
+  record_.BeginAnalyze();
+  Stopwatch sw;
+  StatusOr<QueryResult> run = RunPlan(plan, /*keep_rows=*/false);
+  const int64_t total_us = sw.ElapsedMicros();
+  record_.analyze = false;
+  GPHTAP_RETURN_IF_ERROR(run.status());
 
-    char total[64];
-    std::snprintf(total, sizeof(total), "Execution time: %.3f ms (%lld rows)",
-                  static_cast<double>(total_us) / 1000.0,
-                  static_cast<long long>(run->affected));
-    result.rows.push_back(Row{Datum(std::string(total))});
-    result.affected = static_cast<int64_t>(result.rows.size());
-    return result;
-    });
-  });
+  QueryResult result = RenderPlan(plan.gang, *plan.root, &record_);
+  char total[64];
+  std::snprintf(total, sizeof(total), "Execution time: %.3f ms (%lld rows)",
+                static_cast<double>(total_us) / 1000.0,
+                static_cast<long long>(run->affected));
+  result.rows.push_back(Row{Datum(std::string(total))});
+  result.affected = static_cast<int64_t>(result.rows.size());
+  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -922,10 +911,6 @@ StatusOr<QueryResult> Session::ExecuteInsert(const TableDef& def,
                                              const std::vector<Row>& rows) {
   return RunStatement([&]() -> StatusOr<QueryResult> {
     GPHTAP_RETURN_IF_ERROR(LockRelationCoordinator(def, LockMode::kRowExclusive));
-    for (const Row& row : rows) {
-      GPHTAP_RETURN_IF_ERROR(def.schema.CheckRow(row));
-    }
-
     // Bucket rows per target segment, then dispatch per segment. Distribution
     // info comes fresh from the catalog (under the coordinator relation lock,
     // so a concurrent rebalance cutover — which takes AccessExclusive —
@@ -938,13 +923,25 @@ StatusOr<QueryResult> Session::ExecuteInsert(const TableDef& def,
       // new copies never miss a row.
       replicated_span = cluster_->num_segments();
     }
+    // A row with an int bound for a double column goes in as a widened copy
+    // (widening keeps its hash and partition); anything still mistyped fails
+    // before any segment sees it. Well-typed rows, a bulk load's, are not
+    // copied.
+    std::deque<Row> widened;
     std::map<int, std::vector<const Row*>> buckets;
-    for (const Row& row : rows) {
-      int target = RouteInsert(def, row, dist);
+    for (const Row& given : rows) {
+      const Row* row = &given;
+      if (!def.schema.CheckRow(given).ok()) {
+        Row& copy = widened.emplace_back(given);
+        def.schema.CoerceRow(&copy);
+        GPHTAP_RETURN_IF_ERROR(def.schema.CheckRow(copy));
+        row = &copy;
+      }
+      int target = RouteInsert(def, *row, dist);
       if (target < 0) {
-        for (int s = 0; s < replicated_span; ++s) buckets[s].push_back(&row);
+        for (int s = 0; s < replicated_span; ++s) buckets[s].push_back(row);
       } else {
-        buckets[target].push_back(&row);
+        buckets[target].push_back(row);
       }
     }
 
@@ -981,352 +978,45 @@ StatusOr<QueryResult> Session::ExecuteInsert(const TableDef& def,
 // UPDATE / DELETE
 // ---------------------------------------------------------------------------
 
-std::vector<int> Session::TargetSegmentsForWrite(const TableDef& def, const ExprPtr& where) {
-  Cluster::TableDistInfo dist = cluster_->TableDist(def.id);
-  int span = dist.dist_segments;
-  if (span <= 0 || span > cluster_->num_segments()) span = cluster_->num_segments();
-  if (dist.rebalancing) {
-    // Rows may transiently live at both old and new homes (visibility sorts
-    // them out per snapshot); fan the write across every serving segment and
-    // skip direct dispatch.
-    span = cluster_->num_segments();
-  } else if (cluster_->options().direct_dispatch_enabled && where != nullptr) {
-    std::vector<ExprPtr> quals = {where};
-    int seg = DirectDispatchSegment(def, quals, 0, span);
-    if (seg >= 0) return {seg};
-  }
-  std::vector<int> all(static_cast<size_t>(span));
-  std::iota(all.begin(), all.end(), 0);
-  return all;
-}
-
-Status Session::DmlWorker(Segment* seg, const TableDef& def,
-                          const std::vector<std::pair<int, ExprPtr>>* sets,
-                          const ExprPtr& where, int64_t* affected) {
-  // The worker is this statement's per-segment "slice", charged on every exit
-  // path so UPDATE/DELETE show exec CPU and per-segment skew in
-  // gp_stat_statements. Blocked lock waits cost no CPU.
-  StatementRecord::SliceScope charge(&record_);
-  // Service pin for the whole worker: held across lock waits (a crash cancels
-  // the wait and the pin drains), released before the commit protocol runs.
-  GPHTAP_ASSIGN_OR_RETURN(SegmentPin pin, seg->Pin());
-  GPHTAP_RETURN_IF_ERROR(LockRelationSegment(seg, def, LockMode::kRowExclusive));
-  GPHTAP_RETURN_IF_ERROR(EnsureSegmentWrite(seg));
-  Table* table = seg->GetTable(def.id);
-  if (table == nullptr) return Status::NotFound("table missing on segment");
-  auto* heap = dynamic_cast<HeapTable*>(table);
-  if (heap == nullptr) {
-    if (auto* part = dynamic_cast<PartitionedTable*>(table)) {
-      // Updates against partitioned roots: operate on every heap leaf.
-      Status st;
-      for (size_t i = 0; i < part->num_leaves(); ++i) {
-        auto* leaf_heap = dynamic_cast<HeapTable*>(part->leaf(i));
-        if (leaf_heap == nullptr) continue;  // AO/external leaves are read-only
-        GPHTAP_RETURN_IF_ERROR(
-            DmlWorkerOnHeap(seg, def, leaf_heap, sets, where, affected));
-      }
-      return st;
-    }
-    if (def.storage == StorageKind::kAoRow || def.storage == StorageKind::kAoColumn) {
-      return DmlWorkerOnAppendOptimized(seg, def, table, sets, where, affected);
-    }
-    return Status::NotSupported("UPDATE/DELETE on " +
-                                std::string(StorageKindName(def.storage)) + " storage");
-  }
-  return DmlWorkerOnHeap(seg, def, heap, sets, where, affected);
-}
-
-Status Session::DmlWorkerOnAppendOptimized(
-    Segment* seg, const TableDef& def, Table* table,
-    const std::vector<std::pair<int, ExprPtr>>* sets, const ExprPtr& where,
-    int64_t* affected) {
-  // AO writers serialize on the relation: the segment-level ExclusiveLock (the
-  // coordinator already holds one) means no concurrent writer can race the
-  // visibility map.
-  GPHTAP_RETURN_IF_ERROR(LockRelationSegment(seg, def, LockMode::kExclusive));
-  GPHTAP_ASSIGN_OR_RETURN(LocalXid my_xid, seg->txns().AssignXid(gxid_));
-
-  VisibilityContext vis;
-  vis.clog = &seg->clog();
-  vis.dlog = &seg->dlog();
-  vis.dsnap = &snapshot_;
-  LocalSnapshot lsnap = seg->txns().TakeLocalSnapshot();
-  vis.lsnap = &lsnap;
-  vis.my_xid = my_xid;
-
-  // Collect targets first (Halloween protection for the UPDATE re-inserts).
-  std::vector<std::pair<TupleId, Row>> targets;
-  Status inner = Status::OK();
-  GPHTAP_RETURN_IF_ERROR(table->Scan(vis, [&](TupleId tid, const Row& row) {
-    if (where != nullptr) {
-      auto pass = EvalPredicate(*where, row);
-      if (!pass.ok()) {
-        inner = pass.status();
-        return false;
-      }
-      if (!*pass) return true;
-    }
-    targets.emplace_back(tid, row);
-    return true;
-  }));
-  GPHTAP_RETURN_IF_ERROR(inner);
-
-  auto mark = [&](TupleId tid) -> Status {
-    if (auto* ao = dynamic_cast<AoRowTable*>(table)) return ao->MarkDeleted(tid, my_xid);
-    if (auto* aoc = dynamic_cast<AoColumnTable*>(table)) {
-      return aoc->MarkDeleted(tid, my_xid);
-    }
-    return Status::Internal("not an AO table");
-  };
-  for (auto& [tid, row] : targets) {
-    GPHTAP_RETURN_IF_ERROR(mark(tid));
-    if (sets != nullptr) {
-      Row new_row = row;
-      for (const auto& [col, expr] : *sets) {
-        GPHTAP_ASSIGN_OR_RETURN(Datum d, EvalExpr(*expr, row));
-        new_row[static_cast<size_t>(col)] = std::move(d);
-      }
-      GPHTAP_RETURN_IF_ERROR(def.schema.CheckRow(new_row));
-      def.schema.CoerceRow(&new_row);
-      GPHTAP_RETURN_IF_ERROR(table->Insert(my_xid, new_row).status());
-    }
-    ++*affected;
-  }
-  return Status::OK();
-}
-
-Status Session::WaitForDistributedCommitOf(Segment* seg, LocalXid xid) {
-  if (xid == kInvalidLocalXid) return Status::OK();
-  auto gxid = seg->dlog().Lookup(xid);
-  // No mapping: a purely local / long-truncated transaction — by the
-  // truncation horizon it finished before any live snapshot.
-  if (!gxid.has_value()) return Status::OK();
-  while (cluster_->dtm().IsRunning(*gxid)) {
-    if (owner_->cancelled()) return owner_->cancel_reason();
-    if (owner_->DeadlineExpired(MonotonicMicros())) {
-      Status timeout = Status::TimedOut(
-          "statement timeout while waiting for distributed commit of txn " +
-          std::to_string(*gxid));
-      owner_->Cancel(timeout);
-      return timeout;
-    }
-    // The committer holds its transaction lock on this segment until it is
-    // marked distributively committed, so a share-lock wait blocks exactly
-    // until then (and shows up as a solid GDD edge; the committer itself
-    // never waits on locks here, so no cycle can form through it).
-    WaitEventScope wait(WaitEvent::kLockTransaction, seg->index());
-    GPHTAP_RETURN_IF_ERROR(
-        seg->locks().Acquire(owner_, LockTag::Transaction(*gxid), LockMode::kShare));
-    seg->locks().Release(*owner_, LockTag::Transaction(*gxid), LockMode::kShare);
-    // The dtx recovery daemon owns the locks of a half-acked commit and may
-    // briefly leave the gxid in-progress with this segment's lock already
-    // free; don't spin hot while it finishes phase two elsewhere.
-    if (cluster_->dtm().IsRunning(*gxid)) PreciseSleepUs(200);
-  }
-  return Status::OK();
-}
-
-Status Session::DmlWorkerOnHeap(Segment* seg, const TableDef& def, HeapTable* heap,
-                                const std::vector<std::pair<int, ExprPtr>>* sets,
-                                const ExprPtr& where, int64_t* affected) {
-  GPHTAP_ASSIGN_OR_RETURN(LocalXid my_xid, seg->txns().AssignXid(gxid_));
-
-  // Phase 1: collect candidate tuple ids (avoids the Halloween problem: the
-  // target list is fixed before any new versions are written).
-  VisibilityContext vis;
-  vis.clog = &seg->clog();
-  vis.dlog = &seg->dlog();
-  vis.dsnap = &snapshot_;
-  LocalSnapshot lsnap = seg->txns().TakeLocalSnapshot();
-  vis.lsnap = &lsnap;
-  vis.my_xid = my_xid;
-
-  std::vector<TupleId> targets;
-  int64_t rows_examined = 0;
-  bool used_index = false;
-  if (where != nullptr) {
-    for (int icol : def.indexed_cols) {
-      Datum key;
-      if (ExtractEqualityConst(*where, icol, &key) && heap->HasIndexOn(icol)) {
-        for (TupleId tid : heap->IndexLookup(icol, key)) {
-          ++rows_examined;
-          auto v = heap->Get(tid);
-          if (!v.ok()) continue;
-          if (!TupleVisible(v->header.xmin, v->header.xmax, vis)) continue;
-          auto pass = EvalPredicate(*where, v->row);
-          if (!pass.ok()) return pass.status();
-          if (*pass) targets.push_back(tid);
-        }
-        used_index = true;
-        break;
-      }
-    }
-  }
-  if (!used_index) {
-    Status inner = Status::OK();
-    Status scan = heap->Scan(vis, [&](TupleId tid, const Row& row) {
-      ++rows_examined;
-      if (where != nullptr) {
-        auto pass = EvalPredicate(*where, row);
-        if (!pass.ok()) {
-          inner = pass.status();
-          return false;
-        }
-        if (!*pass) return true;
-      }
-      targets.push_back(tid);
-      return true;
-    });
-    GPHTAP_RETURN_IF_ERROR(inner);
-    GPHTAP_RETURN_IF_ERROR(scan);
-  }
-
-  // DML scans consume CPU like any other executor work; charge it to the
-  // session's resource group (this is what lets Figure 18's cpuset isolation
-  // shorten OLTP transactions).
-  int64_t cpu_ns = cluster_->options().exec_cpu_ns_per_row * rows_examined;
-  if (cpu_ns > 0) group_->ChargeCpu(cpu_ns / 1000);
-
-  // Phase 2: stamp each target, waiting out concurrent writers.
-  for (TupleId target : targets) {
-    TupleId cur = target;
-    while (true) {
-      if (owner_->cancelled()) return owner_->cancel_reason();
-      MarkDeleteResult r = heap->TryMarkDeleted(cur, my_xid);
-      if (r.outcome == MarkDeleteOutcome::kSelfUpdated) break;
-      if (r.outcome == MarkDeleteOutcome::kFollow) {
-        // A committed writer replaced the row: follow the version chain and
-        // re-check the predicate against the new version (EvalPlanQual).
-        // "Committed" above means the segment-local clog — but for conflicting
-        // writers the commit point is the *distributed* commit. If the
-        // replacer's gxid is still in the coordinator's in-progress set (phase
-        // two in flight on some other segment), building our update on its
-        // version and committing first would let a concurrent snapshot see
-        // this transaction as finished while its dependency still looks
-        // running — i.e. both the pre-image and our post-image visible at
-        // once. Block until the dependency's distributed commit completes.
-        GPHTAP_RETURN_IF_ERROR(WaitForDistributedCommitOf(seg, r.wait_xid));
-        if (r.next == kInvalidTupleId) break;  // deleted outright
-        cur = r.next;
-        auto v = heap->Get(cur);
-        if (!v.ok()) break;
-        if (where != nullptr) {
-          GPHTAP_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*where, v->row));
-          if (!pass) break;
-        }
-        continue;
-      }
-      if (r.outcome == MarkDeleteOutcome::kWait) {
-        // Tuple lock first (short-term; dotted wait edges hang off it), then
-        // the holder's transaction lock (solid edge), then retry.
-        LockTag tuple_tag = LockTag::Tuple(def.id, cur);
-        GPHTAP_RETURN_IF_ERROR(
-            seg->locks().Acquire(owner_, tuple_tag, LockMode::kExclusive));
-        MarkDeleteResult r2 = heap->TryMarkDeleted(cur, my_xid);
-        if (r2.outcome == MarkDeleteOutcome::kWait) {
-          auto holder_gxid = seg->txns().GxidOfRunning(r2.wait_xid);
-          if (holder_gxid.has_value()) {
-            Status s = seg->locks().Acquire(
-                owner_, LockTag::Transaction(*holder_gxid), LockMode::kShare);
-            if (!s.ok()) {
-              seg->locks().Release(*owner_, tuple_tag, LockMode::kExclusive);
-              return s;
-            }
-            seg->locks().Release(*owner_, LockTag::Transaction(*holder_gxid),
-                                 LockMode::kShare);
-          }
-          seg->locks().Release(*owner_, tuple_tag, LockMode::kExclusive);
-          continue;  // holder finished; retry the stamp
-        }
-        seg->locks().Release(*owner_, tuple_tag, LockMode::kExclusive);
-        if (r2.outcome == MarkDeleteOutcome::kSelfUpdated) break;
-        if (r2.outcome == MarkDeleteOutcome::kFollow) {
-          // Same write-dependency barrier as the lock-free follow above.
-          GPHTAP_RETURN_IF_ERROR(WaitForDistributedCommitOf(seg, r2.wait_xid));
-          if (r2.next == kInvalidTupleId) break;
-          cur = r2.next;
-          continue;
-        }
-        r = r2;  // kOk
-      }
-      // kOk: we own the delete of `cur`.
-      if (sets != nullptr) {
-        auto v = heap->Get(cur);
-        if (!v.ok()) return v.status();
-        Row new_row = v->row;
-        for (const auto& [col, expr] : *sets) {
-          GPHTAP_ASSIGN_OR_RETURN(Datum d, EvalExpr(*expr, v->row));
-          new_row[static_cast<size_t>(col)] = std::move(d);
-        }
-        GPHTAP_RETURN_IF_ERROR(def.schema.CheckRow(new_row));
-        def.schema.CoerceRow(&new_row);
-        GPHTAP_ASSIGN_OR_RETURN(TupleId new_tid, heap->Insert(my_xid, new_row));
-        heap->LinkNewVersion(cur, new_tid);
-      }
-      ++*affected;
-      break;
-    }
-  }
-  return Status::OK();
-}
-
 StatusOr<QueryResult> Session::ExecuteUpdate(
     const TableDef& def, const std::vector<std::pair<int, ExprPtr>>& sets,
     const ExprPtr& where) {
-  // Updating the distribution key would require moving tuples across segments;
-  // like classic Greenplum we reject it.
-  for (const auto& [col, expr] : sets) {
-    if (def.distribution.kind == DistributionKind::kHash) {
-      for (int key_col : def.distribution.key_cols) {
-        if (col == key_col) {
-          return Status::NotSupported("UPDATE of the distribution key column " +
-                                      def.schema.column(static_cast<size_t>(col)).name);
-        }
-      }
-    }
-  }
-  return ExecuteDml(def, &sets, where);
+  return ExecuteDml(def, &sets, where, /*analyze=*/false);
 }
 
 StatusOr<QueryResult> Session::ExecuteDelete(const TableDef& def, const ExprPtr& where) {
-  return ExecuteDml(def, nullptr, where);
+  return ExecuteDml(def, nullptr, where, /*analyze=*/false);
 }
 
 StatusOr<QueryResult> Session::ExecuteDml(const TableDef& def,
                                           const std::vector<std::pair<int, ExprPtr>>* sets,
-                                          const ExprPtr& where) {
+                                          const ExprPtr& where, bool analyze) {
   return RunStatement([&]() -> StatusOr<QueryResult> {
     // The pre-GDD locking regime serializes writers on the whole relation;
     // append-optimized tables keep the ExclusiveLock even under GDD (as in
     // Greenplum: the visibility map is not safe for concurrent writers).
-    bool ao = def.storage == StorageKind::kAoRow || def.storage == StorageKind::kAoColumn;
-    LockMode mode = cluster_->options().gdd_enabled && !ao ? LockMode::kRowExclusive
-                                                           : LockMode::kExclusive;
+    LockMode mode = cluster_->options().gdd_enabled && !def.append_optimized()
+                        ? LockMode::kRowExclusive
+                        : LockMode::kExclusive;
     GPHTAP_RETURN_IF_ERROR(LockRelationCoordinator(def, mode));
     // Lock-then-rescan (read committed): the statement snapshot predates the
     // lock wait, so a rebalance cutover that committed while we queued would
     // leave the old-home versions visible but committed-dead — the write
     // would silently match zero rows. Re-snapshot now that the lock is held.
     GPHTAP_RETURN_IF_ERROR(TakeStatementSnapshot());
-    std::vector<int> segs = TargetSegmentsForWrite(def, where);
-    std::vector<Status> results(segs.size());
-    std::vector<int64_t> counts(segs.size(), 0);
-    for (size_t i = 0; i < segs.size(); ++i) cluster_->net().Deliver(MsgKind::kDispatch);
-    // Parallel per-segment workers, like the dispatcher's gangs. A worker may
-    // block on another transaction mid-statement while its siblings keep
-    // running — the behaviour the global deadlock cases exercise.
-    cluster_->gangs().FanOut(segs, [&](size_t i) {
-      results[i] = DmlWorker(cluster_->segment(segs[i]), def, sets, where, &counts[i]);
-    });
-    for (size_t i = 0; i < segs.size(); ++i) cluster_->net().Deliver(MsgKind::kResult);
-    int64_t total = 0;
-    for (int64_t c : counts) total += c;
-    for (const Status& s : results) {
-      GPHTAP_RETURN_IF_ERROR(s);
+    GPHTAP_ASSIGN_OR_RETURN(PlannedSelect planned,
+                            PlanModify(def, sets, where, MakePlannerOptions()));
+    // Every gang member is a write participant. Registering one takes our own
+    // transaction lock and assigns the local xid, neither of which blocks, so
+    // it happens here, one segment after another, before dispatch.
+    for (int seg_index : planned.gang) {
+      GPHTAP_ASSIGN_OR_RETURN(SegmentPin pin, cluster_->PinSegment(seg_index));
+      GPHTAP_RETURN_IF_ERROR(EnsureSegmentWrite(cluster_->segment(seg_index)));
     }
-    QueryResult r;
-    r.affected = total;
-    return r;
+    CachedPlan plan;
+    plan.root = std::move(planned.root);
+    plan.gang = std::move(planned.gang);
+    return analyze ? RunAnalyzed(plan) : RunPlan(plan, /*keep_rows=*/false);
   });
 }
 

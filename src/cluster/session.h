@@ -1,6 +1,6 @@
 // A client session: transaction lifecycle (distributed snapshots, 1PC/2PC),
-// DML execution with PostgreSQL-faithful tuple locking, SELECT planning and
-// dispatch, and resource-group admission.
+// statement locking, planning and dispatch (SELECT, and UPDATE / DELETE as
+// ModifyTable plans), INSERT routing, and resource-group admission.
 #ifndef GPHTAP_CLUSTER_SESSION_H_
 #define GPHTAP_CLUSTER_SESSION_H_
 
@@ -67,12 +67,19 @@ class Session {
   /// prepared statement): skips parse/analyze/plan, re-acquires the
   /// parse-analyze locks, and runs the shared immutable plan tree.
   StatusOr<QueryResult> ExecuteCachedPlan(std::shared_ptr<const CachedPlan> plan);
-  /// Plans the query and returns the plan text (EXPLAIN), without executing.
-  StatusOr<QueryResult> ExplainSelect(const SelectQuery& query);
-  /// EXPLAIN ANALYZE: executes the query (discarding its rows) and returns the
-  /// plan annotated with per-operator actual rows / time.
-  StatusOr<QueryResult> ExplainAnalyzeSelect(const SelectQuery& query);
+  /// EXPLAIN: plans the query and returns the plan text, without executing.
+  /// EXPLAIN ANALYZE (`analyze`): executes it (discarding its rows) and
+  /// returns the plan annotated with per-operator actual rows / time.
+  StatusOr<QueryResult> ExplainSelect(const SelectQuery& query, bool analyze = false);
+  /// EXPLAIN [ANALYZE] of an UPDATE (`sets` non-null) or DELETE. ANALYZE
+  /// modifies the rows, as the statement itself would.
+  StatusOr<QueryResult> ExplainModify(const TableDef& def,
+                                      const std::vector<std::pair<int, ExprPtr>>* sets,
+                                      const ExprPtr& where, bool analyze = false);
+  /// Widens ints bound for double columns before storage checks the rows.
   StatusOr<QueryResult> ExecuteInsert(const TableDef& def, const std::vector<Row>& rows);
+  /// UPDATE / DELETE run as a ModifyTable plan (plan/planner.h PlanModify).
+  /// `affected` counts rows, not copies, for a replicated table.
   StatusOr<QueryResult> ExecuteUpdate(const TableDef& def,
                                       const std::vector<std::pair<int, ExprPtr>>& sets,
                                       const ExprPtr& where);
@@ -192,17 +199,31 @@ class Session {
   template <typename Fn>
   StatusOr<QueryResult> RunReadOnlyStatement(Fn&& fn);
 
-  // Planner inputs resolved from live cluster state (shared by ExecuteSelect /
-  // ExplainSelect / ExplainAnalyzeSelect).
+  // Planner inputs resolved from live cluster state (shared by every
+  // statement that plans).
   PlannerOptions MakePlannerOptions();
 
   // Parse-analyze AccessShare locks on the coordinator for a SELECT's tables.
   Status LockForRead(const std::vector<TableDef>& tables);
 
-  // The dispatch/trace/execute tail shared by the fresh-plan, cached-plan and
-  // EXPLAIN ANALYZE select paths. Runs inside RunStatement. Without
-  // `keep_rows` the rows are only counted (EXPLAIN ANALYZE discards them).
-  StatusOr<QueryResult> RunPlannedSelect(const CachedPlan& plan, bool keep_rows);
+  // SELECT: coordinator locks, plan, run — or, with `analyze`, run and render
+  // the plan with its actuals (EXPLAIN ANALYZE).
+  StatusOr<QueryResult> RunSelect(const SelectQuery& query, const std::string* cache_sql,
+                                  bool analyze);
+  // UPDATE (`sets` non-null) or DELETE, likewise: the coordinator relation
+  // lock, a fresh snapshot once it is held, the plan, every gang member
+  // registered as a write participant, then the run.
+  StatusOr<QueryResult> ExecuteDml(const TableDef& def,
+                                   const std::vector<std::pair<int, ExprPtr>>* sets,
+                                   const ExprPtr& where, bool analyze);
+
+  // The dispatch/trace/execute tail of every planned statement: fresh,
+  // cached and EXPLAIN ANALYZE SELECTs, UPDATE and DELETE. Runs inside
+  // RunStatement. Without `keep_rows` the rows are only counted (EXPLAIN
+  // ANALYZE discards them); a ModifyTable plan returns only its count.
+  StatusOr<QueryResult> RunPlan(const CachedPlan& plan, bool keep_rows);
+  // EXPLAIN ANALYZE: runs the plan and renders it with per-operator actuals.
+  StatusOr<QueryResult> RunAnalyzed(const CachedPlan& plan);
 
   // Arms/disarms the per-statement absolute deadline + lock timeout on the
   // transaction's LockOwner and publishes it to gp_stat_activity.
@@ -221,35 +242,6 @@ class Session {
   // Relation lock on the coordinator at parse-analyze time (Section 4.2).
   Status LockRelationCoordinator(const TableDef& def, LockMode mode);
   Status LockRelationSegment(Segment* seg, const TableDef& def, LockMode mode);
-
-  // Write-dependency barrier: blocks until `xid`'s distributed transaction
-  // (if any) has left the coordinator's in-progress set. Called before
-  // building an update on a version whose replacer is committed in the local
-  // clog but whose phase two is still in flight elsewhere — committing on top
-  // of it first would let a snapshot see this transaction finished while the
-  // dependency still looks running (the pre-image and post-image both
-  // visible). Honors cancellation and the statement deadline.
-  Status WaitForDistributedCommitOf(Segment* seg, LocalXid xid);
-
-  // UPDATE (`sets` non-null) or DELETE: locks the relation, re-snapshots,
-  // runs DmlWorker on every target segment and sums the counts.
-  StatusOr<QueryResult> ExecuteDml(const TableDef& def,
-                                   const std::vector<std::pair<int, ExprPtr>>* sets,
-                                   const ExprPtr& where);
-
-  // The per-segment UPDATE/DELETE worker: finds visible matching tuples and
-  // stamps them, waiting on tuple/transaction locks as PostgreSQL does.
-  Status DmlWorker(Segment* seg, const TableDef& def,
-                   const std::vector<std::pair<int, ExprPtr>>* sets, const ExprPtr& where,
-                   int64_t* affected);
-  Status DmlWorkerOnHeap(Segment* seg, const TableDef& def, class HeapTable* heap,
-                         const std::vector<std::pair<int, ExprPtr>>* sets,
-                         const ExprPtr& where, int64_t* affected);
-  // AO tables: visibility-map deletes under relation ExclusiveLock (writers
-  // serialize, so no tuple-lock dance is needed).
-  Status DmlWorkerOnAppendOptimized(Segment* seg, const TableDef& def, Table* table,
-                                    const std::vector<std::pair<int, ExprPtr>>* sets,
-                                    const ExprPtr& where, int64_t* affected);
 
   // ---- Online reorg / expansion internals (cluster/reorg.cc) ----
   // AO/AO-column VACUUM: frees all-dead sealed row groups, then rewrites the
@@ -289,8 +281,6 @@ class Session {
   void ReleaseLocksExcept(const std::vector<int>& keep_segments);
   void ClearTxnState();
 
-  // Resolves the target segments of a DML statement.
-  std::vector<int> TargetSegmentsForWrite(const TableDef& def, const ExprPtr& where);
   int RouteInsert(const TableDef& def, const Row& row,
                   const Cluster::TableDistInfo& dist);
 
@@ -312,7 +302,6 @@ class Session {
   DistributedSnapshot snapshot_;
   bool snapshot_pinned_ = false;
   std::set<int> write_segments_;
-  std::mutex write_reg_mu_;  // guards write_segments_ during parallel DML dispatch
   bool explicit_txn_ = false;
   bool txn_failed_ = false;
   // After an error inside BEGIN...COMMIT the transaction is rolled back
@@ -352,7 +341,7 @@ class Session {
   // unregistered at disconnect. Never null after construction.
   std::shared_ptr<SessionInfo> info_;
   // The current statement's record, carried on the wait context so slices,
-  // DML workers, the buffer pool and motion charge it ambiently. Reset by
+  // the buffer pool and motion charge it ambiently. Reset by
   // Execute() at statement start and rendered at statement end.
   StatementRecord record_;
 };

@@ -11,6 +11,7 @@
 #include "common/wait_event.h"
 #include "exec/agg_ops.h"
 #include "storage/heap_table.h"
+#include "storage/partitioned_table.h"
 #include "vec/vec_executor.h"
 #include "vec/vec_kernels.h"
 
@@ -32,20 +33,6 @@ Status AcquireScanLock(ExecContext& ctx, TableId table) {
   LockManager& locks =
       ctx.segment != nullptr ? ctx.segment->locks() : ctx.cluster->coordinator_locks();
   return locks.Acquire(ctx.owner, LockTag::Relation(table), LockMode::kAccessShare);
-}
-
-const char* ScanStoreLabel(StorageKind kind) {
-  switch (kind) {
-    case StorageKind::kHeap:
-      return "heap";
-    case StorageKind::kAoRow:
-      return "ao-row";
-    case StorageKind::kAoColumn:
-      return "ao-column";
-    case StorageKind::kExternal:
-      return "external";
-  }
-  return "heap";
 }
 
 namespace {
@@ -77,7 +64,8 @@ Status ExecScanCommon(const PlanNode& node, ExecContext& ctx, Table* table,
   Status inner = Status::OK();
   VisibilityContext vis = ctx.Vis();
   int64_t visible_rows = 0;
-  auto cb = [&](TupleId, const Row& row) {
+  int64_t leaf = 0;
+  auto cb = [&](TupleId tid, const Row& row) {
     Status t = ctx.Tick();
     if (!t.ok()) {
       inner = t;
@@ -93,6 +81,10 @@ Status ExecScanCommon(const PlanNode& node, ExecContext& ctx, Table* table,
       if (!*pass) return true;
     }
     Row out = row;
+    if (node.emit_tid) {
+      out.push_back(Datum(static_cast<int64_t>(tid)));
+      out.push_back(Datum(leaf));
+    }
     Status s = sink(std::move(out));
     if (!s.ok()) {
       inner = s;
@@ -101,7 +93,14 @@ Status ExecScanCommon(const PlanNode& node, ExecContext& ctx, Table* table,
     return true;
   };
   Status scan;
-  if (!node.scan_cols.empty()) {
+  auto* part = node.emit_tid ? dynamic_cast<PartitionedTable*>(table) : nullptr;
+  if (part != nullptr) {
+    // A leaf's TupleIds are its own, so the scan names the leaf beside each.
+    for (; leaf < static_cast<int64_t>(part->num_leaves()) && scan.ok() && inner.ok();
+         ++leaf) {
+      scan = part->leaf(static_cast<size_t>(leaf))->Scan(vis, cb);
+    }
+  } else if (!node.scan_cols.empty()) {
     scan = table->ScanColumns(vis, node.scan_cols, cb);
   } else {
     scan = table->Scan(vis, cb);
@@ -132,6 +131,10 @@ Status ExecIndexScan(const PlanNode& node, ExecContext& ctx, const RowSink& sink
     if (node.filter) {
       GPHTAP_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*node.filter, v->row));
       if (!pass) continue;
+    }
+    if (node.emit_tid) {
+      v->row.push_back(Datum(static_cast<int64_t>(tid)));
+      v->row.push_back(Datum(int64_t{0}));
     }
     GPHTAP_RETURN_IF_ERROR(sink(std::move(v->row)));
   }
@@ -358,11 +361,12 @@ Status ExecuteNodeImpl(const PlanNode& node, ExecContext& ctx, const RowSink& si
     case PlanKind::kSeqScan: {
       Table* table = nullptr;
       GPHTAP_RETURN_IF_ERROR(TableForNode(ctx, node.table, &table));
-      GPHTAP_RETURN_IF_ERROR(AcquireScanLock(ctx, node.table));
+      // Under a ModifyTable the scan reads under the writer's own lock.
+      if (!node.emit_tid) GPHTAP_RETURN_IF_ERROR(AcquireScanLock(ctx, node.table));
       return ExecScanCommon(node, ctx, table, sink);
     }
     case PlanKind::kIndexScan: {
-      GPHTAP_RETURN_IF_ERROR(AcquireScanLock(ctx, node.table));
+      if (!node.emit_tid) GPHTAP_RETURN_IF_ERROR(AcquireScanLock(ctx, node.table));
       return ExecIndexScan(node, ctx, sink);
     }
     case PlanKind::kVirtualScan: {
@@ -380,16 +384,6 @@ Status ExecuteNodeImpl(const PlanNode& node, ExecContext& ctx, const RowSink& si
           if (!pass) continue;
         }
         Status s = sink(std::move(row));
-        if (s.code() == StatusCode::kStopIteration) return s;
-        GPHTAP_RETURN_IF_ERROR(s);
-      }
-      return Status::OK();
-    }
-    case PlanKind::kValues: {
-      for (const Row& r : node.rows) {
-        GPHTAP_RETURN_IF_ERROR(ctx.Tick());
-        Row copy = r;
-        Status s = sink(std::move(copy));
         if (s.code() == StatusCode::kStopIteration) return s;
         GPHTAP_RETURN_IF_ERROR(s);
       }
@@ -441,6 +435,8 @@ Status ExecuteNodeImpl(const PlanNode& node, ExecContext& ctx, const RowSink& si
     }
     case PlanKind::kMotion:
       return ExecMotionRecv(node, ctx, sink);
+    case PlanKind::kModifyTable:
+      return ExecModifyTable(node, ctx, sink);
   }
   return Status::Internal("bad plan node");
 }
@@ -475,7 +471,8 @@ Status ExecuteNode(const PlanNode& node, ExecContext& ctx, const RowSink& sink) 
   int64_t rows = 0;
   Stopwatch sw;
   Status s = ExecuteNodeImpl(node, ctx, [&](Row&& row) -> Status {
-    ++rows;
+    // A ModifyTable's one row is its affected count, which is what it reports.
+    rows += node.kind == PlanKind::kModifyTable ? row[0].int_val() : 1;
     return sink(std::move(row));
   });
   actuals->AddOperator(node.node_id, rows, sw.ElapsedMicros());
@@ -560,101 +557,125 @@ Status ExecutePlan(Cluster* cluster, const QueryPlan& plan, Gxid gxid,
     ctx.slice_root = root;
     return ctx;
   };
+  // One gang member's slice task around `body`, which runs the slice and
+  // counts its rows: its own span, its waits interruptible through the owner,
+  // a service pin for the whole slice (through the per-segment circuit
+  // breaker, so a down segment fails the query retryably instead of serving
+  // torn state), and its CPU charged before the task returns.
+  auto run_slice = [&](int seg_index, size_t gi, const PlanNode& root,
+                       const std::string& name, auto&& body) -> Status {
+    const uint64_t span =
+        trace != nullptr ? trace->StartSpan(name, parent_span, seg_index) : 0;
+    WaitContext* slice_wait = CurrentWaitContext();
+    slice_wait->parent_span = span;
+    slice_wait->owner = owner.get();
+    int64_t rows = 0;
+    Status s;
+    if (auto pin = cluster->PinSegment(seg_index); !pin.ok()) {
+      s = pin.status();
+    } else {
+      ExecContext ctx =
+          slice_context(cluster->segment(seg_index), static_cast<int>(gi), &root);
+      StatementRecord::SliceScope charge(record);
+      s = body(ctx, &rows);
+      ctx.FlushCpu();
+    }
+    if (trace != nullptr) trace->EndSpan(span, rows);
+    return s;
+  };
+  if (plan.root->kind == PlanKind::kModifyTable) {
+    // No motion: every gang member runs the whole plan on its own rows, as one
+    // gang task (member 0 on the caller's thread), and the caller's sink gets
+    // each member's affected count. A member may block on another
+    // transaction mid-statement while its siblings keep running.
+    std::vector<Status> results(plan.gang.size());
+    std::vector<Row> counts(plan.gang.size(), Row{Datum(int64_t{0})});
+    cluster->gangs().FanOut(plan.gang, [&](size_t gi) {
+      results[gi] = run_slice(plan.gang[gi], gi, *plan.root, "slice:modify",
+                              [&](ExecContext& ctx, int64_t* rows) {
+                                return ExecuteNode(*plan.root, ctx, [&](Row&& row) {
+                                  *rows = row[0].int_val();
+                                  counts[gi] = std::move(row);
+                                  return Status::OK();
+                                });
+                              });
+    });
+    for (const Status& s : results) GPHTAP_RETURN_IF_ERROR(s);
+    for (Row& count : counts) GPHTAP_RETURN_IF_ERROR(sink(std::move(count)));
+    return Status::OK();
+  }
   // Producers: one gang task per (motion, gang member). The runner gives each
   // the caller's ambient wait context (registry / session / record) relabelled
   // with its segment, so blocking inside a slice — motion back-pressure,
-  // segment locks, buffer misses — is attributed to the owning statement; the
-  // slice parents its waits under its own span.
+  // segment locks, buffer misses — is attributed to the owning statement.
   GangRunner::Gang producers(&cluster->gangs());
   for (const PlanNode* m : motions) {
     for (size_t gi = 0; gi < plan.gang.size(); ++gi) {
       int seg_index = plan.gang[gi];
       producers.Spawn(seg_index, [&, m, gi, seg_index] {
-        uint64_t span = 0;
-        if (trace != nullptr) {
-          span = trace->StartSpan("slice:motion" + std::to_string(m->motion_id),
-                                  parent_span, seg_index);
-        }
-        WaitContext* slice_wait = CurrentWaitContext();
-        slice_wait->parent_span = span;
-        slice_wait->owner = owner.get();
-        // Service pin for the whole slice: a down segment fails the query with
-        // a retryable error instead of reading torn state mid-recovery. Goes
-        // through the per-segment circuit breaker when one is configured.
-        auto pin = cluster->PinSegment(seg_index);
-        if (!pin.ok()) {
-          record_error(pin.status());
-          exchanges[m->motion_id]->CloseSender();
-          if (trace != nullptr) trace->EndSpan(span);
-          return;
-        }
         const PlanNode& slice_root = *m->children[0];
-        ExecContext ctx =
-            slice_context(cluster->segment(seg_index), static_cast<int>(gi), &slice_root);
         MotionExchange& ex = *exchanges[m->motion_id];
         const std::vector<int>& hash_cols = m->hash_cols;
         MotionKind kind = m->motion;
         int receivers = ex.num_receivers();
-        int64_t rows_out = 0;
-        Status s;
-        // Charged when the task returns; Join only returns after that.
-        StatementRecord::SliceScope charge(record);
-        if (slice_root.vectorize && VecEngineSupports(slice_root.kind)) {
-          // Vectorized slice: ship whole ColumnBatch chunks instead of rows.
-          s = ExecuteNodeVec(slice_root, ctx, [&](ColumnBatch&& batch) -> Status {
-            if (batch.ActiveRows() == 0) return Status::OK();
-            rows_out += static_cast<int64_t>(batch.ActiveRows());
-            bool sent = true;
-            switch (kind) {
-              case MotionKind::kGather:
-                sent = ex.SendBatch(0, std::make_shared<ColumnBatch>(std::move(batch)));
-                break;
-              case MotionKind::kBroadcast:
-                sent = ex.SendBatchToAll(std::make_shared<ColumnBatch>(std::move(batch)));
-                break;
-              case MotionKind::kRedistribute: {
-                std::vector<ColumnBatch> parts;
-                GPHTAP_RETURN_IF_ERROR(
-                    VecPartitionBatch(batch, hash_cols, receivers, &parts));
-                for (int t = 0; t < receivers && sent; ++t) {
-                  if (parts[static_cast<size_t>(t)].ActiveRows() == 0) continue;
-                  sent = ex.SendBatch(t, std::make_shared<ColumnBatch>(
-                                             std::move(parts[static_cast<size_t>(t)])));
+        Status s = run_slice(
+            seg_index, gi, slice_root, "slice:motion" + std::to_string(m->motion_id),
+            [&](ExecContext& ctx, int64_t* rows_out) -> Status {
+              if (slice_root.vectorize && VecEngineSupports(slice_root.kind)) {
+                // Vectorized slice: ship whole ColumnBatch chunks instead of rows.
+                return ExecuteNodeVec(slice_root, ctx, [&](ColumnBatch&& batch) -> Status {
+                  if (batch.ActiveRows() == 0) return Status::OK();
+                  *rows_out += static_cast<int64_t>(batch.ActiveRows());
+                  bool sent = true;
+                  switch (kind) {
+                    case MotionKind::kGather:
+                      sent = ex.SendBatch(0, std::make_shared<ColumnBatch>(std::move(batch)));
+                      break;
+                    case MotionKind::kBroadcast:
+                      sent = ex.SendBatchToAll(std::make_shared<ColumnBatch>(std::move(batch)));
+                      break;
+                    case MotionKind::kRedistribute: {
+                      std::vector<ColumnBatch> parts;
+                      GPHTAP_RETURN_IF_ERROR(
+                          VecPartitionBatch(batch, hash_cols, receivers, &parts));
+                      for (int t = 0; t < receivers && sent; ++t) {
+                        if (parts[static_cast<size_t>(t)].ActiveRows() == 0) continue;
+                        sent = ex.SendBatch(t, std::make_shared<ColumnBatch>(
+                                                   std::move(parts[static_cast<size_t>(t)])));
+                      }
+                      break;
+                    }
+                  }
+                  if (!sent) return Status::StopIteration();
+                  return Status::OK();
+                });
+              }
+              return ExecuteNode(slice_root, ctx, [&](Row&& row) -> Status {
+                ++*rows_out;
+                bool sent = true;
+                switch (kind) {
+                  case MotionKind::kGather:
+                    sent = ex.Send(0, std::move(row));
+                    break;
+                  case MotionKind::kBroadcast:
+                    sent = ex.SendToAll(row);
+                    break;
+                  case MotionKind::kRedistribute: {
+                    int target = static_cast<int>(HashRowKey(row, hash_cols) %
+                                                  static_cast<uint64_t>(receivers));
+                    sent = ex.Send(target, std::move(row));
+                    break;
+                  }
                 }
-                break;
-              }
-            }
-            if (!sent) return Status::StopIteration();
-            return Status::OK();
-          });
-        } else {
-          s = ExecuteNode(slice_root, ctx, [&](Row&& row) -> Status {
-            ++rows_out;
-            bool sent = true;
-            switch (kind) {
-              case MotionKind::kGather:
-                sent = ex.Send(0, std::move(row));
-                break;
-              case MotionKind::kBroadcast:
-                sent = ex.SendToAll(row);
-                break;
-              case MotionKind::kRedistribute: {
-                int target = static_cast<int>(HashRowKey(row, hash_cols) %
-                                              static_cast<uint64_t>(receivers));
-                sent = ex.Send(target, std::move(row));
-                break;
-              }
-            }
-            // A closed exchange is either deliberate early termination (LIMIT)
-            // or a failure someone else already recorded; stop quietly.
-            if (!sent) return Status::StopIteration();
-            return Status::OK();
-          });
-        }
-        ctx.FlushCpu();
+                // A closed exchange is either deliberate early termination
+                // (LIMIT) or a failure someone else already recorded; stop
+                // quietly.
+                if (!sent) return Status::StopIteration();
+                return Status::OK();
+              });
+            });
         record_error(s);
         ex.CloseSender();
-        if (trace != nullptr) trace->EndSpan(span, rows_out);
       });
     }
   }

@@ -1,7 +1,8 @@
 // Push-based SPMD plan execution (Section 3.2): motion nodes cut the plan into
 // slices; each (slice, gang member) runs as its own gang-runner task feeding a
 // MotionExchange, and the top slice runs on the caller's thread, streaming rows
-// into the caller's sink.
+// into the caller's sink. An UPDATE / DELETE plan is one slice with a
+// ModifyTable root, run once per gang member.
 #ifndef GPHTAP_EXEC_EXECUTOR_H_
 #define GPHTAP_EXEC_EXECUTOR_H_
 
@@ -28,10 +29,10 @@ Status TableForNode(ExecContext& ctx, TableId id, Table** out);
 /// transaction end per two-phase locking. Shared with src/vec/.
 Status AcquireScanLock(ExecContext& ctx, TableId table);
 
-/// EXPLAIN-facing physical store label ("heap", "ao-row", "ao-column",
-/// "external") for per-store row accounting. Shared with src/vec/. Distinct
-/// from StorageKindName, which is the catalog's storage-clause spelling.
-const char* ScanStoreLabel(StorageKind kind);
+/// The ModifyTable node (exec/modify_table.cc), run on a segment: collects
+/// every target version its scan child emits, then stamps each through its
+/// storage kind, and pushes one row holding the affected count.
+Status ExecModifyTable(const PlanNode& node, ExecContext& ctx, const RowSink& sink);
 
 struct QueryPlan {
   /// Shared + immutable so a cached plan can be executed by many statements
@@ -43,7 +44,9 @@ struct QueryPlan {
 };
 
 /// Runs the full sliced plan against the cluster. Producers run as gang tasks,
-/// one per (motion, gang member); the caller's thread drives the top slice.
+/// one per (motion, gang member); the caller's thread drives the top slice. A
+/// ModifyTable root runs as one gang task per member, without a motion, and
+/// the sink receives each member's affected count.
 /// The caller's WaitContext::record, when set, collects the statement's slice
 /// charges, motion bytes, operator actuals (when `analyze` is on) and spans
 /// (when traced; slice spans hang under the caller's parent_span).

@@ -31,8 +31,6 @@ const char* PlanKindName(PlanKind k) {
       return "IndexScan";
     case PlanKind::kVirtualScan:
       return "VirtualScan";
-    case PlanKind::kValues:
-      return "Values";
     case PlanKind::kGenerateSeries:
       return "GenerateSeries";
     case PlanKind::kFilter:
@@ -51,6 +49,8 @@ const char* PlanKindName(PlanKind k) {
       return "Limit";
     case PlanKind::kMotion:
       return "Motion";
+    case PlanKind::kModifyTable:
+      return "ModifyTable";
   }
   return "?";
 }
@@ -94,6 +94,10 @@ std::string PlanNode::ToString(int indent) const {
       break;
     case PlanKind::kMotion:
       s += std::string(" ") + MotionKindName(motion) + " id=" + std::to_string(motion_id);
+      break;
+    case PlanKind::kModifyTable:
+      s += std::string(exprs.empty() ? " delete" : " update") + " table=" +
+           std::to_string(table);
       break;
     case PlanKind::kHashAgg:
       s += " phase=" + std::to_string(static_cast<int>(agg_phase)) +
@@ -192,7 +196,7 @@ StatusOr<PlanPtr> ClonePlanWithParams(const PlanNode& node,
   GPHTAP_ASSIGN_OR_RETURN(p->filter, CloneExprWithParams(node.filter, params));
   p->index_col = node.index_col;
   p->index_key = node.index_key;
-  p->rows = node.rows;
+  p->emit_tid = node.emit_tid;
   p->series_start = node.series_start;
   p->series_end = node.series_end;
   p->exprs.reserve(node.exprs.size());

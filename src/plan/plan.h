@@ -17,7 +17,6 @@ enum class PlanKind : uint8_t {
   kSeqScan,
   kIndexScan,
   kVirtualScan,  // coordinator-only system-view scan (Cluster::SystemViewRows)
-  kValues,
   kGenerateSeries,
   kFilter,
   kProject,
@@ -27,6 +26,7 @@ enum class PlanKind : uint8_t {
   kSort,
   kLimit,
   kMotion,  // receive side; the child subtree is the send-side slice
+  kModifyTable,  // UPDATE / DELETE root over its scan; runs on every gang member
 };
 
 enum class MotionKind : uint8_t {
@@ -63,12 +63,18 @@ struct PlanNode {
   ExprPtr filter;              // also used by kFilter / join filters
   int index_col = -1;          // kIndexScan
   Datum index_key;
+  // The scan feeds a ModifyTable: it takes no lock of its own and appends two
+  // junk columns to each row, the version's TupleId (PostgreSQL's ctid) and
+  // the index of the partition leaf holding it (0 for an unpartitioned table).
+  bool emit_tid = false;
 
-  // kValues / kGenerateSeries
-  std::vector<Row> rows;
+  // kGenerateSeries
   int64_t series_start = 0, series_end = 0;
 
-  // kProject
+  // kProject; kModifyTable: the UPDATE's new row, one expression per column
+  // over the old row, null where the old value stays (empty for DELETE). A
+  // ModifyTable's `filter` is the WHERE clause, rechecked against a version
+  // a concurrent UPDATE produced.
   std::vector<ExprPtr> exprs;
 
   // kHashJoin / kNestLoop: children[0]=outer/probe, children[1]=inner/build
@@ -92,8 +98,8 @@ struct PlanNode {
   /// Number of columns this node produces (filled in by the planner).
   int output_arity = 0;
 
-  /// Pre-order id assigned by AssignPlanNodeIds; -1 = unassigned. Keys the
-  /// EXPLAIN ANALYZE per-operator actuals (StatementRecord::Operator).
+  /// Pre-order id the planner assigns (AssignPlanNodeIds); -1 = unassigned.
+  /// Keys the EXPLAIN ANALYZE per-operator actuals (StatementRecord::Operator).
   int node_id = -1;
 
   /// Marked by the planner when this subtree runs on the vectorized batch

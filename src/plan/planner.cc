@@ -129,9 +129,16 @@ bool MarkVectorizable(PlanNode* n, const std::set<TableId>& vec_tables) {
   return n->vectorize;
 }
 
-// Labels every scan node with the store that will serve it, for EXPLAIN
-// transparency: a vectorized heap scan under the delta store is served by the
-// delta-merged path, everything else by its table's physical storage.
+// The store that serves a scan of `def`, for EXPLAIN transparency: a
+// vectorized heap scan under the delta store is served by the delta-merged
+// path, everything else by its table's physical storage.
+std::string StoreLabel(const TableDef& def, bool delta_merged) {
+  if (def.partitions.has_value()) return "partitioned";
+  if (def.storage == StorageKind::kHeap && delta_merged) return "delta-merged";
+  return ScanStoreLabel(def.storage);
+}
+
+// Labels every scan node with the store that will serve it.
 void LabelScanStores(PlanNode* n, const std::vector<TableDef>& tables,
                      const PlannerOptions& opts) {
   if (n == nullptr) return;
@@ -141,53 +148,70 @@ void LabelScanStores(PlanNode* n, const std::vector<TableDef>& tables,
     return;
   }
   if (n->kind != PlanKind::kSeqScan && n->kind != PlanKind::kIndexScan) return;
-  const TableDef* def = nullptr;
   for (const TableDef& t : tables) {
     if (t.id == n->table) {
-      def = &t;
-      break;
+      n->scan_store = StoreLabel(t, n->vectorize && opts.delta_store);
+      return;
     }
   }
-  if (def == nullptr) return;
-  if (def->partitions.has_value()) {
-    n->scan_store = "partitioned";
-    return;
+}
+
+// Elastic expansion: the span a table's rows actually occupy, and whether a
+// rebalance is moving them. Prefers the live-catalog callback (cached
+// TableDefs go stale across a rebalance cutover); falls back to the def's own
+// field, then to "all segments".
+std::pair<int, bool> TableSpan(const TableDef& t, const PlannerOptions& opts) {
+  if (opts.table_dist) {
+    std::pair<int, bool> d = opts.table_dist(t.id);
+    if (d.first > 0 && d.first <= opts.num_segments) return d;
   }
-  switch (def->storage) {
-    case StorageKind::kHeap:
-      n->scan_store =
-          (n->vectorize && opts.delta_store) ? "delta-merged" : "heap";
-      break;
-    case StorageKind::kAoRow:
-      n->scan_store = "ao-row";
-      break;
-    case StorageKind::kAoColumn:
-      n->scan_store = "ao-column";
-      break;
-    case StorageKind::kExternal:
-      n->scan_store = "external";
-      break;
+  int ds = t.dist_segments;
+  if (ds <= 0 || ds > opts.num_segments) ds = opts.num_segments;
+  return {ds, t.rebalancing};
+}
+
+// The gang of a statement over `def` alone: [0, width), or the one segment a
+// fully pinned distribution key routes to. The routing modulus is the table's
+// own span, not the cluster width — and while a rebalance is in flight the
+// row may visibly live at either the old or the new home depending on
+// snapshot, so dispatch goes wide.
+std::vector<int> DispatchGang(const TableDef& def, const ExprPtr& quals, int width,
+                              const PlannerOptions& opts) {
+  if (opts.direct_dispatch && quals != nullptr &&
+      def.distribution.kind == DistributionKind::kHash) {
+    auto [span, rebalancing] = TableSpan(def, opts);
+    Row key(def.distribution.key_cols.size());
+    bool pinned = !rebalancing;
+    for (size_t i = 0; pinned && i < key.size(); ++i) {
+      pinned = ExtractEqualityConst(*quals, def.distribution.key_cols[i], &key[i]);
+    }
+    std::vector<int> idx(key.size());
+    std::iota(idx.begin(), idx.end(), 0);
+    if (pinned) return {static_cast<int>(HashRowKey(key, idx) % static_cast<uint64_t>(span))};
   }
+  std::vector<int> gang(static_cast<size_t>(width));
+  std::iota(gang.begin(), gang.end(), 0);
+  return gang;
+}
+
+// The access path for one table: a point lookup through the first index in
+// def.indexed_cols whose column `quals` pin by equality, else a SeqScan.
+// `offset` is the table's first column in the quals' layout; `filter` is
+// already rebased onto the table's own columns.
+PlanPtr ScanFor(const TableDef& def, const ExprPtr& quals, int offset, ExprPtr filter) {
+  const int ncols = static_cast<int>(def.schema.num_columns());
+  if (quals) {
+    for (int icol : def.indexed_cols) {
+      Datum key;
+      if (ExtractEqualityConst(*quals, offset + icol, &key)) {
+        return MakeIndexScan(def.id, ncols, icol, key, std::move(filter));
+      }
+    }
+  }
+  return MakeSeqScan(def.id, ncols, std::move(filter));
 }
 
 }  // namespace
-
-int DirectDispatchSegment(const TableDef& table, const std::vector<ExprPtr>& quals,
-                          int first_col_offset, int num_segments) {
-  if (table.distribution.kind != DistributionKind::kHash) return -1;
-  ExprPtr all = AndAll(quals);
-  if (!all) return -1;
-  Row key_values;
-  for (int key_col : table.distribution.key_cols) {
-    Datum v;
-    if (!ExtractEqualityConst(*all, first_col_offset + key_col, &v)) return -1;
-    key_values.push_back(std::move(v));
-  }
-  std::vector<int> idx(key_values.size());
-  std::iota(idx.begin(), idx.end(), 0);
-  uint64_t h = HashRowKey(key_values, idx);
-  return static_cast<int>(h % static_cast<uint64_t>(num_segments));
-}
 
 StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOptions& opts) {
   if (query.tables.empty()) return Status::InvalidArgument("SELECT requires FROM");
@@ -256,32 +280,10 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
     residual.push_back(q);
   }
 
-  // Elastic expansion: the span a table's rows actually occupy. Prefers the
-  // live-catalog callback (cached TableDefs go stale across a rebalance
-  // cutover); falls back to the def's own field, then to "all segments".
-  auto dist_of = [&](const TableDef& t) -> std::pair<int, bool> {
-    if (opts.table_dist) {
-      std::pair<int, bool> d = opts.table_dist(t.id);
-      if (d.first > 0 && d.first <= opts.num_segments) return d;
-    }
-    int ds = t.dist_segments;
-    if (ds <= 0 || ds > opts.num_segments) ds = opts.num_segments;
-    return {ds, t.rebalancing};
-  };
-
-  // Direct dispatch: single hash-distributed table with a fully pinned key.
-  // The routing modulus is the table's own span, not the cluster width — and
-  // while a rebalance is in flight the row may visibly live at either the old
-  // or the new home depending on snapshot, so dispatch goes wide.
-  std::vector<int> gang(static_cast<size_t>(opts.num_segments));
-  std::iota(gang.begin(), gang.end(), 0);
-  if (num_tables == 1 && opts.direct_dispatch) {
-    auto [mod, rebalancing] = dist_of(query.tables[0]);
-    if (!rebalancing) {
-      int seg = DirectDispatchSegment(query.tables[0], table_quals[0], 0, mod);
-      if (seg >= 0) gang = {seg};
-    }
-  }
+  // Direct dispatch: a single hash-distributed table with a fully pinned key.
+  std::vector<int> gang = DispatchGang(
+      query.tables[0], num_tables == 1 ? AndAll(table_quals[0]) : nullptr, opts.num_segments,
+      opts);
   // A query over only replicated tables runs on one segment (any copy);
   // segment 0 always holds a copy regardless of expansion state.
   bool all_replicated = true;
@@ -300,7 +302,7 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
       // The recorded span is authoritative even mid-rebalance: the sync flips
       // it only after every live snapshot can see the new copies, so until
       // then a wide gang would read missing rows on the added segments.
-      if (dist_of(t).first < opts.num_segments) {
+      if (TableSpan(t, opts).first < opts.num_segments) {
         return Status::Unavailable("replicated table " + t.name +
                                    " not yet synced to expanded segments; retry");
       }
@@ -323,26 +325,11 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
     for (int c = 0; c < ncols; ++c) {
       remap[static_cast<size_t>(offset[static_cast<size_t>(t)] + c)] = c;
     }
-    ExprPtr scan_filter = RemapExpr(AndAll(table_quals[static_cast<size_t>(t)]), remap);
-
-    PlanPtr scan;
-    // Point lookup through a hash index when available and pinned.
-    ExprPtr all_quals = AndAll(table_quals[static_cast<size_t>(t)]);
-    bool made_index_scan = false;
-    if (def.is_system_view) {
-      scan = MakeVirtualScan(def.id, ncols, scan_filter);
-      made_index_scan = true;  // suppress the SeqScan fallback below
-    } else if (all_quals) {
-      for (int icol : def.indexed_cols) {
-        Datum key;
-        if (ExtractEqualityConst(*all_quals, offset[static_cast<size_t>(t)] + icol, &key)) {
-          scan = MakeIndexScan(def.id, ncols, icol, key, scan_filter);
-          made_index_scan = true;
-          break;
-        }
-      }
-    }
-    if (!made_index_scan) scan = MakeSeqScan(def.id, ncols, scan_filter);
+    ExprPtr quals = AndAll(table_quals[static_cast<size_t>(t)]);
+    ExprPtr scan_filter = RemapExpr(quals, remap);
+    PlanPtr scan = def.is_system_view
+                       ? MakeVirtualScan(def.id, ncols, scan_filter)
+                       : ScanFor(def, quals, offset[static_cast<size_t>(t)], scan_filter);
 
     RelState rel;
     rel.plan = std::move(scan);
@@ -356,7 +343,7 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
       // mid-rebalance, with rows transiently at both homes) does not place a
       // key on the segment a full-width redistribute would, so its
       // distribution is treated as unknown and joins add a motion.
-      auto [mod, rebalancing] = dist_of(def);
+      auto [mod, rebalancing] = TableSpan(def, opts);
       if (mod == opts.num_segments && !rebalancing) {
         for (int kc : def.distribution.key_cols) {
           rel.hash_dist.push_back(offset[static_cast<size_t>(t)] + kc);
@@ -697,6 +684,50 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
     if (!vec_tables.empty()) MarkVectorizable(out.root.get(), vec_tables);
   }
   LabelScanStores(out.root.get(), query.tables, opts);
+  AssignPlanNodeIds(out.root.get());
+  return out;
+}
+
+StatusOr<PlannedSelect> PlanModify(const TableDef& def,
+                                   const std::vector<std::pair<int, ExprPtr>>* sets,
+                                   const ExprPtr& where, const PlannerOptions& opts) {
+  if (def.storage == StorageKind::kExternal && !def.partitions.has_value()) {
+    return Status::NotSupported("UPDATE/DELETE on external storage");
+  }
+  const int ncols = static_cast<int>(def.schema.num_columns());
+  auto modify = std::make_unique<PlanNode>();
+  modify->kind = PlanKind::kModifyTable;
+  modify->table = def.id;
+  modify->filter = where;
+  modify->output_arity = 1;  // the gang member's affected count
+  if (sets != nullptr) {
+    modify->exprs.resize(static_cast<size_t>(ncols));
+    for (const auto& [col, expr] : *sets) {
+      // Updating the distribution key would move rows across segments; like
+      // classic Greenplum we reject it.
+      if (def.distribution.kind == DistributionKind::kHash &&
+          std::count(def.distribution.key_cols.begin(), def.distribution.key_cols.end(),
+                     col) > 0) {
+        return Status::NotSupported("UPDATE of the distribution key column " +
+                                    def.schema.column(static_cast<size_t>(col)).name);
+      }
+      modify->exprs[static_cast<size_t>(col)] = expr;
+    }
+  }
+  // The scan stays on the row engine: the ModifyTable stamps row versions.
+  PlanPtr scan = ScanFor(def, where, 0, where);
+  scan->emit_tid = true;
+  scan->output_arity = ncols + 2;
+  scan->scan_store = StoreLabel(def, /*delta_merged=*/false);
+  modify->children.push_back(std::move(scan));
+
+  // Every copy of a replicated table, every segment the table spans, or every
+  // serving segment while a rebalance may hold a row at either home.
+  auto [span, rebalancing] = TableSpan(def, opts);
+  PlannedSelect out;
+  out.gang = DispatchGang(def, where, rebalancing ? opts.num_segments : span, opts);
+  out.root = std::move(modify);
+  AssignPlanNodeIds(out.root.get());
   return out;
 }
 

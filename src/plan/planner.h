@@ -35,6 +35,7 @@ struct PlannerOptions {
   std::function<std::pair<int, bool>(TableId)> table_dist;
 };
 
+/// A planned statement: a SELECT, or an UPDATE / DELETE (PlanModify).
 struct PlannedSelect {
   PlanPtr root;                       // top slice runs on the coordinator
   std::vector<int> gang;              // segments executing the leaf slices
@@ -43,10 +44,14 @@ struct PlannedSelect {
 
 StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOptions& opts);
 
-/// Returns the segment a fully pinned distribution key routes to, or -1.
-/// Exposed for DML direct dispatch as well.
-int DirectDispatchSegment(const TableDef& table, const std::vector<ExprPtr>& quals,
-                          int first_col_offset, int num_segments);
+/// Plans UPDATE (`sets` non-null: column, new value over the old row) or
+/// DELETE as a ModifyTable over the scan PlanSelect would pick for `where`:
+/// an IndexScan when an indexed column is pinned by equality, else a SeqScan.
+/// The root has no motion; each gang member runs the whole plan on its own
+/// rows. Rejects an UPDATE of a distribution-key column.
+StatusOr<PlannedSelect> PlanModify(const TableDef& def,
+                                   const std::vector<std::pair<int, ExprPtr>>* sets,
+                                   const ExprPtr& where, const PlannerOptions& opts);
 
 }  // namespace gphtap
 

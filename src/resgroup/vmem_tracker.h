@@ -69,8 +69,8 @@ class QueryMemoryAccount {
  private:
   VmemTracker* const tracker_;
   std::shared_ptr<GroupMemory> group_;
-  // Atomic: one query's parallel slices (per-segment DML workers, motion
-  // receivers) reserve through the same account concurrently.
+  // Atomic: one query's parallel slices (gang members, motion receivers)
+  // reserve through the same account concurrently.
   std::atomic<int64_t> slot_used_{0};
   std::atomic<int64_t> group_shared_used_{0};
   std::atomic<int64_t> global_used_{0};

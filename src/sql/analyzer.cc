@@ -399,8 +399,6 @@ StatusOr<BoundInsert> Analyzer::BindInsert(const sql_ast::InsertNode& node) {
       GPHTAP_ASSIGN_OR_RETURN(Datum d, EvalConst(*row_exprs[i]));
       row[static_cast<size_t>(positions[i])] = std::move(d);
     }
-    GPHTAP_RETURN_IF_ERROR(schema.CheckRow(row));
-    schema.CoerceRow(&row);
     out.rows.push_back(std::move(row));
   }
   return out;

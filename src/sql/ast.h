@@ -216,7 +216,7 @@ enum class StatementKind : uint8_t {
   kAlterRole,
   kSet,
   kShowTables,
-  kExplain,  // EXPLAIN SELECT ...
+  kExplain,  // EXPLAIN [ANALYZE] SELECT | UPDATE | DELETE (select, update or del)
   kTruncate,
   kPrepare,          // PREPARE name AS <stmt>
   kExecutePrepared,  // EXECUTE name(args)

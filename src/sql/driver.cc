@@ -441,9 +441,18 @@ StatusOr<QueryResult> DispatchStatement(Session* session, const Statement& stmt,
     }
 
     case StatementKind::kExplain: {
+      if (stmt.update != nullptr) {
+        GPHTAP_ASSIGN_OR_RETURN(BoundUpdate bound, analyzer.BindUpdate(*stmt.update));
+        return session->ExplainModify(bound.table, &bound.sets, bound.where,
+                                      stmt.explain_analyze);
+      }
+      if (stmt.del != nullptr) {
+        GPHTAP_ASSIGN_OR_RETURN(BoundDelete bound, analyzer.BindDelete(*stmt.del));
+        return session->ExplainModify(bound.table, nullptr, bound.where,
+                                      stmt.explain_analyze);
+      }
       GPHTAP_ASSIGN_OR_RETURN(SelectQuery q, analyzer.BindSelect(*stmt.select));
-      if (stmt.explain_analyze) return session->ExplainAnalyzeSelect(q);
-      return session->ExplainSelect(q);
+      return session->ExplainSelect(q, stmt.explain_analyze);
     }
 
     case StatementKind::kInsert: {
@@ -472,7 +481,6 @@ StatusOr<QueryResult> DispatchStatement(Session* session, const Statement& stmt,
           for (size_t i = 0; i < positions.size(); ++i) {
             full[static_cast<size_t>(positions[i])] = std::move(r[i]);
           }
-          schema.CoerceRow(&full);
           rows.push_back(std::move(full));
         }
         return session->ExecuteInsert(bound.table, rows);

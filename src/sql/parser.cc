@@ -262,10 +262,16 @@ class Parser {
       return stmt;
     }
     if (AcceptWord("explain")) {
-      stmt.explain_analyze = AcceptWord("analyze");
+      const bool analyze = AcceptWord("analyze");
+      if (AcceptWord("update")) {
+        GPHTAP_ASSIGN_OR_RETURN(stmt, ParseUpdate());
+      } else if (AcceptWord("delete")) {
+        GPHTAP_ASSIGN_OR_RETURN(stmt, ParseDelete());
+      } else {
+        GPHTAP_ASSIGN_OR_RETURN(stmt.select, ParseSelect());
+      }
       stmt.kind = StatementKind::kExplain;
-      GPHTAP_ASSIGN_OR_RETURN(auto sel, ParseSelect());
-      stmt.select = std::move(sel);
+      stmt.explain_analyze = analyze;
       return stmt;
     }
     if (AcceptWord("insert")) return ParseInsert();

@@ -2,7 +2,7 @@
 // reads one instrumentation struct per query the same way). The Session owns
 // one StatementRecord and resets it at statement start. Code below the session
 // reaches it through one pointer, WaitContext::record: the gang runner copies
-// the wait context into every executor slice, DML worker and commit fan-out,
+// the wait context into every executor slice and commit fan-out,
 // and ExecContext::record carries the same pointer through the executor.
 // gp_stat_statements, the slow-query log, EXPLAIN ANALYZE and Chrome traces
 // all render from it.
@@ -61,7 +61,7 @@ class StatementRecord {
   bool plan_cache_hit = false;
 
   // Gang resource counters.
-  std::atomic<uint64_t> exec_cpu_ns{0};  // thread CPU time of slices and DML workers
+  std::atomic<uint64_t> exec_cpu_ns{0};  // thread CPU time of slices and INSERT applies
   std::atomic<uint64_t> net_bytes{0};    // motion bytes sent (SimNet-charged)
   std::atomic<uint64_t> buffer_hits{0};
   std::atomic<uint64_t> buffer_misses{0};
@@ -73,7 +73,7 @@ class StatementRecord {
   bool analyze = false;
   Trace* trace = nullptr;
 
-  /// Times one slice, DML segment worker or INSERT segment apply on the
+  /// Times one slice (UPDATE / DELETE included) or INSERT segment apply on the
   /// thread that runs it. Reads the wall and thread-CPU clocks once here and
   /// once on destruction, then charges the record. A null record is a no-op.
   class SliceScope {

@@ -33,10 +33,10 @@ class AoRowTable : public Table {
   uint64_t StoredVersionCount() const override;
   uint64_t BytesScanned() const override;
 
-  /// Visibility-map delete (Greenplum's AO DML): records that `xid` deleted
-  /// `tid`. Callers serialize through a relation-level ExclusiveLock, so a
-  /// pre-existing entry can only be from an aborted deleter and is overwritten.
-  Status MarkDeleted(TupleId tid, LocalXid xid);
+  /// Visibility-map delete (Greenplum's AO DML). Callers serialize through a
+  /// relation-level ExclusiveLock, so a pre-existing entry can only be from an
+  /// aborted deleter and is overwritten.
+  Status MarkDeleted(TupleId tid, LocalXid xid) override;
   size_t VisimapSize() const;
 
   /// Per-group occupancy under the caller's dead-row predicate (bloat

@@ -53,7 +53,7 @@ class AoColumnTable : public Table {
   uint64_t ColumnCompressedBytes(int col) const;
 
   /// Stamps the row's xmax (see AoRowTable::MarkDeleted).
-  Status MarkDeleted(TupleId tid, LocalXid xid);
+  Status MarkDeleted(TupleId tid, LocalXid xid) override;
 
   /// Per-group occupancy under the caller's dead-row predicate (bloat
   /// reporting and the compaction trigger). The open tail reports unsealed.

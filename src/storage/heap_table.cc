@@ -315,6 +315,11 @@ uint64_t HeapTable::FreeSlots() const {
   return free_list_.size();
 }
 
+Status Table::MarkDeleted(TupleId, LocalXid) {
+  return Status::NotSupported("UPDATE/DELETE on " +
+                              std::string(StorageKindName(def_.storage)) + " storage");
+}
+
 // Default projected scan for storages without native column projection.
 Status Table::ScanColumns(const VisibilityContext& ctx, const std::vector<int>& cols,
                           const ScanCallback& fn) {

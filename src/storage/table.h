@@ -42,9 +42,14 @@ class Table {
   virtual Status ScanColumns(const VisibilityContext& ctx, const std::vector<int>& cols,
                              const ScanCallback& fn);
 
-  /// Whether UPDATE/DELETE are supported (heap only in this implementation,
-  /// mirroring append-optimized tables favouring bulk load).
+  /// Whether rows carry MVCC versions that UPDATE/DELETE stamp in place
+  /// (heap only; append-optimized tables delete through a visibility map).
   virtual bool SupportsMvccWrite() const { return false; }
+
+  /// Append-optimized delete: records in the visibility map that `xid`
+  /// deleted `tid`. Writers serialize on the relation's ExclusiveLock. A heap
+  /// stamps its own versions (HeapTable::TryMarkDeleted); other kinds refuse.
+  virtual Status MarkDeleted(TupleId tid, LocalXid xid);
 
   /// Total stored versions (including dead ones); a cheap size estimate.
   virtual uint64_t StoredVersionCount() const = 0;

@@ -26,9 +26,11 @@ TEST(SchemaTest, CheckRowTypes) {
   Schema s({{"i", TypeId::kInt64}, {"d", TypeId::kDouble}, {"t", TypeId::kString}});
   EXPECT_TRUE(
       s.CheckRow({Datum(int64_t{1}), Datum(1.5), Datum(std::string("x"))}).ok());
-  // Int widens to double.
-  EXPECT_TRUE(
-      s.CheckRow({Datum(int64_t{1}), Datum(int64_t{2}), Datum(std::string("x"))}).ok());
+  // An int is no double: writers widen it first (CoerceRow).
+  Row widened = {Datum(int64_t{1}), Datum(int64_t{2}), Datum(std::string("x"))};
+  EXPECT_FALSE(s.CheckRow(widened).ok());
+  s.CoerceRow(&widened);
+  EXPECT_TRUE(s.CheckRow(widened).ok());
   // String where int expected fails.
   EXPECT_FALSE(
       s.CheckRow({Datum(std::string("no")), Datum(1.5), Datum(std::string("x"))}).ok());

@@ -2,6 +2,8 @@
 // distributed executor -> storage, with real transactions.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <future>
 #include <limits>
 
@@ -357,6 +359,117 @@ TEST_F(SqlEndToEndTest, PartitionedTableThroughSql) {
   EXPECT_EQ(Exec("SELECT count(*) FROM sales").rows[0][0].int_val(), 200);
   EXPECT_EQ(Exec("SELECT sum(amount) FROM sales WHERE day >= 100").rows[0][0].int_val(),
             (100 + 199) * 100 / 2);
+}
+
+TEST_F(SqlEndToEndTest, DmlOnPartitionedRootModifiesEveryLeafKind) {
+  // Figure 5's tiers: days [0,100) archived in an external file, [100,200) in
+  // an AO-column leaf, [200,300) in the heap leaf that takes OLTP traffic.
+  const std::string archive = ::testing::TempDir() + "sql_e2e_sales_archive.csv";
+  {
+    std::ofstream f(archive, std::ios::trunc);
+    for (int day = 0; day < 100; ++day) f << day << "," << day * 3 << "\n";
+  }
+  Exec("CREATE TABLE sales (day int, amount int) DISTRIBUTED BY (day) "
+       "PARTITION BY RANGE (day) ("
+       "PARTITION hot START 200 END 300, "
+       "PARTITION cold START 100 END 200 WITH (appendonly=true, orientation=column), "
+       "PARTITION archive START 0 END 100 EXTERNAL '" + archive + "')");
+  Exec("INSERT INTO sales SELECT i, i FROM generate_series(100, 299) i");
+
+  // The AO-column leaf takes UPDATE and DELETE through its visibility map.
+  EXPECT_EQ(Exec("UPDATE sales SET amount = 0 WHERE day >= 100 AND day < 110").affected, 10);
+  EXPECT_EQ(Exec("DELETE FROM sales WHERE day >= 190 AND day < 200").affected, 10);
+  QueryResult cold = Exec("SELECT count(*), sum(amount) FROM sales "
+                          "WHERE day >= 100 AND day < 200");
+  ASSERT_EQ(cold.rows.size(), 1u);
+  EXPECT_EQ(cold.rows[0][0].int_val(), 90);
+  EXPECT_EQ(cold.rows[0][1].int_val(), (110 + 189) * 80 / 2);
+
+  // The heap-leaf point UPDATE of examples/polymorphic_partitions.cpp.
+  EXPECT_EQ(Exec("UPDATE sales SET amount = amount + 1000 WHERE day = 250").affected, 1);
+  QueryResult hot = Exec("SELECT amount FROM sales WHERE day = 250");
+  ASSERT_EQ(hot.rows.size(), 1u);
+  EXPECT_EQ(hot.rows[0][0].int_val(), 1250);
+
+  // Archived rows are read-only: a match fails instead of being skipped.
+  auto update = session_->Execute("UPDATE sales SET amount = 0 WHERE day < 10");
+  ASSERT_FALSE(update.ok());
+  EXPECT_EQ(update.status().code(), StatusCode::kNotSupported);
+  auto del = session_->Execute("DELETE FROM sales WHERE day < 200");
+  ASSERT_FALSE(del.ok());
+  EXPECT_EQ(del.status().code(), StatusCode::kNotSupported);
+  EXPECT_EQ(Exec("SELECT count(*) FROM sales").rows[0][0].int_val(), 290);
+  std::remove(archive.c_str());
+}
+
+TEST_F(SqlEndToEndTest, ReplicatedDmlCountsRowsNotCopies) {
+  Exec("CREATE TABLE r (k int, v int) DISTRIBUTED REPLICATED");
+  EXPECT_EQ(Exec("INSERT INTO r VALUES (1, 1), (2, 2)").affected, 2);
+  EXPECT_EQ(Exec("UPDATE r SET v = 5 WHERE k = 1").affected, 1);
+  EXPECT_EQ(Exec("DELETE FROM r WHERE k = 2").affected, 1);
+  EXPECT_EQ(Exec("SELECT v FROM r").rows.size(), 1u);
+  // Every copy took the write: two inserted versions plus the update's.
+  TableId id = cluster_->LookupTable("r")->id;
+  for (int s = 0; s < cluster_->num_segments(); ++s) {
+    EXPECT_EQ(cluster_->segment(s)->GetTable(id)->StoredVersionCount(), 3u) << s;
+  }
+}
+
+TEST_F(SqlEndToEndTest, ProgrammaticIntsForDoubleColumnsAreWidened) {
+  for (const std::string storage : {"", " WITH (appendonly=true, orientation=column)"}) {
+    Exec("CREATE TABLE t (k int, v double)" + storage + " DISTRIBUTED BY (k)");
+    TableDef def = *cluster_->LookupTable("t");
+    ASSERT_TRUE(session_->ExecuteInsert(def, {Row{Datum(int64_t{3}), Datum(int64_t{3})}}).ok());
+    for (const char* vectorized : {"on", "off"}) {
+      Exec(std::string("SET vectorized_execution = ") + vectorized);
+      QueryResult r = Exec("SELECT v / 4 FROM t WHERE k = 3");
+      ASSERT_EQ(r.rows.size(), 1u);
+      ASSERT_TRUE(r.rows[0][0].is_double()) << storage << " " << r.rows[0][0].ToString();
+      EXPECT_DOUBLE_EQ(r.rows[0][0].double_val(), 0.75) << storage << " " << vectorized;
+    }
+    // An UPDATE's int lands as a double too.
+    Exec("UPDATE t SET v = 1 WHERE k = 3");
+    QueryResult r = Exec("SELECT v / 4 FROM t WHERE k = 3");
+    ASSERT_EQ(r.rows.size(), 1u);
+    ASSERT_TRUE(r.rows[0][0].is_double()) << storage;
+    EXPECT_DOUBLE_EQ(r.rows[0][0].double_val(), 0.25);
+    Exec("SET vectorized_execution = default");
+    Exec("DROP TABLE t");
+  }
+}
+
+TEST_F(SqlEndToEndTest, ExplainCoversUpdateAndDelete) {
+  Exec("CREATE TABLE pgbench_accounts (aid int, bid int, abalance int) DISTRIBUTED BY (aid)");
+  Exec("CREATE INDEX ON pgbench_accounts (aid)");
+  Exec("INSERT INTO pgbench_accounts SELECT i, 1, 0 FROM generate_series(1, 20) i");
+  auto text = [](const QueryResult& r) {
+    std::string out;
+    for (const Row& row : r.rows) out += RowToString(row) + "\n";
+    return out;
+  };
+  const std::string update =
+      "UPDATE pgbench_accounts SET abalance = abalance + 1 WHERE aid = 7";
+  QueryResult plan = Exec("EXPLAIN " + update);
+  ASSERT_EQ(plan.rows.size(), 3u) << text(plan);
+  EXPECT_NE(text(plan).find("(direct dispatch)"), std::string::npos) << text(plan);
+  EXPECT_EQ(plan.rows[1][0].string_val().rfind("ModifyTable update", 0), 0u) << text(plan);
+  EXPECT_NE(plan.rows[2][0].string_val().find("IndexScan"), std::string::npos) << text(plan);
+  EXPECT_EQ(text(plan).find("Motion"), std::string::npos) << text(plan);
+
+  QueryResult analyzed = Exec("EXPLAIN ANALYZE " + update);
+  ASSERT_GE(analyzed.rows.size(), 3u) << text(analyzed);
+  EXPECT_NE(analyzed.rows[1][0].string_val().find("actual rows=1 "), std::string::npos)
+      << text(analyzed);
+  EXPECT_NE(analyzed.rows[2][0].string_val().find("actual rows=1 "), std::string::npos)
+      << text(analyzed);
+  EXPECT_EQ(Exec("SELECT abalance FROM pgbench_accounts WHERE aid = 7").rows[0][0].int_val(), 1);
+
+  Exec("CREATE TABLE t (k int, v int) DISTRIBUTED BY (k)");
+  QueryResult del = Exec("EXPLAIN DELETE FROM t");
+  ASSERT_EQ(del.rows.size(), 3u) << text(del);
+  EXPECT_EQ(del.rows[0][0].string_val(), "gang: segments {0,1,2}") << text(del);
+  EXPECT_EQ(del.rows[1][0].string_val().rfind("ModifyTable delete", 0), 0u) << text(del);
+  EXPECT_NE(del.rows[2][0].string_val().find("SeqScan"), std::string::npos) << text(del);
 }
 
 TEST_F(SqlEndToEndTest, TruncateDiscardsEverything) {

@@ -163,7 +163,7 @@ TEST_F(ExecutorTest, SortAndLimitStopProducersEarly) {
   EXPECT_EQ((*rows)[2][0].int_val(), 18);
 }
 
-TEST_F(ExecutorTest, GenerateSeriesAndValuesNodes) {
+TEST_F(ExecutorTest, GenerateSeriesNode) {
   auto series = std::make_unique<PlanNode>();
   series->kind = PlanKind::kGenerateSeries;
   series->series_start = 5;
@@ -173,6 +173,24 @@ TEST_F(ExecutorTest, GenerateSeriesAndValuesNodes) {
   ASSERT_TRUE(rows.ok());
   // Each gang member produces the series: 5 values x 2 segments.
   EXPECT_EQ(rows->size(), 10u);
+}
+
+TEST_F(ExecutorTest, ModifyTableRunsOnEveryMemberWithoutAMotion) {
+  // UPDATE and DELETE are plans too, but their root is the ModifyTable: each
+  // gang member stamps its own rows and answers with a count, so no tuple
+  // crosses the network.
+  const uint64_t tuples = cluster_->net().count(MsgKind::kTupleData);
+  const uint64_t dispatches = cluster_->net().count(MsgKind::kDispatch);
+  const uint64_t results = cluster_->net().count(MsgKind::kResult);
+  auto update = session_->Execute("UPDATE t SET v = v + 1 WHERE v > 100");
+  ASSERT_TRUE(update.ok()) << update.status().ToString();
+  EXPECT_EQ(update->affected, 10);
+  auto del = session_->Execute("DELETE FROM t WHERE v < 50");
+  ASSERT_TRUE(del.ok()) << del.status().ToString();
+  EXPECT_EQ(del->affected, 4);
+  EXPECT_EQ(cluster_->net().count(MsgKind::kTupleData), tuples);
+  EXPECT_EQ(cluster_->net().count(MsgKind::kDispatch), dispatches + 4);
+  EXPECT_EQ(cluster_->net().count(MsgKind::kResult), results + 4);
 }
 
 TEST_F(ExecutorTest, CancellationAbortsQuery) {

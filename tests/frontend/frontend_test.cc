@@ -353,13 +353,31 @@ TEST(FrontendTest, ManyLogicalSessionsOverAFixedPool) {
   tpcb.accounts_per_branch = 50;
   ASSERT_TRUE(LoadTpcb(&cluster, tpcb).ok());
 
+  // The run stops on work done, not after a fixed window that must also cover
+  // the ramp and 300 PREPARE scripts: once every session is in and 50 TPC-B
+  // transactions have committed. The duration only caps a stuck run.
   FrontendWorkloadOptions w;
   w.logical_sessions = 300;
-  w.duration_ms = 400;
+  w.duration_ms = 60'000;
   w.seed = 7;
   w.session_init = TpcbPrepareScript();
+  std::atomic<bool> stop{false};
+  w.stop = &stop;
+  Counter* commits = cluster.metrics().counter("txn.committed");
+  const uint64_t loaded = commits->value();
+  std::atomic<bool> finished{false};
+  std::thread watcher([&] {
+    while (!finished.load() && !stop.load()) {
+      if (cluster.frontend()->stats().accepted >= 300 && commits->value() >= loaded + 50) {
+        stop.store(true);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
   FrontendWorkloadResult r = RunFrontendWorkload(
       &cluster, w, [&tpcb](Rng& rng) { return TpcbTransactionScript(rng, tpcb); });
+  finished.store(true);
+  watcher.join();
 
   EXPECT_TRUE(r.fatal.ok()) << r.fatal.ToString();
   EXPECT_EQ(r.connect_ok, 300u);

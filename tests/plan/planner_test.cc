@@ -69,7 +69,7 @@ TEST(PlannerTest, DirectDispatchOnPinnedKey) {
   ASSERT_TRUE(planned.ok());
   EXPECT_EQ(planned->gang.size(), 1u);  // routed to exactly one segment
   int expected = static_cast<int>(Datum(int64_t{7}).Hash() % 4);
-  // DirectDispatchSegment hashes the key row, which for a single int key equals
+  // Direct dispatch hashes the key row, which for a single int key equals
   // HashRowKey of that one datum.
   Row key = {Datum(int64_t{7})};
   EXPECT_EQ(planned->gang[0], static_cast<int>(HashRowKey(key, {0}) % 4));
@@ -246,6 +246,53 @@ TEST(PlannerTest, AllReplicatedRunsOnOneSegment) {
   auto planned = PlanSelect(q, Opts(4));
   ASSERT_TRUE(planned.ok());
   EXPECT_EQ(planned->gang.size(), 1u);
+}
+
+TEST(PlannerTest, ModifyTableRunsOverThePlannersScan) {
+  TableDef t = MakeTable(1, "t");
+  t.indexed_cols = {1, 0};
+  ExprPtr pinned = Expr::Binary(BinOp::kEq, Expr::Column(0), Expr::Const(Datum(int64_t{5})));
+  std::vector<std::pair<int, ExprPtr>> sets = {{1, Expr::Const(Datum(int64_t{9}))}};
+
+  // UPDATE pinned on an indexed distribution key: one segment, an IndexScan
+  // that feeds the TupleId junk columns, and no motion.
+  auto update = PlanModify(t, &sets, pinned, Opts(4));
+  ASSERT_TRUE(update.ok()) << update.status().ToString();
+  EXPECT_EQ(update->gang.size(), 1u);
+  EXPECT_EQ(update->root->kind, PlanKind::kModifyTable);
+  ASSERT_EQ(update->root->exprs.size(), 2u);
+  EXPECT_EQ(update->root->exprs[0], nullptr);
+  EXPECT_NE(update->root->exprs[1], nullptr);
+  const PlanNode& scan = *update->root->children[0];
+  EXPECT_EQ(scan.kind, PlanKind::kIndexScan);
+  EXPECT_EQ(scan.index_col, 0);
+  EXPECT_TRUE(scan.emit_tid);
+  EXPECT_EQ(scan.output_arity, 4);
+  EXPECT_EQ(CountNodes(*update->root, PlanKind::kMotion), 0);
+
+  // DELETE with no predicate: a SeqScan on every segment the table spans.
+  auto del = PlanModify(t, nullptr, nullptr, Opts(4));
+  ASSERT_TRUE(del.ok());
+  EXPECT_EQ(del->gang, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_TRUE(del->root->exprs.empty());
+  EXPECT_EQ(del->root->children[0]->kind, PlanKind::kSeqScan);
+
+  // A rebalancing table fans out to every serving segment, pinned or not; a
+  // settled one stays on its span.
+  PlannerOptions expanding = Opts(4);
+  bool rebalancing = true;
+  expanding.table_dist = [&](TableId) { return std::make_pair(2, rebalancing); };
+  EXPECT_EQ(PlanModify(t, &sets, pinned, expanding)->gang.size(), 4u);
+  rebalancing = false;
+  EXPECT_EQ(PlanModify(t, nullptr, nullptr, expanding)->gang, (std::vector<int>{0, 1}));
+
+  // Every copy of a replicated table; no UPDATE of a distribution key.
+  TableDef r = MakeTable(2, "r", DistributionPolicy::Replicated());
+  EXPECT_EQ(PlanModify(r, &sets, pinned, Opts(4))->gang.size(), 4u);
+  std::vector<std::pair<int, ExprPtr>> key_set = {{0, Expr::Const(Datum(int64_t{1}))}};
+  auto moved = PlanModify(t, &key_set, pinned, Opts(4));
+  ASSERT_FALSE(moved.ok());
+  EXPECT_EQ(moved.status().code(), StatusCode::kNotSupported);
 }
 
 TEST(PlannerTest, EmptyFromRejected) {

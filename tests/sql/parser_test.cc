@@ -187,6 +187,15 @@ TEST(ParserTest, ExplainParses) {
   Statement s = Parse("EXPLAIN SELECT a FROM t WHERE a = 1");
   EXPECT_EQ(s.kind, StatementKind::kExplain);
   ASSERT_NE(s.select, nullptr);
+  Statement update = Parse("EXPLAIN ANALYZE UPDATE t SET a = a + 1 WHERE b = 2");
+  EXPECT_EQ(update.kind, StatementKind::kExplain);
+  EXPECT_TRUE(update.explain_analyze);
+  ASSERT_NE(update.update, nullptr);
+  EXPECT_EQ(update.update->sets.size(), 1u);
+  Statement del = Parse("EXPLAIN DELETE FROM t");
+  EXPECT_EQ(del.kind, StatementKind::kExplain);
+  EXPECT_FALSE(del.explain_analyze);
+  ASSERT_NE(del.del, nullptr);
 }
 
 TEST(ParserTest, ExpressionPrecedence) {

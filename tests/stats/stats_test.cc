@@ -91,7 +91,7 @@ TEST(StatementRecordTest, TopWaitsSortByTotalTimeAndResetClears) {
   EXPECT_TRUE(record.TopWaits(3).empty());
 }
 
-// A gang's slices, DML workers and commit fan-out charge one record from many
+// A gang's slices and commit fan-out charge one record from many
 // threads at once; every part must come out exact.
 TEST(StatementRecordTest, ConcurrentRecordingIsExact) {
   constexpr int kThreads = 8;

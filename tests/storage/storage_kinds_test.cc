@@ -273,6 +273,23 @@ TEST_F(StorageKindsTest, AoColumnVisimapAcrossSealedGroups) {
   EXPECT_EQ(count, n - 2);
 }
 
+TEST_F(StorageKindsTest, EveryKindRejectsAnIntForADoubleColumn) {
+  const std::string path = ::testing::TempDir() + "gphtap_int_for_double.csv";
+  for (StorageKind kind : {StorageKind::kHeap, StorageKind::kAoRow, StorageKind::kAoColumn,
+                           StorageKind::kExternal}) {
+    TableDef def = Def(kind);
+    def.schema = Schema({{"k", TypeId::kInt64}, {"v", TypeId::kDouble}});
+    def.external_path = path;
+    std::unique_ptr<Table> t = CreateTable(def, &clog_, nullptr);
+    LocalXid x = BeginCommitted();
+    auto bad = t->Insert(x, Row{Datum(int64_t{1}), Datum(int64_t{3})});
+    ASSERT_FALSE(bad.ok()) << StorageKindName(kind);
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(t->Insert(x, Row{Datum(int64_t{1}), Datum(3.0)}).ok());
+  }
+  std::remove(path.c_str());
+}
+
 TEST_F(StorageKindsTest, FactoryCreatesEveryKind) {
   EXPECT_NE(CreateTable(Def(StorageKind::kHeap), &clog_, nullptr), nullptr);
   EXPECT_NE(CreateTable(Def(StorageKind::kAoRow), &clog_, nullptr), nullptr);
