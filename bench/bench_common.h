@@ -210,16 +210,21 @@ inline int BenchMain(int argc, char** argv, const std::string& json_name,
 }
 
 /// Micro-benchmark point: per-iteration latency histogram -> the same
-/// required keys as the driver-based benches.
+/// required keys as the driver-based benches. `lat` counts in units of
+/// 1 / `lat_per_us` microseconds (1000 for a histogram of nanoseconds); the
+/// percentiles are emitted in fractional microseconds.
 inline void RecordMicroPoint(const std::string& series, int64_t arg,
                              const Histogram& lat, double seconds,
-                             Cluster* cluster = nullptr) {
+                             Cluster* cluster = nullptr, int64_t lat_per_us = 1) {
+  auto us = [&](double p) {
+    return static_cast<double>(lat.Percentile(p)) / static_cast<double>(lat_per_us);
+  };
   JsonFields fields;
   fields.push_back({"throughput_tps",
                     seconds > 0 ? static_cast<double>(lat.count()) / seconds : 0});
-  fields.push_back({"p50_us", static_cast<double>(lat.Percentile(50))});
-  fields.push_back({"p95_us", static_cast<double>(lat.Percentile(95))});
-  fields.push_back({"p99_us", static_cast<double>(lat.Percentile(99))});
+  fields.push_back({"p50_us", us(50)});
+  fields.push_back({"p95_us", us(95)});
+  fields.push_back({"p99_us", us(99)});
   fields.push_back({"iterations", static_cast<double>(lat.count())});
   if (cluster != nullptr) AddClusterCounters(cluster, &fields);
   RecordPoint(series, arg, std::move(fields));
@@ -230,22 +235,25 @@ inline void RecordMicroPoint(const std::string& series, int64_t arg,
 /// not the wall clock of the whole loop: under a capped/short run the harness
 /// overhead between iterations (KeepRunning bookkeeping, timer reads) is a
 /// visible fraction of the loop and used to deflate fast series the most —
-/// precisely the vectorized kernels this file exists to compare.
+/// precisely the vectorized kernels this file exists to compare. Iterations
+/// are timed in nanoseconds: whole microseconds would count every iteration
+/// under 1 us as free.
 /// `setup`, when given, runs untimed before every timed `fn`.
 template <typename Setup, typename Fn>
 inline void RunMicro(::benchmark::State& state, const std::string& series,
                      int64_t arg, Setup&& setup, Fn&& fn) {
-  Histogram lat;
-  int64_t active_us = 0;
+  Histogram lat_ns;
+  int64_t active_ns = 0;
   for (auto _ : state) {
     setup();
     Stopwatch sw;
     fn();
-    int64_t us = sw.ElapsedMicros();
-    active_us += us;
-    lat.Record(us);
+    int64_t ns = sw.ElapsedNanos();
+    active_ns += ns;
+    lat_ns.Record(ns);
   }
-  RecordMicroPoint(series, arg, lat, static_cast<double>(active_us) / 1e6);
+  RecordMicroPoint(series, arg, lat_ns, static_cast<double>(active_ns) / 1e9, nullptr,
+                   /*lat_per_us=*/1000);
 }
 
 template <typename Fn>

@@ -62,10 +62,10 @@ void BM_ReleaseAll(benchmark::State& state) {
     state.ResumeTiming();
     Stopwatch sw;
     lm.ReleaseAll(*owner);
-    lat.Record(sw.ElapsedMicros());
+    lat.Record(sw.ElapsedNanos());
   }
-  bench::RecordMicroPoint("LockManager/ReleaseAll", num_locks, lat,
-                          total.ElapsedSeconds());
+  bench::RecordMicroPoint("LockManager/ReleaseAll", num_locks, lat, total.ElapsedSeconds(),
+                          nullptr, /*lat_per_us=*/1000);
 }
 BENCHMARK(BM_ReleaseAll)->Arg(4)->Arg(64);
 

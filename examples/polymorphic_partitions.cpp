@@ -40,19 +40,23 @@ int main() {
     return 1;
   }
 
-  // Bulk-load the cold partition; trickle the hot one like OLTP traffic.
-  session->Execute("INSERT INTO sales SELECT i, i * 2 FROM generate_series(100, 199) i");
-  session->Execute("INSERT INTO sales SELECT i, i FROM generate_series(200, 299) i");
-  session->Execute("UPDATE sales SET amount = amount + 1000 WHERE day = 250");
-
+  int failures = 0;  // statements that failed; a non-zero exit status reports them
   auto show = [&](const char* label, const std::string& sql) {
     auto r = session->Execute(sql);
     if (!r.ok()) {
       std::printf("%s: ERROR %s\n", label, r.status().ToString().c_str());
+      ++failures;
       return;
     }
     std::printf("%s\n%s\n", label, r->ToString().c_str());
   };
+
+  // Bulk-load the cold partition; trickle the hot one like OLTP traffic.
+  show("-- load the cold tier:",
+       "INSERT INTO sales SELECT i, i * 2 FROM generate_series(100, 199) i");
+  show("-- load the hot tier:", "INSERT INTO sales SELECT i, i FROM generate_series(200, 299) i");
+  show("-- OLTP update in the hot tier:",
+       "UPDATE sales SET amount = amount + 1000 WHERE day = 250");
 
   // One query spanning heap + AO-column + external storage.
   show("-- total sales across all three storage tiers:",
@@ -67,5 +71,5 @@ int main() {
   std::printf("The executor is storage-agnostic: the same scan operator read a heap,\n"
               "a compressed column store, and a CSV file behind one partitioned table.\n");
   std::remove(archive.c_str());
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

@@ -12,11 +12,14 @@ using gphtap::QueryResult;
 
 namespace {
 
+int failures = 0;  // statements that failed; a non-zero exit status reports them
+
 void Run(gphtap::Session* session, const std::string& sql) {
   auto result = session->Execute(sql);
   std::printf("gphtap> %s\n", sql.c_str());
   if (!result.ok()) {
     std::printf("ERROR: %s\n\n", result.status().ToString().c_str());
+    ++failures;
     return;
   }
   std::printf("%s\n", result->ToString().c_str());
@@ -70,5 +73,5 @@ int main() {
                 static_cast<unsigned long long>(
                     cluster.segment(i)->GetTable(def->id)->StoredVersionCount()));
   }
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

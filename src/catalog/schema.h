@@ -116,6 +116,10 @@ struct TableDef {
   // System views (gp_stat_activity & co) are virtual: no storage anywhere,
   // rows are produced on the coordinator from live cluster state at scan time.
   bool is_system_view = false;
+  // A SELECT's generate_series() function scan: no storage and no lock, and
+  // any node computes the same rows, so it is Replicated (Greenplum's General
+  // locus). Its bounds live beside it in SelectQuery::series_bounds.
+  bool is_function_scan = false;
   // Elastic expansion: how many segments this table's data actually spans.
   // Hash tables route INSERTs modulo this (not the live segment count) until a
   // rebalance migrates them; replicated tables have complete copies on

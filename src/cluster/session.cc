@@ -660,9 +660,10 @@ PlannerOptions Session::MakePlannerOptions() {
 
 Status Session::LockForRead(const std::vector<TableDef>& tables) {
   // System views are lock-free snapshots of live state — observing a stuck
-  // cluster must not itself queue behind anything.
+  // cluster must not itself queue behind anything — and a function scan has
+  // no relation to lock.
   for (const TableDef& t : tables) {
-    if (t.is_system_view) continue;
+    if (t.is_system_view || t.is_function_scan) continue;
     GPHTAP_RETURN_IF_ERROR(LockRelationCoordinator(t, LockMode::kAccessShare));
   }
   return Status::OK();

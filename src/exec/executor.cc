@@ -59,6 +59,8 @@ int64_t RowFootprint(const Row& row) {
 // ---------- node execution ----------
 // (Aggregation accumulators live in exec/agg_ops.h, shared with src/vec/.)
 
+// A partitioned root scans leaf by leaf, so EXPLAIN ANALYZE credits each
+// leaf's visible rows to its own store.
 Status ExecScanCommon(const PlanNode& node, ExecContext& ctx, Table* table,
                       const RowSink& sink) {
   Status inner = Status::OK();
@@ -92,21 +94,25 @@ Status ExecScanCommon(const PlanNode& node, ExecContext& ctx, Table* table,
     }
     return true;
   };
+  // A leaf's TupleIds are its own, so a ModifyTable's scan names the leaf
+  // beside each.
+  auto scan_one = [&](Table* t) {
+    visible_rows = 0;
+    Status s =
+        node.scan_cols.empty() ? t->Scan(vis, cb) : t->ScanColumns(vis, node.scan_cols, cb);
+    if (StatementRecord* actuals = ctx.actuals(); actuals != nullptr && visible_rows > 0) {
+      actuals->AddStoreRows(node.node_id, ScanStoreLabel(t->def().storage), visible_rows);
+    }
+    return s;
+  };
   Status scan;
-  auto* part = node.emit_tid ? dynamic_cast<PartitionedTable*>(table) : nullptr;
-  if (part != nullptr) {
-    // A leaf's TupleIds are its own, so the scan names the leaf beside each.
+  if (auto* part = dynamic_cast<PartitionedTable*>(table); part != nullptr) {
     for (; leaf < static_cast<int64_t>(part->num_leaves()) && scan.ok() && inner.ok();
          ++leaf) {
-      scan = part->leaf(static_cast<size_t>(leaf))->Scan(vis, cb);
+      scan = scan_one(part->leaf(static_cast<size_t>(leaf)));
     }
-  } else if (!node.scan_cols.empty()) {
-    scan = table->ScanColumns(vis, node.scan_cols, cb);
   } else {
-    scan = table->Scan(vis, cb);
-  }
-  if (StatementRecord* actuals = ctx.actuals(); actuals != nullptr && visible_rows > 0) {
-    actuals->AddStoreRows(node.node_id, ScanStoreLabel(table->def().storage), visible_rows);
+    scan = scan_one(table);
   }
   if (!inner.ok()) return inner;
   return scan;
@@ -140,6 +146,49 @@ Status ExecIndexScan(const PlanNode& node, ExecContext& ctx, const RowSink& sink
   }
   if (StatementRecord* actuals = ctx.actuals(); actuals != nullptr && visible_rows > 0) {
     actuals->AddStoreRows(node.node_id, ScanStoreLabel(heap->def().storage), visible_rows);
+  }
+  return Status::OK();
+}
+
+// generate_series() calls zipped as PostgreSQL's ProjectSet zips them: the
+// longest series sets the row count and shorter ones pad with NULL. Zero
+// series yield one row with no columns, a FROM-less SELECT's input.
+Status ExecFunctionScan(const PlanNode& node, ExecContext& ctx, const RowSink& sink) {
+  struct Series {
+    int64_t next, end;
+    bool done;
+  };
+  std::vector<Series> series;
+  bool more = node.exprs.empty();
+  for (size_t i = 0; i + 1 < node.exprs.size(); i += 2) {
+    GPHTAP_ASSIGN_OR_RETURN(Datum start, EvalExpr(*node.exprs[i], Row{}));
+    GPHTAP_ASSIGN_OR_RETURN(Datum end, EvalExpr(*node.exprs[i + 1], Row{}));
+    if (!start.is_int() || !end.is_int()) {
+      return Status::InvalidArgument("generate_series expects integers");
+    }
+    series.push_back({start.int_val(), end.int_val(), start.int_val() > end.int_val()});
+    more |= !series.back().done;
+  }
+  while (more) {
+    GPHTAP_RETURN_IF_ERROR(ctx.Tick());
+    Row row;
+    row.reserve(series.size());
+    more = false;
+    for (Series& s : series) {
+      if (s.done) {
+        row.push_back(Datum::Null());
+        continue;
+      }
+      row.push_back(Datum(s.next));
+      s.done = s.next == s.end;  // never step past `end`: no overflow at INT64_MAX
+      if (!s.done) ++s.next;
+      more |= !s.done;
+    }
+    if (node.filter) {
+      GPHTAP_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*node.filter, row));
+      if (!pass) continue;
+    }
+    GPHTAP_RETURN_IF_ERROR(sink(std::move(row)));
   }
   return Status::OK();
 }
@@ -389,15 +438,8 @@ Status ExecuteNodeImpl(const PlanNode& node, ExecContext& ctx, const RowSink& si
       }
       return Status::OK();
     }
-    case PlanKind::kGenerateSeries: {
-      for (int64_t v = node.series_start; v <= node.series_end; ++v) {
-        GPHTAP_RETURN_IF_ERROR(ctx.Tick());
-        Status s = sink(Row{Datum(v)});
-        if (s.code() == StatusCode::kStopIteration) return s;
-        GPHTAP_RETURN_IF_ERROR(s);
-      }
-      return Status::OK();
-    }
+    case PlanKind::kFunctionScan:
+      return ExecFunctionScan(node, ctx, sink);
     case PlanKind::kFilter:
       return ExecuteNode(*node.children[0], ctx, [&](Row&& row) -> Status {
         GPHTAP_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*node.filter, row));

@@ -31,8 +31,8 @@ const char* PlanKindName(PlanKind k) {
       return "IndexScan";
     case PlanKind::kVirtualScan:
       return "VirtualScan";
-    case PlanKind::kGenerateSeries:
-      return "GenerateSeries";
+    case PlanKind::kFunctionScan:
+      return "FunctionScan";
     case PlanKind::kFilter:
       return "Filter";
     case PlanKind::kProject:
@@ -89,6 +89,12 @@ std::string PlanNode::ToString(int indent) const {
       if (filter) s += " filter=" + filter->ToString();
       if (!scan_store.empty()) s += " store=" + scan_store;
       break;
+    case PlanKind::kFunctionScan:
+      for (size_t i = 0; i + 1 < exprs.size(); i += 2) {
+        s += " generate_series(" + exprs[i]->ToString() + ", " + exprs[i + 1]->ToString() + ")";
+      }
+      if (filter) s += " filter=" + filter->ToString();
+      break;
     case PlanKind::kFilter:
       if (filter) s += " " + filter->ToString();
       break;
@@ -131,6 +137,15 @@ PlanPtr MakeVirtualScan(TableId table, int arity, ExprPtr filter) {
   p->table = table;
   p->filter = std::move(filter);
   p->output_arity = arity;
+  return p;
+}
+
+PlanPtr MakeFunctionScan(std::vector<ExprPtr> bounds, ExprPtr filter) {
+  auto p = std::make_unique<PlanNode>();
+  p->kind = PlanKind::kFunctionScan;
+  p->output_arity = static_cast<int>(bounds.size() / 2);
+  p->exprs = std::move(bounds);
+  p->filter = std::move(filter);
   return p;
 }
 
@@ -197,8 +212,6 @@ StatusOr<PlanPtr> ClonePlanWithParams(const PlanNode& node,
   p->index_col = node.index_col;
   p->index_key = node.index_key;
   p->emit_tid = node.emit_tid;
-  p->series_start = node.series_start;
-  p->series_end = node.series_end;
   p->exprs.reserve(node.exprs.size());
   for (const ExprPtr& e : node.exprs) {
     GPHTAP_ASSIGN_OR_RETURN(ExprPtr c, CloneExprWithParams(e, params));

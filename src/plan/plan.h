@@ -17,7 +17,7 @@ enum class PlanKind : uint8_t {
   kSeqScan,
   kIndexScan,
   kVirtualScan,  // coordinator-only system-view scan (Cluster::SystemViewRows)
-  kGenerateSeries,
+  kFunctionScan,  // generate_series() calls, zipped; computable on any node
   kFilter,
   kProject,
   kHashJoin,
@@ -68,11 +68,9 @@ struct PlanNode {
   // the index of the partition leaf holding it (0 for an unpartitioned table).
   bool emit_tid = false;
 
-  // kGenerateSeries
-  int64_t series_start = 0, series_end = 0;
-
-  // kProject; kModifyTable: the UPDATE's new row, one expression per column
-  // over the old row, null where the old value stays (empty for DELETE). A
+  // kProject; kFunctionScan: the start and end of each series it zips, in
+  // pairs; kModifyTable: the UPDATE's new row, one expression per column over
+  // the old row, null where the old value stays (empty for DELETE). A
   // ModifyTable's `filter` is the WHERE clause, rechecked against a version
   // a concurrent UPDATE produced.
   std::vector<ExprPtr> exprs;
@@ -123,6 +121,8 @@ int AssignPlanNodeIds(PlanNode* root, int next_id = 0);
 /// Convenience builders used by the planner and tests.
 PlanPtr MakeSeqScan(TableId table, int arity, ExprPtr filter = nullptr);
 PlanPtr MakeVirtualScan(TableId table, int arity, ExprPtr filter = nullptr);
+/// `bounds`: start and end of each zipped series, in pairs (none: one empty row).
+PlanPtr MakeFunctionScan(std::vector<ExprPtr> bounds, ExprPtr filter = nullptr);
 PlanPtr MakeIndexScan(TableId table, int arity, int col, Datum key,
                       ExprPtr filter = nullptr);
 PlanPtr MakeMotion(MotionKind kind, PlanPtr child, int motion_id,

@@ -214,17 +214,22 @@ PlanPtr ScanFor(const TableDef& def, const ExprPtr& quals, int offset, ExprPtr f
 }  // namespace
 
 StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOptions& opts) {
-  if (query.tables.empty()) return Status::InvalidArgument("SELECT requires FROM");
+  if (query.tables.empty()) return Status::Internal("a SELECT binds at least one FROM item");
   const int num_tables = static_cast<int>(query.tables.size());
 
-  // System views execute coordinator-only: one kVirtualScan leaf, no motions,
-  // an empty gang. Joining them — with each other or with stored tables —
-  // would need virtual rows on segments, which is out of scope.
-  bool any_virtual = false;
-  for (const TableDef& t : query.tables) any_virtual |= t.is_system_view;
-  if (any_virtual && num_tables > 1) {
+  // A FROM of only function scans, or a system view, runs coordinator-only: an
+  // empty gang, no motion, single-phase aggregation. Joining a system view —
+  // with anything — would need virtual rows on segments, which is out of scope.
+  bool coordinator_only = true;
+  bool any_view = false;
+  for (const TableDef& t : query.tables) {
+    coordinator_only &= t.is_function_scan;
+    any_view |= t.is_system_view;
+  }
+  if (any_view && num_tables > 1) {
     return Status::NotSupported("system views cannot be joined with other tables");
   }
+  coordinator_only |= any_view;
 
   // Combined-layout offsets.
   std::vector<int> offset(static_cast<size_t>(num_tables) + 1, 0);
@@ -296,9 +301,9 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
   // join would silently lose rows on segments with no replica — fail
   // retryably; expansion syncs replicated tables before rebalancing hash
   // tables, so a retry lands after the sync.
-  if (!all_replicated && !any_virtual) {
+  if (!all_replicated && !coordinator_only) {
     for (const TableDef& t : query.tables) {
-      if (t.distribution.kind != DistributionKind::kReplicated) continue;
+      if (t.distribution.kind != DistributionKind::kReplicated || t.is_function_scan) continue;
       // The recorded span is authoritative even mid-rebalance: the sync flips
       // it only after every live snapshot can see the new copies, so until
       // then a wide gang would read missing rows on the added segments.
@@ -308,15 +313,15 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
       }
     }
   }
-  // Virtual scans never dispatch to segments at all.
-  if (any_virtual) gang = {};
+  if (coordinator_only) gang = {};
 
   // Build per-table scans.
   auto estimate = [&](const TableDef& t) -> uint64_t {
-    return opts.row_estimate ? opts.row_estimate(t.id) : 1000;
+    return opts.row_estimate && !t.is_function_scan ? opts.row_estimate(t.id) : 1000;
   };
 
   std::vector<RelState> rels;
+  size_t function_scans = 0;
   for (int t = 0; t < num_tables; ++t) {
     const TableDef& def = query.tables[static_cast<size_t>(t)];
     int ncols = static_cast<int>(def.schema.num_columns());
@@ -327,9 +332,14 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
     }
     ExprPtr quals = AndAll(table_quals[static_cast<size_t>(t)]);
     ExprPtr scan_filter = RemapExpr(quals, remap);
-    PlanPtr scan = def.is_system_view
-                       ? MakeVirtualScan(def.id, ncols, scan_filter)
-                       : ScanFor(def, quals, offset[static_cast<size_t>(t)], scan_filter);
+    PlanPtr scan;
+    if (def.is_system_view) {
+      scan = MakeVirtualScan(def.id, ncols, scan_filter);
+    } else if (def.is_function_scan) {
+      scan = MakeFunctionScan(query.series_bounds[function_scans++], scan_filter);
+    } else {
+      scan = ScanFor(def, quals, offset[static_cast<size_t>(t)], scan_filter);
+    }
 
     RelState rel;
     rel.plan = std::move(scan);
@@ -510,11 +520,11 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
   if (query.HasAggregates()) {
     // Aggregation with group columns / agg arguments rebased onto the current
     // stream layout. Stored tables aggregate in two phases (partial on the
-    // segments, final above a Gather); a system-view scan already runs on the
-    // coordinator, so one single-phase HashAgg suffices and no motion exists.
+    // segments, final above a Gather); a coordinator-only query already runs
+    // on the coordinator, so one single-phase HashAgg suffices.
     auto partial = std::make_unique<PlanNode>();
     partial->kind = PlanKind::kHashAgg;
-    partial->agg_phase = any_virtual ? AggPhase::kSingle : AggPhase::kPartial;
+    partial->agg_phase = coordinator_only ? AggPhase::kSingle : AggPhase::kPartial;
     for (int gc : query.group_by) {
       int local = current.col_map[static_cast<size_t>(gc)];
       if (local < 0) return Status::Internal("group-by column lost in join");
@@ -536,7 +546,7 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
     size_t num_groups = partial->group_cols.size();
 
     PlanPtr agg_out;
-    if (any_virtual) {
+    if (coordinator_only) {
       partial->output_arity =
           static_cast<int>(num_groups + partial->aggs.size());
       partial->children.push_back(std::move(current.plan));
@@ -626,7 +636,7 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
     }
     project->output_arity = static_cast<int>(project->exprs.size());
     project->children.push_back(std::move(current.plan));
-    if (any_virtual) {
+    if (coordinator_only) {
       out.root = std::move(project);  // already on the coordinator; no Gather
     } else {
       out.root =
@@ -668,16 +678,14 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
   if (opts.vectorize) {
     std::set<TableId> vec_tables;
     for (const TableDef& def : query.tables) {
-      // Non-partitioned AO-column tables scan as ColumnBatches. Partitioned
-      // roots fan out to heterogeneous leaves, so they stay on the row path.
-      if (def.storage == StorageKind::kAoColumn && !def.partitions.has_value()) {
-        vec_tables.insert(def.id);
-      }
-      // With the delta store on, plain heap tables scan as delta-merged
-      // batches (sealed delta groups + open columnar tail) — the fresh-data
-      // vectorization path. Same partitioned-root exclusion.
-      if (opts.delta_store && def.storage == StorageKind::kHeap &&
-          !def.partitions.has_value() && !def.is_system_view) {
+      // Partitioned roots fan out to heterogeneous leaves, so they stay on the
+      // row path, as do the relations with no storage.
+      if (def.partitions.has_value() || def.is_system_view || def.is_function_scan) continue;
+      // AO-column tables scan as ColumnBatches. With the delta store on, plain
+      // heap tables scan as delta-merged batches (sealed delta groups + open
+      // columnar tail) — the fresh-data vectorization path.
+      if (def.storage == StorageKind::kAoColumn ||
+          (opts.delta_store && def.storage == StorageKind::kHeap)) {
         vec_tables.insert(def.id);
       }
     }

@@ -1,6 +1,8 @@
 // The analyzer's bound representation of a SELECT, consumed by the planner.
 // Expressions reference the "combined layout": the columns of every FROM table
-// concatenated in FROM order.
+// concatenated in FROM order. A FROM-less SELECT has one FROM item, a function
+// scan of zero series; top-level generate_series() items are the columns of
+// one more function scan, appended to FROM.
 #ifndef GPHTAP_PLAN_SELECT_QUERY_H_
 #define GPHTAP_PLAN_SELECT_QUERY_H_
 
@@ -26,6 +28,9 @@ struct OrderItem {
 
 struct SelectQuery {
   std::vector<TableDef> tables;   // FROM items in order
+  /// One entry per function scan in `tables` (TableDef::is_function_scan), in
+  /// FROM order: the start and end of every generate_series() it zips, flat.
+  std::vector<std::vector<ExprPtr>> series_bounds;
   std::vector<ExprPtr> quals;     // conjunctive WHERE/ON predicates
   std::vector<SelectItem> items;  // first `visible_items` are user-visible;
                                   // the rest are hidden (HAVING-only aggregates)

@@ -20,6 +20,17 @@ void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out) {
   out->push_back(e);
 }
 
+// The relation of a function scan: int columns, Replicated since every node
+// computes the same rows.
+TableDef FunctionScanDef(const std::string& name, std::vector<Column> cols) {
+  TableDef def;
+  def.name = name;
+  def.schema = Schema(std::move(cols));
+  def.distribution = DistributionPolicy::Replicated();
+  def.is_function_scan = true;
+  return def;
+}
+
 StatusOr<BinOp> BindOp(const std::string& op) {
   if (op == "+") return BinOp::kAdd;
   if (op == "-") return BinOp::kSub;
@@ -64,32 +75,19 @@ bool Analyzer::IsAggName(const std::string& name) {
          name == "max";
 }
 
-bool Analyzer::IsPureFunctionScan(const sql_ast::SelectNode& node) {
-  if (node.from.empty()) return false;
-  for (const auto& t : node.from) {
-    if (!t.is_function) return false;
-  }
-  return true;
-}
-
 StatusOr<Datum> Analyzer::EvalConst(const ExprNode& e) {
-  GPHTAP_ASSIGN_OR_RETURN(ExprPtr bound, BindFunctionScanExpr(e, {}));
+  GPHTAP_ASSIGN_OR_RETURN(ExprPtr bound, Analyzer(nullptr).BindExpr(e, Scope{}));
   return EvalExpr(*bound, Row{});
 }
 
-StatusOr<ExprPtr> Analyzer::BindFunctionScanExpr(const ExprNode& e,
-                                                 const std::vector<std::string>& columns) {
-  Scope scope;
-  for (const std::string& name : columns) {
-    TableDef def;
-    def.name = name;
-    def.schema = Schema({{name, TypeId::kInt64}});
-    scope.offsets.push_back(static_cast<int>(scope.tables.size()));
-    scope.tables.push_back(std::move(def));
-    scope.aliases.push_back(name);
+Status Analyzer::BindSeries(const std::vector<sql_ast::ExprNodePtr>& args,
+                            std::vector<ExprPtr>* bounds) {
+  if (args.size() != 2) return Status::InvalidArgument("generate_series expects two arguments");
+  for (const auto& arg : args) {
+    GPHTAP_ASSIGN_OR_RETURN(ExprPtr bound, BindExpr(*arg, Scope{}));
+    bounds->push_back(std::move(bound));
   }
-  Analyzer binder(nullptr);
-  return binder.BindExpr(e, scope);
+  return Status::OK();
 }
 
 StatusOr<ExprPtr> Analyzer::BindExpr(const ExprNode& e, const Scope& scope) {
@@ -222,16 +220,19 @@ StatusOr<ExprPtr> Analyzer::BindHavingExpr(const ExprNode& e, const Scope& scope
 }
 
 StatusOr<SelectQuery> Analyzer::BindSelect(const sql_ast::SelectNode& node) {
-  if (node.from.empty()) return Status::InvalidArgument("SELECT requires FROM");
   SelectQuery q;
   Scope scope;
   int offset = 0;
   for (const auto& t : node.from) {
+    TableDef def;
     if (t.is_function) {
-      return Status::NotSupported(
-          "function table references are only supported alone in FROM");
+      if (t.name != "generate_series") return Status::NotSupported("function " + t.name);
+      GPHTAP_RETURN_IF_ERROR(BindSeries(t.func_args, &q.series_bounds.emplace_back()));
+      const std::string& name = t.alias.empty() ? t.name : t.alias;
+      def = FunctionScanDef(name, {{name, TypeId::kInt64}});
+    } else {
+      GPHTAP_ASSIGN_OR_RETURN(def, cluster_->LookupTable(t.name));
     }
-    GPHTAP_ASSIGN_OR_RETURN(TableDef def, cluster_->LookupTable(t.name));
     scope.tables.push_back(def);
     scope.aliases.push_back(t.alias.empty() ? def.name : t.alias);
     scope.offsets.push_back(offset);
@@ -249,9 +250,26 @@ StatusOr<SelectQuery> Analyzer::BindSelect(const sql_ast::SelectNode& node) {
     SplitConjuncts(w, &q.quals);
   }
 
-  // Select items ('*' expands; aggregates split out).
+  // Select items ('*' expands; aggregates split out). Top-level
+  // generate_series() items become the columns of one more function scan,
+  // appended to FROM, which zips them (PostgreSQL's ProjectSet). A FROM-less
+  // SELECT scans it too, with zero series: one row with no columns.
+  std::vector<ExprPtr> srf_bounds;
+  std::vector<Column> srf_cols;
   for (const auto& item : node.items) {
+    if (item.expr->kind == ExprNodeKind::kFuncCall && item.expr->func == "generate_series") {
+      GPHTAP_RETURN_IF_ERROR(BindSeries(item.expr->args, &srf_bounds));
+      SelectItem si;
+      si.expr = Expr::Column(offset + static_cast<int>(srf_cols.size()));
+      si.name = item.alias.empty() ? item.expr->func : item.alias;
+      srf_cols.push_back({si.name, TypeId::kInt64});
+      q.items.push_back(std::move(si));
+      continue;
+    }
     if (item.expr->kind == ExprNodeKind::kStar) {
+      if (scope.tables.empty()) {
+        return Status::InvalidArgument("SELECT * with no tables specified is not valid");
+      }
       for (size_t t = 0; t < scope.tables.size(); ++t) {
         const Schema& schema = scope.tables[t].schema;
         for (size_t c = 0; c < schema.num_columns(); ++c) {
@@ -281,6 +299,12 @@ StatusOr<SelectQuery> Analyzer::BindSelect(const sql_ast::SelectNode& node) {
     q.items.push_back(std::move(si));
   }
 
+  const bool srf_items = !srf_cols.empty();
+  if (node.from.empty() || srf_items) {
+    q.tables.push_back(FunctionScanDef("generate_series", std::move(srf_cols)));
+    q.series_bounds.push_back(std::move(srf_bounds));
+  }
+
   // GROUP BY: bare columns only.
   for (const auto& g : node.group_by) {
     GPHTAP_ASSIGN_OR_RETURN(ExprPtr bound, BindExpr(*g, scope));
@@ -291,6 +315,9 @@ StatusOr<SelectQuery> Analyzer::BindSelect(const sql_ast::SelectNode& node) {
   }
   // Aggregate queries: every non-agg item must be a grouped column.
   if (q.HasAggregates()) {
+    if (srf_items) {
+      return Status::NotSupported("generate_series in the select list of an aggregate query");
+    }
     for (const auto& item : q.items) {
       if (item.is_agg) continue;
       if (item.expr->kind != ExprKind::kColumn ||

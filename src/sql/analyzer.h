@@ -39,15 +39,6 @@ class Analyzer {
   /// Evaluates a constant expression (no column references).
   static StatusOr<Datum> EvalConst(const sql_ast::ExprNode& e);
 
-  /// Binds `e` over a row of int columns, one per name in `columns`, each
-  /// also its own qualifier: the output of generate_series() function scans.
-  static StatusOr<ExprPtr> BindFunctionScanExpr(const sql_ast::ExprNode& e,
-                                                const std::vector<std::string>& columns);
-
-  /// True when every FROM item is a set-returning function (generate_series);
-  /// such queries bypass the distributed planner.
-  static bool IsPureFunctionScan(const sql_ast::SelectNode& node);
-
  private:
   struct Scope {
     // (qualifier, column) -> combined index. Empty qualifier matches any table.
@@ -60,6 +51,9 @@ class Analyzer {
 
   StatusOr<ExprPtr> BindExpr(const sql_ast::ExprNode& e, const Scope& scope);
   StatusOr<AggSpec> BindAgg(const sql_ast::ExprNode& e, const Scope& scope);
+  /// Appends the bounds of generate_series(`args`), bound over no columns.
+  Status BindSeries(const std::vector<sql_ast::ExprNodePtr>& args,
+                    std::vector<ExprPtr>* bounds);
   /// Binds a HAVING expression over the select-item layout, appending hidden
   /// items for aggregates/grouped columns that are not already projected.
   StatusOr<ExprPtr> BindHavingExpr(const sql_ast::ExprNode& e, const Scope& scope,

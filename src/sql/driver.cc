@@ -81,119 +81,10 @@ StatusOr<StorageKind> BindStorageOptions(
   return storage;
 }
 
-// Local (coordinator-only) SELECT evaluation for FROM-less selects and pure
-// generate_series() function scans: used by the paper's own example inserts.
-StatusOr<QueryResult> LocalSelect(const sql_ast::SelectNode& node) {
-  // Build the input "rows": cross product of the function scans (or one empty
-  // row when there is no FROM). Each scan is one int column named after it.
-  struct FuncCol {
-    int64_t start, end;
-  };
-  std::vector<FuncCol> funcs;
-  std::vector<std::string> columns;
-  for (const auto& t : node.from) {
-    if (!t.is_function || t.name != "generate_series" || t.func_args.size() != 2) {
-      return Status::NotSupported("only generate_series(a,b) function scans");
-    }
-    GPHTAP_ASSIGN_OR_RETURN(Datum lo, Analyzer::EvalConst(*t.func_args[0]));
-    GPHTAP_ASSIGN_OR_RETURN(Datum hi, Analyzer::EvalConst(*t.func_args[1]));
-    if (!lo.is_int() || !hi.is_int()) {
-      return Status::InvalidArgument("generate_series expects integers");
-    }
-    funcs.push_back({lo.int_val(), hi.int_val()});
-    columns.push_back(t.alias.empty() ? "generate_series" : t.alias);
-  }
-  auto bind = [&](const ExprNode& e) { return Analyzer::BindFunctionScanExpr(e, columns); };
-
-  // Select items: either plain expressions or one generate_series() SRF.
-  struct Item {
-    ExprPtr expr;                  // when scalar
-    int64_t srf_start = 0, srf_end = -1;
-    bool is_srf = false;
-    std::string name;
-  };
-  std::vector<Item> items;
-  int64_t srf_len = 1;
-  for (const auto& si : node.items) {
-    Item item;
-    if (si.expr->kind == ExprNodeKind::kFuncCall && si.expr->func == "generate_series") {
-      if (si.expr->args.size() != 2) {
-        return Status::InvalidArgument("generate_series expects two arguments");
-      }
-      GPHTAP_ASSIGN_OR_RETURN(Datum lo, Analyzer::EvalConst(*si.expr->args[0]));
-      GPHTAP_ASSIGN_OR_RETURN(Datum hi, Analyzer::EvalConst(*si.expr->args[1]));
-      item.is_srf = true;
-      item.srf_start = lo.int_val();
-      item.srf_end = hi.int_val();
-      srf_len = std::max<int64_t>(srf_len, item.srf_end - item.srf_start + 1);
-      item.name = si.alias.empty() ? "generate_series" : si.alias;
-    } else {
-      GPHTAP_ASSIGN_OR_RETURN(item.expr, bind(*si.expr));
-      item.name = si.alias.empty() ? "?column?" : si.alias;
-    }
-    items.push_back(std::move(item));
-  }
-
-  ExprPtr where;
-  if (node.where != nullptr) {
-    GPHTAP_ASSIGN_OR_RETURN(where, bind(*node.where));
-  }
-
-  QueryResult result;
-  for (const Item& item : items) result.columns.push_back(item.name);
-
-  // Iterate the cross product of the function scans.
-  std::vector<int64_t> cursor(funcs.size());
-  for (size_t i = 0; i < funcs.size(); ++i) cursor[i] = funcs[i].start;
-  bool done = false;
-  while (!done) {
-    Row input;
-    input.reserve(funcs.size());
-    for (int64_t v : cursor) input.push_back(Datum(v));
-    bool pass = true;
-    if (where != nullptr) {
-      GPHTAP_ASSIGN_OR_RETURN(pass, EvalPredicate(*where, input));
-    }
-    if (pass) {
-      for (int64_t k = 0; k < srf_len; ++k) {
-        Row out;
-        out.reserve(items.size());
-        for (const Item& item : items) {
-          if (item.is_srf) {
-            int64_t v = item.srf_start + k;
-            out.push_back(v <= item.srf_end ? Datum(v) : Datum::Null());
-          } else {
-            GPHTAP_ASSIGN_OR_RETURN(Datum d, EvalExpr(*item.expr, input));
-            out.push_back(std::move(d));
-          }
-        }
-        result.rows.push_back(std::move(out));
-      }
-    }
-    // Advance the cross-product cursor.
-    if (funcs.empty()) break;
-    size_t i = 0;
-    while (i < funcs.size()) {
-      if (++cursor[i] <= funcs[i].end) break;
-      cursor[i] = funcs[i].start;
-      ++i;
-    }
-    done = i == funcs.size();
-  }
-  if (node.limit >= 0 && static_cast<int64_t>(result.rows.size()) > node.limit) {
-    result.rows.resize(static_cast<size_t>(node.limit));
-  }
-  result.affected = static_cast<int64_t>(result.rows.size());
-  return result;
-}
-
 // `sql`: the statement text, used as the plan-cache key for top-level SELECTs;
 // null for embedded selects (INSERT ... SELECT) which skip the cache.
 StatusOr<QueryResult> RunSelect(Session* session, const sql_ast::SelectNode& node,
                                 const std::string* sql = nullptr) {
-  if (node.from.empty() || Analyzer::IsPureFunctionScan(node)) {
-    return LocalSelect(node);
-  }
   Cluster* cluster = session->cluster();
   if (sql != nullptr && session->PlanCacheEligible()) {
     auto hit = cluster->plan_cache().Lookup(*sql, cluster->catalog_version());
@@ -712,11 +603,9 @@ StatusOr<QueryResult> RunPrepare(Session* session, const sql_ast::PrepareNode& n
   // FingerprintSql strips the PREPARE..AS wrapper, so this equals the inner
   // statement's fingerprint and EXECUTEs aggregate with the literal form.
   if (sql != nullptr) ps->fingerprint = FingerprintSql(*sql);
-  // SELECTs over tables get their generic plan now; EXECUTE only substitutes
-  // values into a clone. FROM-less / function-scan selects and DML re-bind
-  // per EXECUTE (still skipping the parse).
-  if (inner.kind == StatementKind::kSelect && !inner.select->from.empty() &&
-      !Analyzer::IsPureFunctionScan(*inner.select)) {
+  // SELECTs get their generic plan now; EXECUTE only substitutes values into
+  // a clone. DML re-binds per EXECUTE (still skipping the parse).
+  if (inner.kind == StatementKind::kSelect) {
     Analyzer analyzer(session->cluster());
     GPHTAP_ASSIGN_OR_RETURN(SelectQuery q, analyzer.BindSelect(*inner.select));
     if (!GenericPlanForfeitsKeyLookup(q)) {
@@ -780,8 +669,8 @@ StatusOr<QueryResult> RunExecutePrepared(Session* session,
     return session->ExecuteCachedPlan(std::move(plan));
   }
 
-  // DML / local selects: substitute values into the parse tree and dispatch,
-  // skipping only the parse. (Row-DML binding is cheap; the win is the
+  // DML and custom-plan selects: substitute values into the parse tree and
+  // dispatch, skipping only the parse. (Row-DML binding is cheap; the win is the
   // SELECT path above.)
   Statement substituted = SubstParamsInStatement(*ps->stmt, params);
   return DispatchStatement(session, substituted, nullptr);

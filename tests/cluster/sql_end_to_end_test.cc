@@ -2,12 +2,14 @@
 // distributed executor -> storage, with real transactions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <future>
 #include <limits>
 
 #include "api/gphtap.h"
+#include "sql/prepared_statement.h"
 
 namespace gphtap {
 namespace {
@@ -650,6 +652,192 @@ TEST_F(SqlEndToEndTest, BigintOverflowRaises) {
       EXPECT_DOUBLE_EQ(fits.rows[0][1].double_val(), static_cast<double>(max)) << where;
     }
   }
+}
+
+// Every SELECT binds and plans: a FROM-less SELECT and a generate_series()
+// FROM item are function scans, so ORDER BY, LIMIT, DISTINCT, GROUP BY and
+// HAVING apply to them as they do to stored tables.
+TEST_F(SqlEndToEndTest, FunctionScanSelectsReturnPostgresAnswers) {
+  using Ints = std::vector<int64_t>;
+  auto column = [](const QueryResult& r, size_t c) {
+    Ints out;
+    for (const Row& row : r.rows) out.push_back(row[c].int_val());
+    return out;
+  };
+  EXPECT_EQ(column(Exec("SELECT i FROM generate_series(1, 5) i ORDER BY i DESC"), 0),
+            (Ints{5, 4, 3, 2, 1}));
+  EXPECT_EQ(column(Exec("SELECT i FROM generate_series(1, 5) i ORDER BY 1 DESC LIMIT 2"), 0),
+            (Ints{5, 4}));
+  EXPECT_EQ(Exec("SELECT DISTINCT i % 2 FROM generate_series(1, 10) i").rows.size(), 2u);
+  QueryResult grouped = Exec(
+      "SELECT a, count(*) FROM generate_series(1, 4) a, generate_series(1, 3) b "
+      "WHERE b <= a GROUP BY a HAVING count(*) > 1 ORDER BY a");
+  EXPECT_EQ(column(grouped, 0), (Ints{2, 3, 4}));
+  EXPECT_EQ(column(grouped, 1), (Ints{2, 3, 3}));
+  QueryResult count = Exec("SELECT count(*), sum(i) FROM generate_series(1, 10) i");
+  ASSERT_EQ(count.rows.size(), 1u);
+  EXPECT_EQ(count.rows[0][0].int_val(), 10);
+  EXPECT_EQ(count.rows[0][1].int_val(), 55);
+  // A FROM-less SELECT reads one row with no columns.
+  EXPECT_EQ(Exec("SELECT count(*)").rows[0][0].int_val(), 1);
+
+  // Select-list series zip as PostgreSQL 10's ProjectSet does, and stop at the
+  // end of int64 without stepping past it.
+  QueryResult zipped = Exec("SELECT generate_series(1, 3) AS a, generate_series(1, 2) AS b");
+  ASSERT_EQ(zipped.rows.size(), 3u);
+  EXPECT_EQ(column(zipped, 0), (Ints{1, 2, 3}));
+  EXPECT_EQ(zipped.rows[1][1].int_val(), 2);
+  EXPECT_TRUE(zipped.rows[2][1].is_null());
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(column(Exec("SELECT generate_series(9223372036854775806, 9223372036854775807)"), 0),
+            (Ints{max - 1, max}));
+  EXPECT_EQ(column(Exec("SELECT generate_series(-9223372036854775808, 9223372036854775807) "
+                        "LIMIT 2"),
+                   0),
+            (Ints{min, min + 1}));
+  EXPECT_TRUE(Exec("SELECT generate_series(3, 1)").rows.empty());
+
+  for (const char* sql : {"SELECT generate_series(1.5, 3)", "SELECT generate_series('a', 3)",
+                          "SELECT i FROM generate_series(1, 'b') i", "SELECT *"}) {
+    Status s = ExecErr(sql);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << sql << ": " << s.ToString();
+  }
+  EXPECT_EQ(ExecErr("SELECT 1 + generate_series(1, 3)").code(), StatusCode::kNotSupported);
+  EXPECT_EQ(ExecErr("SELECT generate_series(1, 3), count(*)").code(),
+            StatusCode::kNotSupported);
+}
+
+// A FROM-less or function-scan SELECT is a statement like any other: the
+// failed-block check, statement_timeout, LIMIT and EXPLAIN [ANALYZE] apply.
+TEST_F(SqlEndToEndTest, FunctionScansRunAsStatements) {
+  Exec("BEGIN");
+  ExecErr("SELECT k FROM no_such_table");
+  EXPECT_EQ(ExecErr("SELECT 1").code(), StatusCode::kAborted);
+  Exec("ROLLBACK");
+
+  Exec("SET statement_timeout = 50");
+  EXPECT_EQ(ExecErr("SELECT i FROM generate_series(1, 10000000) i WHERE i < 0").code(),
+            StatusCode::kTimedOut);
+  Exec("SET statement_timeout = 0");
+
+  auto text = [](const QueryResult& r) {
+    std::string out;
+    for (const Row& row : r.rows) out += RowToString(row) + "\n";
+    return out;
+  };
+  QueryResult plain = Exec("EXPLAIN SELECT 1");
+  ASSERT_EQ(plain.rows.size(), 3u) << text(plain);
+  EXPECT_EQ(plain.rows[0][0].string_val(), "gang: segments {}") << text(plain);
+  EXPECT_NE(plain.rows[2][0].string_val().find("FunctionScan"), std::string::npos)
+      << text(plain);
+  QueryResult series = Exec("EXPLAIN SELECT i FROM generate_series(1, 10) i WHERE i > 3");
+  EXPECT_NE(text(series).find("FunctionScan generate_series(1, 10) filter="), std::string::npos)
+      << text(series);
+  EXPECT_EQ(text(series).find("Motion"), std::string::npos) << text(series);
+
+  QueryResult analyzed = Exec("EXPLAIN ANALYZE SELECT 1");
+  EXPECT_NE(text(analyzed).find("actual rows=1 "), std::string::npos) << text(analyzed);
+  QueryResult limited =
+      Exec("EXPLAIN ANALYZE SELECT i FROM generate_series(1, 3000000) i LIMIT 1");
+  std::string scan;
+  for (const Row& row : limited.rows) {
+    if (row[0].string_val().find("FunctionScan") != std::string::npos) scan = row[0].string_val();
+  }
+  EXPECT_NE(scan.find("(actual rows=1 "), std::string::npos) << text(limited);
+}
+
+// Any node computes a function scan, so it joins a distributed table where
+// the table's rows live, with no motion under the join.
+TEST_F(SqlEndToEndTest, FunctionScanJoinsStoredTableWithoutMotion) {
+  Exec("CREATE TABLE t (k int, v int) DISTRIBUTED BY (k)");
+  Exec("INSERT INTO t SELECT i, i * 10 FROM generate_series(1, 20) i");
+  const std::string join =
+      "SELECT t.k, t.v, g FROM t JOIN generate_series(5, 8) g ON t.k = g ORDER BY 1";
+  QueryResult r = Exec(join);
+  ASSERT_EQ(r.rows.size(), 4u);
+  for (size_t i = 0; i < r.rows.size(); ++i) {
+    EXPECT_EQ(r.rows[i][0].int_val(), static_cast<int64_t>(i) + 5);
+    EXPECT_EQ(r.rows[i][1].int_val(), r.rows[i][0].int_val() * 10);
+    EXPECT_EQ(r.rows[i][2].int_val(), r.rows[i][0].int_val());
+  }
+  EXPECT_EQ(Exec("SELECT count(*) FROM t, generate_series(1, 3) g").rows[0][0].int_val(), 60);
+  for (const std::string& sql : {join, std::string("SELECT k, g FROM t, generate_series(1, 3) g")}) {
+    std::string plan;
+    for (const Row& row : Exec("EXPLAIN " + sql).rows) plan += RowToString(row) + "\n";
+    EXPECT_NE(plan.find("FunctionScan"), std::string::npos) << plan;
+    EXPECT_EQ(plan.find("Broadcast"), std::string::npos) << plan;
+    EXPECT_EQ(plan.find("Redistribute"), std::string::npos) << plan;
+  }
+}
+
+TEST_F(SqlEndToEndTest, PreparedFunctionScanUsesAGenericPlan) {
+  Exec("PREPARE p AS SELECT i FROM generate_series(1, $1) i");
+  ASSERT_NE(session_->GetPrepared("p"), nullptr);
+  EXPECT_TRUE(session_->GetPrepared("p")->has_plan);
+  for (int n : {3, 7}) {
+    EXPECT_EQ(Exec("EXECUTE p(" + std::to_string(n) + ")").rows.size(), static_cast<size_t>(n));
+  }
+}
+
+// A function scan is a relation like any other: each shape returns the same
+// rows over generate_series(1, 500) as over stored heap and AO-column copies
+// of it, on both engines. Rows compare sorted where the shape has no ORDER BY.
+TEST_F(SqlEndToEndTest, FunctionScanAgreesWithStoredCopies) {
+  Exec("CREATE TABLE dim (k int, name text) DISTRIBUTED BY (k)");
+  Exec("INSERT INTO dim SELECT i * 10, 'd' FROM generate_series(1, 60) i");
+  for (const char* storage : {"heap", "ao_column"}) {
+    Exec(std::string("CREATE TABLE g_") + storage + " (i int) WITH (storage=" + storage +
+         ") DISTRIBUTED BY (i)");
+    Exec(std::string("INSERT INTO g_") + storage + " SELECT i FROM generate_series(1, 500) i");
+  }
+  const std::vector<std::pair<std::string, bool>> shapes = {
+      {"SELECT i FROM @ WHERE i % 13 = 0", false},
+      {"SELECT i, i * 2 FROM @ ORDER BY i DESC LIMIT 7", true},
+      {"SELECT i FROM @ WHERE i < 40 ORDER BY 1 DESC", true},
+      {"SELECT DISTINCT i % 7 FROM @", false},
+      {"SELECT DISTINCT i % 5 FROM @ ORDER BY 1 DESC LIMIT 3", true},
+      {"SELECT j, count(*), sum(i) FROM @, generate_series(1, 4) j WHERE i % j = 0 "
+       "GROUP BY j HAVING sum(i) > 40000",
+       false},
+      {"SELECT count(*), sum(i), avg(i), min(i), max(i) FROM @", true},
+      {"SELECT count(*) FROM @ WHERE i >= 100 AND i < 200", true},
+      {"SELECT i, j FROM @, generate_series(1, 3) j WHERE i > 495", false},
+      {"SELECT i, name FROM @ JOIN dim ON i = dim.k", false},
+  };
+  auto rows_of = [&](const std::string& shape, const std::string& relation, bool ordered) {
+    std::string sql = shape;
+    sql.replace(sql.find('@'), 1, relation);
+    std::vector<std::string> out;
+    for (const Row& row : Exec(sql).rows) out.push_back(RowToString(row));
+    if (!ordered) std::sort(out.begin(), out.end());
+    return out;
+  };
+  for (const char* mode : {"on", "off"}) {
+    Exec(std::string("SET vectorized_execution = ") + mode);
+    for (const auto& [shape, ordered] : shapes) {
+      std::vector<std::string> series = rows_of(shape, "generate_series(1, 500) i", ordered);
+      EXPECT_FALSE(series.empty()) << shape;
+      for (const char* table : {"g_heap", "g_ao_column"}) {
+        EXPECT_EQ(rows_of(shape, table, ordered), series)
+            << shape << " over " << table << ", vectorized_execution = " << mode;
+      }
+    }
+  }
+}
+
+// EXPLAIN ANALYZE credits each partition leaf's rows to that leaf's store.
+TEST_F(SqlEndToEndTest, ExplainAnalyzeCreditsEachPartitionLeafToItsStore) {
+  Exec("CREATE TABLE sales (day int, amount int) DISTRIBUTED BY (day) "
+       "PARTITION BY RANGE (day) ("
+       "PARTITION hot START 200 END 300, "
+       "PARTITION cold START 0 END 200 WITH (appendonly=true, orientation=column))");
+  Exec("INSERT INTO sales SELECT i, i FROM generate_series(0, 299) i");
+  std::string plan;
+  for (const Row& row : Exec("EXPLAIN ANALYZE SELECT count(*) FROM sales").rows) {
+    plan += RowToString(row) + "\n";
+  }
+  EXPECT_NE(plan.find("(stores: ao-column=200 heap=100)"), std::string::npos) << plan;
 }
 
 // Integer literals assigned to a double column are stored as doubles

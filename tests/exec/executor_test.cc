@@ -164,15 +164,41 @@ TEST_F(ExecutorTest, SortAndLimitStopProducersEarly) {
 }
 
 TEST_F(ExecutorTest, GenerateSeriesNode) {
-  auto series = std::make_unique<PlanNode>();
-  series->kind = PlanKind::kGenerateSeries;
-  series->series_start = 5;
-  series->series_end = 9;
-  series->output_arity = 1;
-  auto rows = Run(MakeMotion(MotionKind::kGather, std::move(series), 1010));
-  ASSERT_TRUE(rows.ok());
+  auto rows = Run(MakeMotion(MotionKind::kGather,
+                             MakeFunctionScan({Expr::Const(Datum(int64_t{5})),
+                                               Expr::Const(Datum(int64_t{9}))}),
+                             1010));
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   // Each gang member produces the series: 5 values x 2 segments.
   EXPECT_EQ(rows->size(), 10u);
+
+  // Two series zip: the longer sets the row count, the shorter pads with NULL.
+  rows = Run(MakeMotion(MotionKind::kGather,
+                        MakeFunctionScan({Expr::Const(Datum(int64_t{1})),
+                                          Expr::Const(Datum(int64_t{3})),
+                                          Expr::Const(Datum(int64_t{7})),
+                                          Expr::Const(Datum(int64_t{8}))}),
+                        1011));
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 6u);
+  int nulls = 0;
+  for (const Row& row : *rows) {
+    ASSERT_EQ(row.size(), 2u);
+    ASSERT_TRUE(row[0].is_int());
+    if (row[1].is_null()) {
+      ++nulls;
+      EXPECT_EQ(row[0].int_val(), 3);
+    } else {
+      EXPECT_EQ(row[1].int_val(), row[0].int_val() + 6);
+    }
+  }
+  EXPECT_EQ(nulls, 2);
+
+  // Zero series: one row with no columns per gang member.
+  rows = Run(MakeMotion(MotionKind::kGather, MakeFunctionScan({}), 1012));
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 2u);
+  EXPECT_TRUE((*rows)[0].empty());
 }
 
 TEST_F(ExecutorTest, ModifyTableRunsOnEveryMemberWithoutAMotion) {
