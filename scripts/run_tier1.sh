@@ -17,14 +17,16 @@ cmake --build build-tsan -j "$(nproc)"
 (cd build-tsan && ctest --output-on-failure -j "$(nproc)" -R \
   'gang_runner_test|periodic_task_test|executor_test|lock_manager_test|lock_modes_test|gdd_daemon_test|gdd_algorithm_test|gdd_cases_test|commit_protocol_test|mirror_test|fault_injector_test|crash_recovery_test|failover_test|metrics_test|observability_test|motion_exchange_test|column_batch_test|vec_executor_test|vec_differential_test|ao_visibility_test|ao_compaction_test|reorg_test|expand_test|wait_event_test|system_views_test|timeout_test|chaos_test|plan_cache_test|prepare_execute_test|delta_store_test|delta_scan_test|delta_differential_test|stats_test|stats_views_test|frontend_test')
 
-# Integer arithmetic, literals and both expression engines under UBSan: signed
-# overflow or any other undefined behaviour stops the run at its first report.
+# Integer arithmetic, literals and both expression engines under UBSan, and
+# the prepared-statement and plan-cache tests, since every EXECUTE evaluates
+# its parameters through cloned plans: signed overflow or any other undefined
+# behaviour stops the run at its first report.
 cmake -B build-ubsan -S . -DGPHTAP_SANITIZE=undefined
 cmake --build build-ubsan -j "$(nproc)" --target expr_test parser_test vec_executor_test \
-  vec_differential_test sql_end_to_end_test
+  vec_differential_test sql_end_to_end_test prepare_execute_test plan_cache_test
 (cd build-ubsan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ctest --output-on-failure -j "$(nproc)" -R \
-  'expr_test|parser_test|vec_executor_test|vec_differential_test|sql_end_to_end_test')
+  'expr_test|parser_test|vec_executor_test|vec_differential_test|sql_end_to_end_test|prepare_execute_test|plan_cache_test')
 
 # The executor, the planner and the UPDATE/DELETE paths under
 # AddressSanitizer, LeakSanitizer included: the ModifyTable node holds tuple

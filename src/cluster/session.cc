@@ -91,19 +91,6 @@ void Session::ClearPrepared() {
   prepared_.clear();
 }
 
-Status Session::PlanForPrepare(const SelectQuery& query, PreparedStatement* ps) {
-  const uint64_t catalog_version = cluster_->catalog_version();
-  GPHTAP_ASSIGN_OR_RETURN(PlannedSelect planned,
-                          PlanSelect(query, MakePlannerOptions()));
-  ps->plan_root = std::move(planned.root);
-  ps->gang = std::move(planned.gang);
-  ps->columns = std::move(planned.columns);
-  ps->tables = query.tables;
-  ps->catalog_version = catalog_version;
-  ps->has_plan = true;
-  return Status::OK();
-}
-
 WaitContext Session::MakeWaitContext() {
   WaitContext ctx;
   ctx.registry = &cluster_->wait_events();
@@ -725,6 +712,24 @@ StatusOr<QueryResult> Session::RunPlan(const CachedPlan& plan, bool keep_rows) {
   return result;
 }
 
+// Both stamp the catalog version before planning: a concurrent DDL landing
+// mid-plan leaves the plan stale-stamped, so its next use re-plans.
+StatusOr<std::shared_ptr<const CachedPlan>> Session::PlanQuery(const SelectQuery& query) {
+  const uint64_t catalog_version = cluster_->catalog_version();
+  GPHTAP_ASSIGN_OR_RETURN(CachedPlan plan, PlanSelect(query, MakePlannerOptions()));
+  plan.catalog_version = catalog_version;
+  return std::make_shared<const CachedPlan>(std::move(plan));
+}
+
+StatusOr<std::shared_ptr<const CachedPlan>> Session::PlanDml(
+    const TableDef& def, const std::vector<std::pair<int, ExprPtr>>* sets,
+    const ExprPtr& where) {
+  const uint64_t catalog_version = cluster_->catalog_version();
+  GPHTAP_ASSIGN_OR_RETURN(CachedPlan plan, PlanModify(def, sets, where, MakePlannerOptions()));
+  plan.catalog_version = catalog_version;
+  return std::make_shared<const CachedPlan>(std::move(plan));
+}
+
 StatusOr<QueryResult> Session::ExecuteSelect(const SelectQuery& query,
                                              const std::string* cache_sql) {
   return RunSelect(query, cache_sql, /*analyze=*/false);
@@ -735,14 +740,7 @@ StatusOr<QueryResult> Session::RunSelect(const SelectQuery& query,
   return RunReadOnlyStatement([&] {
     return RunStatement([&]() -> StatusOr<QueryResult> {
       GPHTAP_RETURN_IF_ERROR(LockForRead(query.tables));
-      // Stamp the catalog version before planning: a concurrent DDL landing
-      // mid-plan leaves the entry stale-stamped, so later lookups re-plan.
-      const uint64_t catalog_version = cluster_->catalog_version();
-      GPHTAP_ASSIGN_OR_RETURN(PlannedSelect planned,
-                              PlanSelect(query, MakePlannerOptions()));
-      auto plan = std::make_shared<CachedPlan>(
-          CachedPlan{std::move(planned.root), std::move(planned.gang),
-                     std::move(planned.columns), query.tables, catalog_version});
+      GPHTAP_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> plan, PlanQuery(query));
       if (analyze) return RunAnalyzed(*plan);
       if (cache_sql != nullptr && PlanCacheEligible()) {
         cluster_->plan_cache().Insert(*cache_sql, plan);
@@ -839,17 +837,16 @@ QueryResult RenderPlan(const std::vector<int>& gang, const PlanNode& root,
 
 StatusOr<QueryResult> Session::ExplainSelect(const SelectQuery& query, bool analyze) {
   if (analyze) return RunSelect(query, nullptr, /*analyze=*/true);
-  GPHTAP_ASSIGN_OR_RETURN(PlannedSelect plan, PlanSelect(query, MakePlannerOptions()));
-  return RenderPlan(plan.gang, *plan.root, nullptr);
+  GPHTAP_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> plan, PlanQuery(query));
+  return RenderPlan(plan->gang, *plan->root, nullptr);
 }
 
 StatusOr<QueryResult> Session::ExplainModify(
     const TableDef& def, const std::vector<std::pair<int, ExprPtr>>* sets,
     const ExprPtr& where, bool analyze) {
-  if (analyze) return ExecuteDml(def, sets, where, /*analyze=*/true);
-  GPHTAP_ASSIGN_OR_RETURN(PlannedSelect plan,
-                          PlanModify(def, sets, where, MakePlannerOptions()));
-  return RenderPlan(plan.gang, *plan.root, nullptr);
+  if (analyze) return ExecuteDml(def, [&] { return PlanDml(def, sets, where); }, true);
+  GPHTAP_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> plan, PlanDml(def, sets, where));
+  return RenderPlan(plan->gang, *plan->root, nullptr);
 }
 
 StatusOr<QueryResult> Session::RunAnalyzed(const CachedPlan& plan) {
@@ -912,67 +909,90 @@ StatusOr<QueryResult> Session::ExecuteInsert(const TableDef& def,
                                              const std::vector<Row>& rows) {
   return RunStatement([&]() -> StatusOr<QueryResult> {
     GPHTAP_RETURN_IF_ERROR(LockRelationCoordinator(def, LockMode::kRowExclusive));
-    // Bucket rows per target segment, then dispatch per segment. Distribution
-    // info comes fresh from the catalog (under the coordinator relation lock,
-    // so a concurrent rebalance cutover — which takes AccessExclusive —
-    // cannot move the span mid-statement).
-    Cluster::TableDistInfo dist = cluster_->TableDist(def.id);
-    int replicated_span = dist.dist_segments;
-    if (replicated_span <= 0 || replicated_span > cluster_->num_segments() ||
-        dist.rebalancing) {
-      // Mid-expansion, replicated writes fan to every serving segment so the
-      // new copies never miss a row.
-      replicated_span = cluster_->num_segments();
-    }
-    // A row with an int bound for a double column goes in as a widened copy
-    // (widening keeps its hash and partition); anything still mistyped fails
-    // before any segment sees it. Well-typed rows, a bulk load's, are not
-    // copied.
-    std::deque<Row> widened;
-    std::map<int, std::vector<const Row*>> buckets;
-    for (const Row& given : rows) {
-      const Row* row = &given;
-      if (!def.schema.CheckRow(given).ok()) {
-        Row& copy = widened.emplace_back(given);
-        def.schema.CoerceRow(&copy);
-        GPHTAP_RETURN_IF_ERROR(def.schema.CheckRow(copy));
-        row = &copy;
-      }
-      int target = RouteInsert(def, *row, dist);
-      if (target < 0) {
-        for (int s = 0; s < replicated_span; ++s) buckets[s].push_back(row);
-      } else {
-        buckets[target].push_back(row);
-      }
-    }
-
-    int64_t inserted = 0;
-    for (auto& [seg_index, seg_rows] : buckets) {
-      // The per-segment apply is this statement's "slice": charged to the
-      // record so DML shows exec CPU and per-segment skew in
-      // gp_stat_statements just like gang-dispatched reads do.
-      StatementRecord::SliceScope charge(&record_);
-      Segment* seg = cluster_->segment(seg_index);
-      cluster_->net().Deliver(MsgKind::kDispatch);
-      GPHTAP_ASSIGN_OR_RETURN(SegmentPin pin, seg->Pin());
-      GPHTAP_RETURN_IF_ERROR(LockRelationSegment(seg, def, LockMode::kRowExclusive));
-      GPHTAP_RETURN_IF_ERROR(EnsureSegmentWrite(seg));
-      Table* table = seg->GetTable(def.id);
-      if (table == nullptr) return Status::NotFound("table missing on segment");
-      GPHTAP_ASSIGN_OR_RETURN(LocalXid xid, seg->txns().AssignXid(gxid_));
-      for (const Row* row : seg_rows) {
-        GPHTAP_ASSIGN_OR_RETURN(TupleId tid, table->Insert(xid, *row));
-        (void)tid;
-        ++inserted;
-      }
-      cluster_->net().Deliver(MsgKind::kResult);
-    }
-    QueryResult r;
-    r.affected = def.distribution.kind == DistributionKind::kReplicated
-                     ? static_cast<int64_t>(rows.size())
-                     : inserted;
-    return r;
+    return InsertRows(def, rows);
   });
+}
+
+StatusOr<QueryResult> Session::ExecuteInsertSelect(const TableDef& def,
+                                                   const std::vector<int>& positions,
+                                                   const PlanSupplier& select) {
+  return RunStatement([&]() -> StatusOr<QueryResult> {
+    GPHTAP_RETURN_IF_ERROR(LockRelationCoordinator(def, LockMode::kRowExclusive));
+    GPHTAP_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> plan, select());
+    GPHTAP_RETURN_IF_ERROR(LockForRead(plan->tables));
+    GPHTAP_ASSIGN_OR_RETURN(QueryResult selected, RunPlan(*plan, /*keep_rows=*/true));
+    for (Row& row : selected.rows) {
+      Row full(def.schema.num_columns(), Datum::Null());
+      for (size_t i = 0; i < positions.size(); ++i) {
+        full[static_cast<size_t>(positions[i])] = std::move(row[i]);
+      }
+      row = std::move(full);
+    }
+    return InsertRows(def, selected.rows);
+  });
+}
+
+StatusOr<QueryResult> Session::InsertRows(const TableDef& def, const std::vector<Row>& rows) {
+  // Bucket rows per target segment, then dispatch per segment. Distribution
+  // info comes fresh from the catalog (under the coordinator relation lock,
+  // so a concurrent rebalance cutover — which takes AccessExclusive —
+  // cannot move the span mid-statement).
+  Cluster::TableDistInfo dist = cluster_->TableDist(def.id);
+  int replicated_span = dist.dist_segments;
+  if (replicated_span <= 0 || replicated_span > cluster_->num_segments() ||
+      dist.rebalancing) {
+    // Mid-expansion, replicated writes fan to every serving segment so the
+    // new copies never miss a row.
+    replicated_span = cluster_->num_segments();
+  }
+  // A row with an int bound for a double column goes in as a widened copy
+  // (widening keeps its hash and partition); anything still mistyped fails
+  // before any segment sees it. Well-typed rows, a bulk load's, are not
+  // copied.
+  std::deque<Row> widened;
+  std::map<int, std::vector<const Row*>> buckets;
+  for (const Row& given : rows) {
+    const Row* row = &given;
+    if (!def.schema.CheckRow(given).ok()) {
+      Row& copy = widened.emplace_back(given);
+      def.schema.CoerceRow(&copy);
+      GPHTAP_RETURN_IF_ERROR(def.schema.CheckRow(copy));
+      row = &copy;
+    }
+    int target = RouteInsert(def, *row, dist);
+    if (target < 0) {
+      for (int s = 0; s < replicated_span; ++s) buckets[s].push_back(row);
+    } else {
+      buckets[target].push_back(row);
+    }
+  }
+
+  int64_t inserted = 0;
+  for (auto& [seg_index, seg_rows] : buckets) {
+    // The per-segment apply is this statement's "slice": charged to the
+    // record so DML shows exec CPU and per-segment skew in
+    // gp_stat_statements just like gang-dispatched reads do.
+    StatementRecord::SliceScope charge(&record_);
+    Segment* seg = cluster_->segment(seg_index);
+    cluster_->net().Deliver(MsgKind::kDispatch);
+    GPHTAP_ASSIGN_OR_RETURN(SegmentPin pin, seg->Pin());
+    GPHTAP_RETURN_IF_ERROR(LockRelationSegment(seg, def, LockMode::kRowExclusive));
+    GPHTAP_RETURN_IF_ERROR(EnsureSegmentWrite(seg));
+    Table* table = seg->GetTable(def.id);
+    if (table == nullptr) return Status::NotFound("table missing on segment");
+    GPHTAP_ASSIGN_OR_RETURN(LocalXid xid, seg->txns().AssignXid(gxid_));
+    for (const Row* row : seg_rows) {
+      GPHTAP_ASSIGN_OR_RETURN(TupleId tid, table->Insert(xid, *row));
+      (void)tid;
+      ++inserted;
+    }
+    cluster_->net().Deliver(MsgKind::kResult);
+  }
+  QueryResult r;
+  r.affected = def.distribution.kind == DistributionKind::kReplicated
+                   ? static_cast<int64_t>(rows.size())
+                   : inserted;
+  return r;
 }
 
 // ---------------------------------------------------------------------------
@@ -982,16 +1002,15 @@ StatusOr<QueryResult> Session::ExecuteInsert(const TableDef& def,
 StatusOr<QueryResult> Session::ExecuteUpdate(
     const TableDef& def, const std::vector<std::pair<int, ExprPtr>>& sets,
     const ExprPtr& where) {
-  return ExecuteDml(def, &sets, where, /*analyze=*/false);
+  return ExecuteDml(def, [&] { return PlanDml(def, &sets, where); });
 }
 
 StatusOr<QueryResult> Session::ExecuteDelete(const TableDef& def, const ExprPtr& where) {
-  return ExecuteDml(def, nullptr, where, /*analyze=*/false);
+  return ExecuteDml(def, [&] { return PlanDml(def, nullptr, where); });
 }
 
-StatusOr<QueryResult> Session::ExecuteDml(const TableDef& def,
-                                          const std::vector<std::pair<int, ExprPtr>>* sets,
-                                          const ExprPtr& where, bool analyze) {
+StatusOr<QueryResult> Session::ExecuteDml(const TableDef& def, const PlanSupplier& supply,
+                                          bool analyze) {
   return RunStatement([&]() -> StatusOr<QueryResult> {
     // The pre-GDD locking regime serializes writers on the whole relation;
     // append-optimized tables keep the ExclusiveLock even under GDD (as in
@@ -1003,21 +1022,18 @@ StatusOr<QueryResult> Session::ExecuteDml(const TableDef& def,
     // Lock-then-rescan (read committed): the statement snapshot predates the
     // lock wait, so a rebalance cutover that committed while we queued would
     // leave the old-home versions visible but committed-dead — the write
-    // would silently match zero rows. Re-snapshot now that the lock is held.
+    // would silently match zero rows. Re-snapshot now that the lock is held,
+    // and only then take the plan, whose gang the cutover may have moved.
     GPHTAP_RETURN_IF_ERROR(TakeStatementSnapshot());
-    GPHTAP_ASSIGN_OR_RETURN(PlannedSelect planned,
-                            PlanModify(def, sets, where, MakePlannerOptions()));
+    GPHTAP_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> plan, supply());
     // Every gang member is a write participant. Registering one takes our own
     // transaction lock and assigns the local xid, neither of which blocks, so
     // it happens here, one segment after another, before dispatch.
-    for (int seg_index : planned.gang) {
+    for (int seg_index : plan->gang) {
       GPHTAP_ASSIGN_OR_RETURN(SegmentPin pin, cluster_->PinSegment(seg_index));
       GPHTAP_RETURN_IF_ERROR(EnsureSegmentWrite(cluster_->segment(seg_index)));
     }
-    CachedPlan plan;
-    plan.root = std::move(planned.root);
-    plan.gang = std::move(planned.gang);
-    return analyze ? RunAnalyzed(plan) : RunPlan(plan, /*keep_rows=*/false);
+    return analyze ? RunAnalyzed(*plan) : RunPlan(*plan, /*keep_rows=*/false);
   });
 }
 

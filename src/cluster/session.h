@@ -5,6 +5,7 @@
 #define GPHTAP_CLUSTER_SESSION_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -59,6 +60,18 @@ class Session {
   bool in_txn() const { return gxid_ != kInvalidGxid; }
   Gxid current_gxid() const { return gxid_; }
 
+  /// Plans a bound SELECT (PlanSelect), or an UPDATE (`sets` non-null) or
+  /// DELETE (PlanModify), against the live cluster, stamped with the catalog
+  /// version it was planned at. Parameters stay placeholders: PREPARE keeps
+  /// the plan and every EXECUTE binds its values into it (BindPlanParams).
+  StatusOr<std::shared_ptr<const CachedPlan>> PlanQuery(const SelectQuery& query);
+  StatusOr<std::shared_ptr<const CachedPlan>> PlanDml(
+      const TableDef& def, const std::vector<std::pair<int, ExprPtr>>* sets,
+      const ExprPtr& where);
+  /// Supplies a statement's plan once the statement's coordinator locks are
+  /// held: a fresh plan, or a prepared one with EXECUTE's values bound.
+  using PlanSupplier = std::function<StatusOr<std::shared_ptr<const CachedPlan>>()>;
+
   /// Plans and executes a bound SELECT. When `cache_sql` is set, the freshly
   /// planned tree is published to the cluster plan cache under that text.
   StatusOr<QueryResult> ExecuteSelect(const SelectQuery& query,
@@ -78,12 +91,25 @@ class Session {
                                       const ExprPtr& where, bool analyze = false);
   /// Widens ints bound for double columns before storage checks the rows.
   StatusOr<QueryResult> ExecuteInsert(const TableDef& def, const std::vector<Row>& rows);
+  /// INSERT ... SELECT as one statement: under the insert's lock, runs the
+  /// SELECT `select` supplies and inserts its rows, output column i at schema
+  /// position `positions[i]`.
+  StatusOr<QueryResult> ExecuteInsertSelect(const TableDef& def,
+                                            const std::vector<int>& positions,
+                                            const PlanSupplier& select);
   /// UPDATE / DELETE run as a ModifyTable plan (plan/planner.h PlanModify).
   /// `affected` counts rows, not copies, for a replicated table.
   StatusOr<QueryResult> ExecuteUpdate(const TableDef& def,
                                       const std::vector<std::pair<int, ExprPtr>>& sets,
                                       const ExprPtr& where);
   StatusOr<QueryResult> ExecuteDelete(const TableDef& def, const ExprPtr& where);
+  /// UPDATE or DELETE of `def` running the ModifyTable plan `plan` supplies.
+  /// The supplier runs once the coordinator relation lock is granted and the
+  /// snapshot retaken (lock-then-rescan), so a plan checked against the
+  /// catalog there never carries a gang that a rebalance cutover replaced
+  /// while the statement waited. `analyze`: EXPLAIN ANALYZE.
+  StatusOr<QueryResult> ExecuteDml(const TableDef& def, const PlanSupplier& plan,
+                                   bool analyze = false);
   Status LockTable(const TableDef& def, LockMode mode);
   StatusOr<QueryResult> ExecuteVacuum(const TableDef& def);
   /// CLUSTER <table> [USING <col>]: transactionally rewrites every visible row
@@ -143,9 +169,6 @@ class Session {
   void PutPrepared(const std::string& name, std::shared_ptr<PreparedStatement> ps);
   bool RemovePrepared(const std::string& name);
   void ClearPrepared();
-  /// Plans a bound SELECT generically (parameters left as placeholders) and
-  /// stores the plan into `ps` for EXECUTE to clone per invocation.
-  Status PlanForPrepare(const SelectQuery& query, PreparedStatement* ps);
 
   // ---- Tracing ----
   /// Traces every subsequent query in this session (also on cluster-wide via
@@ -210,17 +233,14 @@ class Session {
   // the plan with its actuals (EXPLAIN ANALYZE).
   StatusOr<QueryResult> RunSelect(const SelectQuery& query, const std::string* cache_sql,
                                   bool analyze);
-  // UPDATE (`sets` non-null) or DELETE, likewise: the coordinator relation
-  // lock, a fresh snapshot once it is held, the plan, every gang member
-  // registered as a write participant, then the run.
-  StatusOr<QueryResult> ExecuteDml(const TableDef& def,
-                                   const std::vector<std::pair<int, ExprPtr>>* sets,
-                                   const ExprPtr& where, bool analyze);
+  // Routes `rows` to their segments and inserts them; the caller holds the
+  // coordinator RowExclusive lock on `def`.
+  StatusOr<QueryResult> InsertRows(const TableDef& def, const std::vector<Row>& rows);
 
   // The dispatch/trace/execute tail of every planned statement: fresh,
-  // cached and EXPLAIN ANALYZE SELECTs, UPDATE and DELETE. Runs inside
-  // RunStatement. Without `keep_rows` the rows are only counted (EXPLAIN
-  // ANALYZE discards them); a ModifyTable plan returns only its count.
+  // cached and EXPLAIN ANALYZE SELECTs, INSERT's SELECT, UPDATE and DELETE.
+  // Runs inside RunStatement. Without `keep_rows` the rows are only counted
+  // (EXPLAIN ANALYZE discards them); a ModifyTable plan returns only its count.
   StatusOr<QueryResult> RunPlan(const CachedPlan& plan, bool keep_rows);
   // EXPLAIN ANALYZE: runs the plan and renders it with per-operator actuals.
   StatusOr<QueryResult> RunAnalyzed(const CachedPlan& plan);

@@ -126,9 +126,12 @@ Status ExecIndexScan(const PlanNode& node, ExecContext& ctx, const RowSink& sink
     // Fall back to a filtered sequential scan.
     return ExecScanCommon(node, ctx, table, sink);
   }
+  // `col = NULL` matches nothing; a NULL key can only come from a parameter.
+  GPHTAP_ASSIGN_OR_RETURN(Datum key, EvalExpr(*node.index_key, Row{}));
+  if (key.is_null()) return Status::OK();
   VisibilityContext vis = ctx.Vis();
   int64_t visible_rows = 0;
-  for (TupleId tid : heap->IndexLookup(node.index_col, node.index_key)) {
+  for (TupleId tid : heap->IndexLookup(node.index_col, key)) {
     GPHTAP_RETURN_IF_ERROR(ctx.Tick());
     auto v = heap->Get(tid);
     if (!v.ok()) continue;  // vacuumed concurrently

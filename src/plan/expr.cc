@@ -297,25 +297,22 @@ StatusOr<bool> EvalPredicate(const Expr& e, const Row& row) {
   return AsTri(v) == Tri::kTrue;
 }
 
-bool ExtractEqualityConst(const Expr& e, int col, Datum* out) {
+ExprPtr ExtractEqualityKey(const Expr& e, int col) {
   if (e.kind == ExprKind::kBinary && e.op == BinOp::kAnd) {
-    return ExtractEqualityConst(*e.left, col, out) ||
-           ExtractEqualityConst(*e.right, col, out);
+    ExprPtr key = ExtractEqualityKey(*e.left, col);
+    return key != nullptr ? key : ExtractEqualityKey(*e.right, col);
   }
-  if (e.kind != ExprKind::kBinary || e.op != BinOp::kEq) return false;
-  const Expr* l = e.left.get();
-  const Expr* r = e.right.get();
-  if (l->kind == ExprKind::kColumn && l->column == col && r->kind == ExprKind::kConst &&
-      !r->value.is_null()) {
-    *out = r->value;
-    return true;
+  if (e.kind != ExprKind::kBinary || e.op != BinOp::kEq) return nullptr;
+  auto is_key = [](const Expr& k) {
+    return k.kind == ExprKind::kParam || (k.kind == ExprKind::kConst && !k.value.is_null());
+  };
+  if (e.left->kind == ExprKind::kColumn && e.left->column == col && is_key(*e.right)) {
+    return e.right;
   }
-  if (r->kind == ExprKind::kColumn && r->column == col && l->kind == ExprKind::kConst &&
-      !l->value.is_null()) {
-    *out = l->value;
-    return true;
+  if (e.right->kind == ExprKind::kColumn && e.right->column == col && is_key(*e.left)) {
+    return e.left;
   }
-  return false;
+  return nullptr;
 }
 
 bool ExprReadsColumns(const Expr& e) {

@@ -78,9 +78,11 @@ Status BigintOutOfRange();
 /// SQL truth value of a datum: -1 = NULL/unknown, 0 = false, 1 = true.
 int DatumTruth(const Datum& d);
 
-/// If the predicate (conjunctively) pins `row[col] == <constant>`, returns that
-/// constant — the key enabler of direct dispatch and index point lookups.
-bool ExtractEqualityConst(const Expr& e, int col, Datum* out);
+/// If the predicate (conjunctively) pins `row[col]` to a non-null constant or
+/// to a parameter (`col = $N`), returns that Const or Param expression, else
+/// null — the key enabler of direct dispatch and index point lookups. A
+/// parameter's value arrives when EXECUTE substitutes it.
+ExprPtr ExtractEqualityKey(const Expr& e, int col);
 
 /// True if the expression reads any column (false = evaluable at plan time).
 bool ExprReadsColumns(const Expr& e);

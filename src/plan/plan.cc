@@ -84,7 +84,7 @@ std::string PlanNode::ToString(int indent) const {
     case PlanKind::kVirtualScan:
       s += " table=" + std::to_string(table);
       if (kind == PlanKind::kIndexScan) {
-        s += " key[$" + std::to_string(index_col) + "=" + index_key.ToString() + "]";
+        s += " key[$" + std::to_string(index_col) + "=" + index_key->ToString() + "]";
       }
       if (filter) s += " filter=" + filter->ToString();
       if (!scan_store.empty()) s += " store=" + scan_store;
@@ -149,7 +149,7 @@ PlanPtr MakeFunctionScan(std::vector<ExprPtr> bounds, ExprPtr filter) {
   return p;
 }
 
-PlanPtr MakeIndexScan(TableId table, int arity, int col, Datum key, ExprPtr filter) {
+PlanPtr MakeIndexScan(TableId table, int arity, int col, ExprPtr key, ExprPtr filter) {
   auto p = std::make_unique<PlanNode>();
   p->kind = PlanKind::kIndexScan;
   p->table = table;
@@ -210,7 +210,7 @@ StatusOr<PlanPtr> ClonePlanWithParams(const PlanNode& node,
   p->scan_cols = node.scan_cols;
   GPHTAP_ASSIGN_OR_RETURN(p->filter, CloneExprWithParams(node.filter, params));
   p->index_col = node.index_col;
-  p->index_key = node.index_key;
+  GPHTAP_ASSIGN_OR_RETURN(p->index_key, CloneExprWithParams(node.index_key, params));
   p->emit_tid = node.emit_tid;
   p->exprs.reserve(node.exprs.size());
   for (const ExprPtr& e : node.exprs) {

@@ -62,7 +62,7 @@ struct PlanNode {
   std::vector<int> scan_cols;  // projection pushed into the scan (empty = all)
   ExprPtr filter;              // also used by kFilter / join filters
   int index_col = -1;          // kIndexScan
-  Datum index_key;
+  ExprPtr index_key;           // kIndexScan: a constant or a parameter, read once at scan start
   // The scan feeds a ModifyTable: it takes no lock of its own and appends two
   // junk columns to each row, the version's TupleId (PostgreSQL's ctid) and
   // the index of the partition leaf holding it (0 for an unpartitioned table).
@@ -115,6 +115,15 @@ struct PlanNode {
 
 using PlanPtr = std::unique_ptr<PlanNode>;
 
+/// A distribution key pinned by parameters (`k = $1`): one value expression
+/// per key column and the table's routing modulus. The statement's gang spans
+/// the table until EXECUTE substitutes the values, which then hash to the one
+/// segment holding the key (planner.h BindPlanParams).
+struct ParamDispatch {
+  std::vector<ExprPtr> key;  // empty: the gang is final
+  int span = 0;
+};
+
 /// Assigns pre-order node ids starting at `next_id`; returns the next free id.
 int AssignPlanNodeIds(PlanNode* root, int next_id = 0);
 
@@ -123,7 +132,7 @@ PlanPtr MakeSeqScan(TableId table, int arity, ExprPtr filter = nullptr);
 PlanPtr MakeVirtualScan(TableId table, int arity, ExprPtr filter = nullptr);
 /// `bounds`: start and end of each zipped series, in pairs (none: one empty row).
 PlanPtr MakeFunctionScan(std::vector<ExprPtr> bounds, ExprPtr filter = nullptr);
-PlanPtr MakeIndexScan(TableId table, int arity, int col, Datum key,
+PlanPtr MakeIndexScan(TableId table, int arity, int col, ExprPtr key,
                       ExprPtr filter = nullptr);
 PlanPtr MakeMotion(MotionKind kind, PlanPtr child, int motion_id,
                    std::vector<int> hash_cols = {});

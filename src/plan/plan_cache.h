@@ -16,20 +16,9 @@
 
 #include "catalog/schema.h"
 #include "common/metrics.h"
-#include "plan/plan.h"
+#include "plan/planner.h"
 
 namespace gphtap {
-
-/// One reusable planned SELECT. The plan tree is shared immutable state —
-/// executors only read PlanNode, so any number of concurrent queries may run
-/// the same root. Tables ride along for execute-time lock acquisition.
-struct CachedPlan {
-  std::shared_ptr<const PlanNode> root;
-  std::vector<int> gang;
-  std::vector<std::string> columns;
-  std::vector<TableDef> tables;
-  uint64_t catalog_version = 0;
-};
 
 class PlanCache {
  public:

@@ -170,41 +170,58 @@ std::pair<int, bool> TableSpan(const TableDef& t, const PlannerOptions& opts) {
   return {ds, t.rebalancing};
 }
 
+// The one segment a fully pinned distribution key routes to when its table
+// spans `span` segments: at plan time for constants, after EXECUTE's
+// substitution for parameters.
+int DirectDispatchSegment(const Row& key, int span) {
+  std::vector<int> idx(key.size());
+  std::iota(idx.begin(), idx.end(), 0);
+  return static_cast<int>(HashRowKey(key, idx) % static_cast<uint64_t>(span));
+}
+
 // The gang of a statement over `def` alone: [0, width), or the one segment a
 // fully pinned distribution key routes to. The routing modulus is the table's
 // own span, not the cluster width — and while a rebalance is in flight the
 // row may visibly live at either the old or the new home depending on
-// snapshot, so dispatch goes wide.
-std::vector<int> DispatchGang(const TableDef& def, const ExprPtr& quals, int width,
-                              const PlannerOptions& opts) {
-  if (opts.direct_dispatch && quals != nullptr &&
-      def.distribution.kind == DistributionKind::kHash) {
-    auto [span, rebalancing] = TableSpan(def, opts);
-    Row key(def.distribution.key_cols.size());
-    bool pinned = !rebalancing;
-    for (size_t i = 0; pinned && i < key.size(); ++i) {
-      pinned = ExtractEqualityConst(*quals, def.distribution.key_cols[i], &key[i]);
-    }
-    std::vector<int> idx(key.size());
-    std::iota(idx.begin(), idx.end(), 0);
-    if (pinned) return {static_cast<int>(HashRowKey(key, idx) % static_cast<uint64_t>(span))};
+// snapshot, so dispatch goes wide. A key pinned by parameters keeps the wide
+// gang and waits in `out->param_dispatch` for EXECUTE's values.
+void DispatchGang(const TableDef& def, const ExprPtr& quals, int width,
+                  const PlannerOptions& opts, CachedPlan* out) {
+  out->gang.resize(static_cast<size_t>(width));
+  std::iota(out->gang.begin(), out->gang.end(), 0);
+  if (!opts.direct_dispatch || quals == nullptr ||
+      def.distribution.kind != DistributionKind::kHash) {
+    return;
   }
-  std::vector<int> gang(static_cast<size_t>(width));
-  std::iota(gang.begin(), gang.end(), 0);
-  return gang;
+  auto [span, rebalancing] = TableSpan(def, opts);
+  if (rebalancing) return;
+  ParamDispatch pinned{{}, span};
+  bool has_params = false;
+  for (int col : def.distribution.key_cols) {
+    ExprPtr key = ExtractEqualityKey(*quals, col);
+    if (key == nullptr) return;
+    has_params |= key->kind == ExprKind::kParam;
+    pinned.key.push_back(std::move(key));
+  }
+  if (has_params) {
+    out->param_dispatch = std::move(pinned);
+    return;
+  }
+  Row key;
+  for (const ExprPtr& k : pinned.key) key.push_back(k->value);
+  out->gang = {DirectDispatchSegment(key, span)};
 }
 
 // The access path for one table: a point lookup through the first index in
-// def.indexed_cols whose column `quals` pin by equality, else a SeqScan.
-// `offset` is the table's first column in the quals' layout; `filter` is
-// already rebased onto the table's own columns.
+// def.indexed_cols whose column `quals` pin by equality (to a constant or a
+// parameter), else a SeqScan. `offset` is the table's first column in the
+// quals' layout; `filter` is already rebased onto the table's own columns.
 PlanPtr ScanFor(const TableDef& def, const ExprPtr& quals, int offset, ExprPtr filter) {
   const int ncols = static_cast<int>(def.schema.num_columns());
   if (quals) {
     for (int icol : def.indexed_cols) {
-      Datum key;
-      if (ExtractEqualityConst(*quals, offset + icol, &key)) {
-        return MakeIndexScan(def.id, ncols, icol, key, std::move(filter));
+      if (ExprPtr key = ExtractEqualityKey(*quals, offset + icol)) {
+        return MakeIndexScan(def.id, ncols, icol, std::move(key), std::move(filter));
       }
     }
   }
@@ -213,7 +230,7 @@ PlanPtr ScanFor(const TableDef& def, const ExprPtr& quals, int offset, ExprPtr f
 
 }  // namespace
 
-StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOptions& opts) {
+StatusOr<CachedPlan> PlanSelect(const SelectQuery& query, const PlannerOptions& opts) {
   if (query.tables.empty()) return Status::Internal("a SELECT binds at least one FROM item");
   const int num_tables = static_cast<int>(query.tables.size());
 
@@ -285,23 +302,26 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
     residual.push_back(q);
   }
 
-  // Direct dispatch: a single hash-distributed table with a fully pinned key.
-  std::vector<int> gang = DispatchGang(
-      query.tables[0], num_tables == 1 ? AndAll(table_quals[0]) : nullptr, opts.num_segments,
-      opts);
-  // A query over only replicated tables runs on one segment (any copy);
-  // segment 0 always holds a copy regardless of expansion state.
+  // A coordinator-only query has an empty gang. A query over only replicated
+  // tables runs on one segment (any copy); segment 0 always holds a copy
+  // regardless of expansion state. Otherwise direct dispatch: a single
+  // hash-distributed table with a fully pinned key.
+  CachedPlan out;
+  out.tables = query.tables;
   bool all_replicated = true;
   for (const TableDef& t : query.tables) {
     all_replicated &= t.distribution.kind == DistributionKind::kReplicated;
   }
-  if (all_replicated) gang = {0};
-  // A replicated table only has complete copies on [0, dist_segments). When
-  // the gang must span wider (a hash table occupies the new segments too), the
-  // join would silently lose rows on segments with no replica — fail
-  // retryably; expansion syncs replicated tables before rebalancing hash
-  // tables, so a retry lands after the sync.
-  if (!all_replicated && !coordinator_only) {
+  if (all_replicated && !coordinator_only) {
+    out.gang = {0};
+  } else if (!coordinator_only) {
+    DispatchGang(query.tables[0], num_tables == 1 ? AndAll(table_quals[0]) : nullptr,
+                 opts.num_segments, opts, &out);
+    // A replicated table only has complete copies on [0, dist_segments). When
+    // the gang must span wider (a hash table occupies the new segments too),
+    // the join would silently lose rows on segments with no replica — fail
+    // retryably; expansion syncs replicated tables before rebalancing hash
+    // tables, so a retry lands after the sync.
     for (const TableDef& t : query.tables) {
       if (t.distribution.kind != DistributionKind::kReplicated || t.is_function_scan) continue;
       // The recorded span is authoritative even mid-rebalance: the sync flips
@@ -313,7 +333,6 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
       }
     }
   }
-  if (coordinator_only) gang = {};
 
   // Build per-table scans.
   auto estimate = [&](const TableDef& t) -> uint64_t {
@@ -514,9 +533,7 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
     current.plan = std::move(filter);
   }
 
-  PlannedSelect out;
-  out.gang = gang;
-
+  PlanPtr root;
   if (query.HasAggregates()) {
     // Aggregation with group columns / agg arguments rebased onto the current
     // stream layout. Stored tables aggregate in two phases (partial on the
@@ -605,24 +622,24 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
     }
     project->output_arity = static_cast<int>(project->exprs.size());
     project->children.push_back(std::move(agg_out));
-    out.root = std::move(project);
+    root = std::move(project);
 
     // HAVING filters over the item layout, then hidden items are chopped off.
     if (query.having != nullptr) {
       auto filter = std::make_unique<PlanNode>();
       filter->kind = PlanKind::kFilter;
       filter->filter = query.having;
-      filter->output_arity = out.root->output_arity;
-      filter->children.push_back(std::move(out.root));
-      out.root = std::move(filter);
+      filter->output_arity = root->output_arity;
+      filter->children.push_back(std::move(root));
+      root = std::move(filter);
     }
     if (static_cast<int>(query.items.size()) > num_visible) {
       auto chop = std::make_unique<PlanNode>();
       chop->kind = PlanKind::kProject;
       for (int i = 0; i < num_visible; ++i) chop->exprs.push_back(Expr::Column(i));
       chop->output_arity = num_visible;
-      chop->children.push_back(std::move(out.root));
-      out.root = std::move(chop);
+      chop->children.push_back(std::move(root));
+      root = std::move(chop);
     }
   } else {
     // Plain select: project on segments, gather to coordinator.
@@ -637,9 +654,9 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
     project->output_arity = static_cast<int>(project->exprs.size());
     project->children.push_back(std::move(current.plan));
     if (coordinator_only) {
-      out.root = std::move(project);  // already on the coordinator; no Gather
+      root = std::move(project);  // already on the coordinator; no Gather
     } else {
-      out.root =
+      root =
           MakeMotion(MotionKind::kGather, std::move(project), opts.next_motion_id());
     }
   }
@@ -649,10 +666,10 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
     auto dedup = std::make_unique<PlanNode>();
     dedup->kind = PlanKind::kHashAgg;
     dedup->agg_phase = AggPhase::kSingle;
-    for (int i = 0; i < out.root->output_arity; ++i) dedup->group_cols.push_back(i);
-    dedup->output_arity = out.root->output_arity;
-    dedup->children.push_back(std::move(out.root));
-    out.root = std::move(dedup);
+    for (int i = 0; i < root->output_arity; ++i) dedup->group_cols.push_back(i);
+    dedup->output_arity = root->output_arity;
+    dedup->children.push_back(std::move(root));
+    root = std::move(dedup);
   }
 
   // ORDER BY / LIMIT on the coordinator.
@@ -662,17 +679,17 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
     for (const OrderItem& o : query.order_by) {
       sort->sort_keys.push_back(SortKey{o.select_index, o.ascending});
     }
-    sort->output_arity = out.root->output_arity;
-    sort->children.push_back(std::move(out.root));
-    out.root = std::move(sort);
+    sort->output_arity = root->output_arity;
+    sort->children.push_back(std::move(root));
+    root = std::move(sort);
   }
   if (query.limit >= 0) {
     auto limit = std::make_unique<PlanNode>();
     limit->kind = PlanKind::kLimit;
     limit->limit = query.limit;
-    limit->output_arity = out.root->output_arity;
-    limit->children.push_back(std::move(out.root));
-    out.root = std::move(limit);
+    limit->output_arity = root->output_arity;
+    limit->children.push_back(std::move(root));
+    root = std::move(limit);
   }
 
   if (opts.vectorize) {
@@ -689,16 +706,17 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
         vec_tables.insert(def.id);
       }
     }
-    if (!vec_tables.empty()) MarkVectorizable(out.root.get(), vec_tables);
+    if (!vec_tables.empty()) MarkVectorizable(root.get(), vec_tables);
   }
-  LabelScanStores(out.root.get(), query.tables, opts);
-  AssignPlanNodeIds(out.root.get());
+  LabelScanStores(root.get(), query.tables, opts);
+  AssignPlanNodeIds(root.get());
+  out.root = std::move(root);
   return out;
 }
 
-StatusOr<PlannedSelect> PlanModify(const TableDef& def,
-                                   const std::vector<std::pair<int, ExprPtr>>* sets,
-                                   const ExprPtr& where, const PlannerOptions& opts) {
+StatusOr<CachedPlan> PlanModify(const TableDef& def,
+                                const std::vector<std::pair<int, ExprPtr>>* sets,
+                                const ExprPtr& where, const PlannerOptions& opts) {
   if (def.storage == StorageKind::kExternal && !def.partitions.has_value()) {
     return Status::NotSupported("UPDATE/DELETE on external storage");
   }
@@ -732,11 +750,30 @@ StatusOr<PlannedSelect> PlanModify(const TableDef& def,
   // Every copy of a replicated table, every segment the table spans, or every
   // serving segment while a rebalance may hold a row at either home.
   auto [span, rebalancing] = TableSpan(def, opts);
-  PlannedSelect out;
-  out.gang = DispatchGang(def, where, rebalancing ? opts.num_segments : span, opts);
+  CachedPlan out;
+  out.tables = {def};
+  DispatchGang(def, where, rebalancing ? opts.num_segments : span, opts, &out);
+  AssignPlanNodeIds(modify.get());
   out.root = std::move(modify);
-  AssignPlanNodeIds(out.root.get());
   return out;
+}
+
+StatusOr<std::shared_ptr<const CachedPlan>> BindPlanParams(
+    std::shared_ptr<const CachedPlan> generic, const std::vector<Datum>& params) {
+  if (params.empty()) return generic;
+  auto plan = std::make_shared<CachedPlan>(*generic);
+  GPHTAP_ASSIGN_OR_RETURN(plan->root, ClonePlanWithParams(*generic->root, params));
+  if (!plan->param_dispatch.key.empty()) {
+    Row key;
+    for (const ExprPtr& e : plan->param_dispatch.key) {
+      GPHTAP_ASSIGN_OR_RETURN(ExprPtr value, CloneExprWithParams(e, params));
+      GPHTAP_ASSIGN_OR_RETURN(Datum d, EvalExpr(*value, Row{}));
+      key.push_back(std::move(d));
+    }
+    plan->gang = {DirectDispatchSegment(key, plan->param_dispatch.span)};
+    plan->param_dispatch = {};
+  }
+  return std::shared_ptr<const CachedPlan>(std::move(plan));
 }
 
 }  // namespace gphtap

@@ -7,6 +7,7 @@
 #define GPHTAP_PLAN_PLANNER_H_
 
 #include <functional>
+#include <memory>
 #include <utility>
 
 #include "plan/plan.h"
@@ -35,23 +36,40 @@ struct PlannerOptions {
   std::function<std::pair<int, bool>(TableId)> table_dist;
 };
 
-/// A planned statement: a SELECT, or an UPDATE / DELETE (PlanModify).
-struct PlannedSelect {
-  PlanPtr root;                       // top slice runs on the coordinator
-  std::vector<int> gang;              // segments executing the leaf slices
-  std::vector<std::string> columns;   // output column labels
+/// A planned statement: a SELECT, or an UPDATE / DELETE (PlanModify), which
+/// the plan cache and prepared statements keep for reuse. The plan tree is
+/// shared immutable state — executors only read PlanNode, so any number of
+/// concurrent queries may run the same root. Tables ride along for
+/// execute-time lock acquisition.
+struct CachedPlan {
+  std::shared_ptr<const PlanNode> root;  // top slice runs on the coordinator
+  std::vector<int> gang;                 // segments executing the leaf slices
+  std::vector<std::string> columns;      // output column labels
+  std::vector<TableDef> tables;
+  uint64_t catalog_version = 0;          // stamped by the caller that plans
+  ParamDispatch param_dispatch;          // a key `gang` narrows to once bound
 };
+using PlannedSelect = CachedPlan;  // the planner output's earlier name
 
-StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOptions& opts);
+/// Plans a bound SELECT. `col = $N` plans like `col = const`: an IndexScan
+/// keyed by the parameter, and a distribution key pinned by parameters kept
+/// in `param_dispatch`.
+StatusOr<CachedPlan> PlanSelect(const SelectQuery& query, const PlannerOptions& opts);
 
 /// Plans UPDATE (`sets` non-null: column, new value over the old row) or
 /// DELETE as a ModifyTable over the scan PlanSelect would pick for `where`:
 /// an IndexScan when an indexed column is pinned by equality, else a SeqScan.
 /// The root has no motion; each gang member runs the whole plan on its own
 /// rows. Rejects an UPDATE of a distribution-key column.
-StatusOr<PlannedSelect> PlanModify(const TableDef& def,
-                                   const std::vector<std::pair<int, ExprPtr>>* sets,
-                                   const ExprPtr& where, const PlannerOptions& opts);
+StatusOr<CachedPlan> PlanModify(const TableDef& def,
+                                const std::vector<std::pair<int, ExprPtr>>* sets,
+                                const ExprPtr& where, const PlannerOptions& opts);
+
+/// EXECUTE of a prepared plan: `generic` with every parameter replaced by its
+/// value (ClonePlanWithParams), and a distribution key pinned by parameters
+/// hashed to its one-segment gang. Without parameters, `generic` itself.
+StatusOr<std::shared_ptr<const CachedPlan>> BindPlanParams(
+    std::shared_ptr<const CachedPlan> generic, const std::vector<Datum>& params);
 
 }  // namespace gphtap
 

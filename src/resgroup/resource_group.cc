@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 
 #include "common/clock.h"
 #include "common/wait_event.h"
@@ -147,6 +148,20 @@ ResourceGroupRegistry::ResourceGroupRegistry(CpuGovernor* governor, VmemTracker*
     : governor_(governor), vmem_(vmem), metrics_(metrics) {}
 
 Status ResourceGroupRegistry::CreateGroup(const ResourceGroupConfig& config) {
+  auto percent = [](double v) { return v >= 0 && v <= 100; };  // false for NaN
+  const int cores = governor_->total_cores();
+  const bool cpuset = config.cpuset_begin != -1 || config.cpuset_end != -1;
+  if (config.concurrency < 1 || !percent(config.cpu_rate_limit) ||
+      !percent(config.memory_shared_quota) ||
+      (cpuset && (config.cpuset_begin < 0 || config.cpuset_end < config.cpuset_begin ||
+                  config.cpuset_end >= cores)) ||
+      config.memory_limit_mb < 1 || config.memory_limit_mb > (INT64_MAX >> 20)) {
+    return Status::InvalidArgument(
+        "resource group " + config.name + ": concurrency must be at least 1, cpu_rate_limit "
+        "and memory_shared_quota percentages in [0, 100], cpu_set a core range within [0, " +
+        std::to_string(cores) + "), and memory_limit at least 1 MB with its byte count "
+        "within int64");
+  }
   std::lock_guard<std::mutex> g(mu_);
   if (groups_.count(config.name)) {
     return Status::AlreadyExists("resource group " + config.name);

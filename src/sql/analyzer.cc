@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "plan/plan.h"
+
 namespace gphtap {
 
 using sql_ast::ExprNode;
@@ -125,6 +127,7 @@ StatusOr<ExprPtr> Analyzer::BindExpr(const ExprNode& e, const Scope& scope) {
     case ExprNodeKind::kStar:
       return Status::InvalidArgument("'*' not allowed in this context");
     case ExprNodeKind::kParam:
+      max_param_ = std::max(max_param_, e.param);
       return Expr::Param(e.param - 1);  // SQL positions are 1-based
   }
   return Status::Internal("bad expr node");
@@ -214,6 +217,7 @@ StatusOr<ExprPtr> Analyzer::BindHavingExpr(const ExprNode& e, const Scope& scope
     case ExprNodeKind::kStar:
       return Status::InvalidArgument("'*' not allowed in HAVING");
     case ExprNodeKind::kParam:
+      max_param_ = std::max(max_param_, e.param);
       return Expr::Param(e.param - 1);
   }
   return Status::Internal("bad having expr");
@@ -400,35 +404,56 @@ StatusOr<BoundInsert> Analyzer::BindInsert(const sql_ast::InsertNode& node) {
   const Schema& schema = out.table.schema;
 
   // Optional explicit column list -> schema position mapping.
-  std::vector<int> positions;
   if (!node.columns.empty()) {
     for (const std::string& col : node.columns) {
       int idx = schema.FindColumn(col);
       if (idx < 0) return Status::NotFound("column " + col);
-      positions.push_back(idx);
+      out.positions.push_back(idx);
     }
   } else {
-    positions.resize(schema.num_columns());
-    for (size_t i = 0; i < positions.size(); ++i) positions[i] = static_cast<int>(i);
+    out.positions.resize(schema.num_columns());
+    for (size_t i = 0; i < out.positions.size(); ++i) out.positions[i] = static_cast<int>(i);
   }
 
   if (node.select != nullptr) {
-    out.select = node.select;
+    GPHTAP_ASSIGN_OR_RETURN(out.select, BindSelect(*node.select));
+    if (static_cast<size_t>(out.select->NumVisible()) != out.positions.size()) {
+      return Status::InvalidArgument("INSERT SELECT arity mismatch");
+    }
     return out;
   }
 
   for (const auto& row_exprs : node.rows) {
-    if (row_exprs.size() != positions.size()) {
+    if (row_exprs.size() != out.positions.size()) {
       return Status::InvalidArgument("INSERT row arity mismatch");
     }
-    Row row(schema.num_columns(), Datum::Null());
-    for (size_t i = 0; i < row_exprs.size(); ++i) {
-      GPHTAP_ASSIGN_OR_RETURN(Datum d, EvalConst(*row_exprs[i]));
-      row[static_cast<size_t>(positions[i])] = std::move(d);
+    std::vector<ExprPtr>& row = out.values.emplace_back();
+    for (const auto& e : row_exprs) {
+      GPHTAP_ASSIGN_OR_RETURN(ExprPtr bound, BindExpr(*e, Scope{}));
+      row.push_back(std::move(bound));
     }
-    out.rows.push_back(std::move(row));
+  }
+  if (max_param_ == 0) {
+    GPHTAP_ASSIGN_OR_RETURN(out.rows, InsertValuesRows(out, {}));
+    out.values.clear();
   }
   return out;
+}
+
+StatusOr<std::vector<Row>> InsertValuesRows(const BoundInsert& bound,
+                                            const std::vector<Datum>& params) {
+  std::vector<Row> rows;
+  rows.reserve(bound.values.size());
+  for (const std::vector<ExprPtr>& exprs : bound.values) {
+    Row row(bound.table.schema.num_columns(), Datum::Null());
+    for (size_t i = 0; i < exprs.size(); ++i) {
+      GPHTAP_ASSIGN_OR_RETURN(ExprPtr value, CloneExprWithParams(exprs[i], params));
+      GPHTAP_ASSIGN_OR_RETURN(row[static_cast<size_t>(bound.positions[i])],
+                              EvalExpr(*value, Row{}));
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
 }
 
 StatusOr<BoundUpdate> Analyzer::BindUpdate(const sql_ast::UpdateNode& node) {

@@ -2,6 +2,7 @@
 #ifndef GPHTAP_SQL_ANALYZER_H_
 #define GPHTAP_SQL_ANALYZER_H_
 
+#include <optional>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -12,9 +13,18 @@ namespace gphtap {
 
 struct BoundInsert {
   TableDef table;
-  std::vector<Row> rows;  // empty when `select` drives the insert
-  std::shared_ptr<sql_ast::SelectNode> select;
+  std::vector<int> positions;  // schema position of each inserted column
+  // INSERT ... VALUES: full rows, or, when a value holds a parameter, the
+  // bound VALUES expressions (InsertValuesRows substitutes and evaluates).
+  std::vector<Row> rows;
+  std::vector<std::vector<ExprPtr>> values;
+  std::optional<SelectQuery> select;  // INSERT ... SELECT
 };
+
+/// The full rows of an INSERT ... VALUES: `bound.values` with `params`
+/// substituted, each value at its column's position, NULL elsewhere.
+StatusOr<std::vector<Row>> InsertValuesRows(const BoundInsert& bound,
+                                            const std::vector<Datum>& params);
 
 struct BoundUpdate {
   TableDef table;
@@ -39,6 +49,10 @@ class Analyzer {
   /// Evaluates a constant expression (no column references).
   static StatusOr<Datum> EvalConst(const sql_ast::ExprNode& e);
 
+  /// The highest $N this analyzer has bound: a prepared statement's
+  /// parameter count. One analyzer binds one statement.
+  int max_param() const { return max_param_; }
+
  private:
   struct Scope {
     // (qualifier, column) -> combined index. Empty qualifier matches any table.
@@ -61,6 +75,7 @@ class Analyzer {
   static bool IsAggName(const std::string& name);
 
   Cluster* const cluster_;
+  int max_param_ = 0;
 };
 
 }  // namespace gphtap

@@ -1,9 +1,10 @@
 #include "sql/driver.h"
 
-#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <optional>
+#include <string_view>
 
 #include "cluster/session.h"
 #include "sql/analyzer.h"
@@ -16,8 +17,6 @@ namespace sql_driver {
 
 namespace {
 
-using sql_ast::ExprNode;
-using sql_ast::ExprNodeKind;
 using sql_ast::Statement;
 using sql_ast::StatementKind;
 
@@ -159,22 +158,32 @@ StatusOr<QueryResult> RunResourceGroup(Session* session,
   ResourceGroupConfig config;
   config.name = node.name;
   for (const auto& [key, value] : node.options) {
+    // Option values are numbers; anything else is an error, never a 0. The
+    // registry checks the ranges.
+    auto number = [&](std::string_view text, auto* out) -> Status {
+      auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
+      if (ec != std::errc() || end != text.data() + text.size()) {
+        return Status::InvalidArgument("invalid value for resource group option " + key +
+                                       ": " + value);
+      }
+      return Status::OK();
+    };
     if (key == "concurrency") {
-      config.concurrency = std::atoi(value.c_str());
+      GPHTAP_RETURN_IF_ERROR(number(value, &config.concurrency));
     } else if (key == "cpu_rate_limit") {
-      config.cpu_rate_limit = std::atof(value.c_str());
+      GPHTAP_RETURN_IF_ERROR(number(value, &config.cpu_rate_limit));
     } else if (key == "cpu_set") {
-      size_t dash = value.find('-');
-      if (dash == std::string::npos) {
-        config.cpuset_begin = config.cpuset_end = std::atoi(value.c_str());
-      } else {
-        config.cpuset_begin = std::atoi(value.substr(0, dash).c_str());
-        config.cpuset_end = std::atoi(value.substr(dash + 1).c_str());
+      std::string_view range = value;
+      size_t dash = range.find('-');
+      GPHTAP_RETURN_IF_ERROR(number(range.substr(0, dash), &config.cpuset_begin));
+      config.cpuset_end = config.cpuset_begin;
+      if (dash != std::string_view::npos) {
+        GPHTAP_RETURN_IF_ERROR(number(range.substr(dash + 1), &config.cpuset_end));
       }
     } else if (key == "memory_limit") {
-      config.memory_limit_mb = std::atoll(value.c_str());
+      GPHTAP_RETURN_IF_ERROR(number(value, &config.memory_limit_mb));
     } else if (key == "memory_shared_quota") {
-      config.memory_shared_quota = std::atoi(value.c_str());
+      GPHTAP_RETURN_IF_ERROR(number(value, &config.memory_shared_quota));
     } else {
       return Status::NotSupported("resource group option " + key);
     }
@@ -183,121 +192,17 @@ StatusOr<QueryResult> RunResourceGroup(Session* session,
   return QueryResult{};
 }
 
-// ---------- PREPARE / EXECUTE parameter machinery ----------
-
-// Highest $N appearing in an (unbound) expression tree.
-int MaxParam(const sql_ast::ExprNodePtr& e) {
-  if (e == nullptr) return 0;
-  int m = e->kind == ExprNodeKind::kParam ? e->param : 0;
-  for (const auto& a : e->args) m = std::max(m, MaxParam(a));
-  return m;
-}
-
-int MaxParamInSelect(const sql_ast::SelectNode& s) {
-  int m = 0;
-  for (const auto& item : s.items) m = std::max(m, MaxParam(item.expr));
-  for (const auto& t : s.from) {
-    for (const auto& a : t.func_args) m = std::max(m, MaxParam(a));
+// INSERT of a bound statement with `params` substituted: VALUES rows, or
+// the SELECT `select` supplies run inside the INSERT's own statement.
+StatusOr<QueryResult> RunInsert(Session* session, const BoundInsert& bound,
+                                const std::vector<Datum>& params,
+                                const Session::PlanSupplier& select) {
+  if (bound.select.has_value()) {
+    return session->ExecuteInsertSelect(bound.table, bound.positions, select);
   }
-  for (const auto& q : s.join_quals) m = std::max(m, MaxParam(q));
-  m = std::max(m, MaxParam(s.where));
-  for (const auto& g : s.group_by) m = std::max(m, MaxParam(g));
-  m = std::max(m, MaxParam(s.having));
-  for (const auto& o : s.order_by) m = std::max(m, MaxParam(o.expr));
-  return m;
-}
-
-int MaxParamInStatement(const Statement& stmt) {
-  switch (stmt.kind) {
-    case StatementKind::kSelect:
-      return MaxParamInSelect(*stmt.select);
-    case StatementKind::kInsert: {
-      int m = 0;
-      for (const auto& row : stmt.insert->rows) {
-        for (const auto& e : row) m = std::max(m, MaxParam(e));
-      }
-      if (stmt.insert->select != nullptr) {
-        m = std::max(m, MaxParamInSelect(*stmt.insert->select));
-      }
-      return m;
-    }
-    case StatementKind::kUpdate: {
-      int m = MaxParam(stmt.update->where);
-      for (const auto& [col, e] : stmt.update->sets) m = std::max(m, MaxParam(e));
-      return m;
-    }
-    case StatementKind::kDelete:
-      return MaxParam(stmt.del->where);
-    default:
-      return 0;
-  }
-}
-
-// Clones an unbound expression with every $N replaced by its literal value.
-// Param-free subtrees are shared (the analyzer never mutates parse nodes).
-sql_ast::ExprNodePtr SubstParams(const sql_ast::ExprNodePtr& e,
-                                 const std::vector<Datum>& params) {
-  if (e == nullptr) return nullptr;
-  if (MaxParam(e) == 0) return e;
-  auto c = std::make_shared<ExprNode>(*e);
-  if (e->kind == ExprNodeKind::kParam) {
-    c->kind = ExprNodeKind::kLiteral;
-    c->literal = params[static_cast<size_t>(e->param - 1)];
-    c->param = 0;
-    return c;
-  }
-  for (auto& a : c->args) a = SubstParams(a, params);
-  return c;
-}
-
-std::shared_ptr<sql_ast::SelectNode> SubstParamsInSelect(
-    const sql_ast::SelectNode& s, const std::vector<Datum>& params) {
-  auto c = std::make_shared<sql_ast::SelectNode>(s);
-  for (auto& item : c->items) item.expr = SubstParams(item.expr, params);
-  for (auto& t : c->from) {
-    for (auto& a : t.func_args) a = SubstParams(a, params);
-  }
-  for (auto& q : c->join_quals) q = SubstParams(q, params);
-  c->where = SubstParams(c->where, params);
-  for (auto& g : c->group_by) g = SubstParams(g, params);
-  c->having = SubstParams(c->having, params);
-  for (auto& o : c->order_by) o.expr = SubstParams(o.expr, params);
-  return c;
-}
-
-// Clones the prepared statement with EXECUTE's argument values substituted.
-Statement SubstParamsInStatement(const Statement& stmt,
-                                 const std::vector<Datum>& params) {
-  Statement out = stmt;
-  switch (stmt.kind) {
-    case StatementKind::kSelect:
-      out.select = SubstParamsInSelect(*stmt.select, params);
-      break;
-    case StatementKind::kInsert: {
-      out.insert = std::make_shared<sql_ast::InsertNode>(*stmt.insert);
-      for (auto& row : out.insert->rows) {
-        for (auto& e : row) e = SubstParams(e, params);
-      }
-      if (out.insert->select != nullptr) {
-        out.insert->select = SubstParamsInSelect(*out.insert->select, params);
-      }
-      break;
-    }
-    case StatementKind::kUpdate: {
-      out.update = std::make_shared<sql_ast::UpdateNode>(*stmt.update);
-      for (auto& [col, e] : out.update->sets) e = SubstParams(e, params);
-      out.update->where = SubstParams(out.update->where, params);
-      break;
-    }
-    case StatementKind::kDelete: {
-      out.del = std::make_shared<sql_ast::DeleteNode>(*stmt.del);
-      out.del->where = SubstParams(out.del->where, params);
-      break;
-    }
-    default:
-      break;
-  }
-  return out;
+  if (bound.values.empty()) return session->ExecuteInsert(bound.table, bound.rows);
+  GPHTAP_ASSIGN_OR_RETURN(std::vector<Row> rows, InsertValuesRows(bound, params));
+  return session->ExecuteInsert(bound.table, rows);
 }
 
 StatusOr<QueryResult> RunPrepare(Session* session, const sql_ast::PrepareNode& node,
@@ -348,35 +253,7 @@ StatusOr<QueryResult> DispatchStatement(Session* session, const Statement& stmt,
 
     case StatementKind::kInsert: {
       GPHTAP_ASSIGN_OR_RETURN(BoundInsert bound, analyzer.BindInsert(*stmt.insert));
-      if (bound.select != nullptr) {
-        GPHTAP_ASSIGN_OR_RETURN(QueryResult sel, RunSelect(session, *bound.select));
-        // Re-shape the selected rows through the optional column list.
-        std::vector<int> positions;
-        const Schema& schema = bound.table.schema;
-        if (!stmt.insert->columns.empty()) {
-          for (const std::string& col : stmt.insert->columns) {
-            positions.push_back(schema.FindColumn(col));
-          }
-        } else {
-          for (size_t i = 0; i < schema.num_columns(); ++i) {
-            positions.push_back(static_cast<int>(i));
-          }
-        }
-        std::vector<Row> rows;
-        rows.reserve(sel.rows.size());
-        for (Row& r : sel.rows) {
-          if (r.size() != positions.size()) {
-            return Status::InvalidArgument("INSERT SELECT arity mismatch");
-          }
-          Row full(schema.num_columns(), Datum::Null());
-          for (size_t i = 0; i < positions.size(); ++i) {
-            full[static_cast<size_t>(positions[i])] = std::move(r[i]);
-          }
-          rows.push_back(std::move(full));
-        }
-        return session->ExecuteInsert(bound.table, rows);
-      }
-      return session->ExecuteInsert(bound.table, bound.rows);
+      return RunInsert(session, bound, {}, [&] { return session->PlanQuery(*bound.select); });
     }
 
     case StatementKind::kUpdate: {
@@ -533,91 +410,66 @@ StatusOr<QueryResult> DispatchStatement(Session* session, const Statement& stmt,
   return Status::Internal("unhandled statement kind");
 }
 
-// Does any conjunct pin a combined-layout column to a parameter? Collects the
-// pinned columns (the same shape ExtractEqualityConst matches for constants).
-void CollectParamEqCols(const Expr& e, std::vector<int>* cols) {
-  if (e.kind == ExprKind::kBinary && e.op == BinOp::kAnd) {
-    CollectParamEqCols(*e.left, cols);
-    CollectParamEqCols(*e.right, cols);
-    return;
-  }
-  if (e.kind != ExprKind::kBinary || e.op != BinOp::kEq) return;
-  const Expr& l = *e.left;
-  const Expr& r = *e.right;
-  if (l.kind == ExprKind::kColumn && r.kind == ExprKind::kParam) {
-    cols->push_back(l.column);
-  } else if (r.kind == ExprKind::kColumn && l.kind == ExprKind::kParam) {
-    cols->push_back(r.column);
-  }
-}
-
-// Postgres keeps re-planning per EXECUTE ("custom plans") when the generic
-// plan is structurally worse. Here that is exactly when a parameter pins an
-// indexed column or a hash-distribution key: planned as an opaque parameter
-// the scan forfeits the index lookup and direct dispatch a constant would
-// get, turning a one-segment point read into a full-cluster seq scan.
-bool GenericPlanForfeitsKeyLookup(const SelectQuery& q) {
-  std::vector<int> cols;
-  for (const ExprPtr& qual : q.quals) {
-    if (qual != nullptr) CollectParamEqCols(*qual, &cols);
-  }
-  if (cols.empty()) return false;
-  for (int col : cols) {
-    int offset = 0;
-    for (const TableDef& t : q.tables) {
-      int n = static_cast<int>(t.schema.num_columns());
-      if (col < offset + n) {
-        int local = col - offset;
-        for (int ic : t.indexed_cols) {
-          if (ic == local) return true;
-        }
-        if (t.distribution.kind == DistributionKind::kHash) {
-          for (int kc : t.distribution.key_cols) {
-            if (kc == local) return true;
-          }
-        }
-        break;
-      }
-      offset += n;
+// Binds and plans a prepared statement against the current catalog: at
+// PREPARE, and again at an EXECUTE that finds the catalog version moved.
+Status BindPrepared(Session* session, PreparedStatement* ps) {
+  Cluster* cluster = session->cluster();
+  const uint64_t catalog_version = cluster->catalog_version();
+  Analyzer analyzer(cluster);
+  const Statement& stmt = *ps->stmt;
+  std::shared_ptr<const CachedPlan> plan;
+  switch (stmt.kind) {
+    case StatementKind::kSelect: {
+      GPHTAP_ASSIGN_OR_RETURN(SelectQuery q, analyzer.BindSelect(*stmt.select));
+      GPHTAP_ASSIGN_OR_RETURN(plan, session->PlanQuery(q));
+      break;
     }
+    case StatementKind::kUpdate: {
+      GPHTAP_ASSIGN_OR_RETURN(BoundUpdate bound, analyzer.BindUpdate(*stmt.update));
+      GPHTAP_ASSIGN_OR_RETURN(plan, session->PlanDml(bound.table, &bound.sets, bound.where));
+      break;
+    }
+    case StatementKind::kDelete: {
+      GPHTAP_ASSIGN_OR_RETURN(BoundDelete bound, analyzer.BindDelete(*stmt.del));
+      GPHTAP_ASSIGN_OR_RETURN(plan, session->PlanDml(bound.table, nullptr, bound.where));
+      break;
+    }
+    case StatementKind::kInsert: {
+      GPHTAP_ASSIGN_OR_RETURN(ps->insert, analyzer.BindInsert(*stmt.insert));
+      if (ps->insert.select.has_value()) {
+        GPHTAP_ASSIGN_OR_RETURN(plan, session->PlanQuery(*ps->insert.select));
+      } else {
+        // VALUES has no plan; the root-less one carries the catalog stamp.
+        auto stamp = std::make_shared<CachedPlan>();
+        stamp->catalog_version = catalog_version;
+        plan = std::move(stamp);
+      }
+      break;
+    }
+    default:
+      return Status::NotSupported("PREPARE supports SELECT/INSERT/UPDATE/DELETE");
   }
-  return false;
+  ps->num_params = analyzer.max_param();
+  ps->plan = std::move(plan);
+  return Status::OK();
 }
 
 StatusOr<QueryResult> RunPrepare(Session* session, const sql_ast::PrepareNode& node,
                                  const std::string* sql) {
-  const Statement& inner = *node.stmt;
-  switch (inner.kind) {
-    case StatementKind::kSelect:
-    case StatementKind::kInsert:
-    case StatementKind::kUpdate:
-    case StatementKind::kDelete:
-      break;
-    default:
-      return Status::NotSupported("PREPARE supports SELECT/INSERT/UPDATE/DELETE");
-  }
   auto ps = std::make_shared<PreparedStatement>();
   ps->name = node.name;
   ps->stmt = node.stmt;
-  ps->num_params = MaxParamInStatement(inner);
   // FingerprintSql strips the PREPARE..AS wrapper, so this equals the inner
   // statement's fingerprint and EXECUTEs aggregate with the literal form.
   if (sql != nullptr) ps->fingerprint = FingerprintSql(*sql);
-  // SELECTs get their generic plan now; EXECUTE only substitutes values into
-  // a clone. DML re-binds per EXECUTE (still skipping the parse).
-  if (inner.kind == StatementKind::kSelect) {
-    Analyzer analyzer(session->cluster());
-    GPHTAP_ASSIGN_OR_RETURN(SelectQuery q, analyzer.BindSelect(*inner.select));
-    if (!GenericPlanForfeitsKeyLookup(q)) {
-      GPHTAP_RETURN_IF_ERROR(session->PlanForPrepare(q, ps.get()));
-    }
-    // else: custom-plan mode — EXECUTE substitutes values into the parse
-    // tree and plans fresh, keeping index scans / direct dispatch.
-  }
+  GPHTAP_RETURN_IF_ERROR(BindPrepared(session, ps.get()));
   session->PutPrepared(node.name, std::move(ps));
   return QueryResult{};
 }
 
+// EXECUTE parses nothing: it substitutes the argument values into PREPARE's
+// plan (or bound VALUES) and runs it, binding and planning again only when
+// the catalog version has moved since.
 StatusOr<QueryResult> RunExecutePrepared(Session* session,
                                          const sql_ast::ExecuteStmtNode& node) {
   std::shared_ptr<PreparedStatement> ps = session->GetPrepared(node.name);
@@ -640,40 +492,38 @@ StatusOr<QueryResult> RunExecutePrepared(Session* session,
   // "execute name($1)".
   if (!ps->fingerprint.empty()) session->SetStmtFingerprint(ps->fingerprint);
 
-  if (ps->has_plan) {
-    // Generic-plan reuse is the prepared-statement analogue of a plan-cache
-    // hit; a catalog-version miss below replans and is counted as a miss.
-    if (ps->catalog_version == session->cluster()->catalog_version()) {
+  // Reusing PREPARE's plan is the prepared-statement analogue of a plan-cache
+  // hit; a moved catalog version re-binds and re-plans, counted as a miss.
+  auto current = [&]() -> Status {
+    if (ps->plan->catalog_version == session->cluster()->catalog_version()) {
       session->NoteStmtPlanCacheHit();
+      return Status::OK();
     }
-    // Generic-plan fast path: no parse, no analyze, no planning. Replan only
-    // when DDL/expansion/rebalance moved the catalog version.
-    Cluster* cluster = session->cluster();
-    if (ps->catalog_version != cluster->catalog_version()) {
-      Analyzer analyzer(cluster);
-      GPHTAP_ASSIGN_OR_RETURN(SelectQuery q, analyzer.BindSelect(*ps->stmt->select));
-      GPHTAP_RETURN_IF_ERROR(session->PlanForPrepare(q, ps.get()));
+    return BindPrepared(session, ps.get());
+  };
+  auto bound_plan = [&]() -> StatusOr<std::shared_ptr<const CachedPlan>> {
+    GPHTAP_RETURN_IF_ERROR(current());
+    return BindPlanParams(ps->plan, params);
+  };
+  switch (ps->stmt->kind) {
+    case StatementKind::kUpdate:
+    case StatementKind::kDelete: {
+      // The version check runs once the coordinator lock is held: a rebalance
+      // cutover that committed while this EXECUTE queued has moved it, and
+      // the re-plan dispatches to the rows' new homes. `generic` keeps the
+      // locked table's definition alive across that re-plan.
+      std::shared_ptr<const CachedPlan> generic = ps->plan;
+      return session->ExecuteDml(generic->tables[0], bound_plan);
     }
-    auto plan = std::make_shared<CachedPlan>();
-    if (params.empty()) {
-      plan->root = ps->plan_root;  // no substitution needed: share the tree
-    } else {
-      GPHTAP_ASSIGN_OR_RETURN(PlanPtr root,
-                              ClonePlanWithParams(*ps->plan_root, params));
-      plan->root = std::move(root);
+    case StatementKind::kInsert:
+      GPHTAP_RETURN_IF_ERROR(current());
+      return RunInsert(session, ps->insert, params,
+                       [&] { return BindPlanParams(ps->plan, params); });
+    default: {
+      GPHTAP_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> plan, bound_plan());
+      return session->ExecuteCachedPlan(std::move(plan));
     }
-    plan->gang = ps->gang;
-    plan->columns = ps->columns;
-    plan->tables = ps->tables;
-    plan->catalog_version = ps->catalog_version;
-    return session->ExecuteCachedPlan(std::move(plan));
   }
-
-  // DML and custom-plan selects: substitute values into the parse tree and
-  // dispatch, skipping only the parse. (Row-DML binding is cheap; the win is the
-  // SELECT path above.)
-  Statement substituted = SubstParamsInStatement(*ps->stmt, params);
-  return DispatchStatement(session, substituted, nullptr);
 }
 
 }  // namespace

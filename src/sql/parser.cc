@@ -206,8 +206,11 @@ class Parser {
     }
     if (t.Is(TokenType::kParam)) {
       Advance();
-      int pos = std::atoi(t.text.c_str());
-      if (pos < 1) return Err("parameter positions start at $1");
+      int pos = 0;
+      auto [end, ec] = std::from_chars(t.text.data(), t.text.data() + t.text.size(), pos);
+      if (ec != std::errc() || end != t.text.data() + t.text.size() || pos < 1) {
+        return Err("parameter positions run from $1 to $2147483647");
+      }
       e->kind = ExprNodeKind::kParam;
       e->param = pos;
       return StatusOr<ExprNodePtr>(std::move(e));

@@ -1,8 +1,8 @@
 // Session-scoped prepared statements (PREPARE / EXECUTE / DEALLOCATE).
 //
-// PREPARE parses and (for SELECTs) binds + plans once, keeping the generic
-// plan with kParam placeholders in its expressions. EXECUTE substitutes the
-// argument values into a cloned plan tree and runs it, skipping the
+// PREPARE parses, binds and plans once, keeping the generic plan with kParam
+// placeholders in its expressions. EXECUTE substitutes the argument values
+// into a cloned plan tree (BindPlanParams) and runs it, skipping the
 // parse/analyze/plan pipeline — the per-statement overhead the Greenplum
 // paper's OLTP path (Section 6) pays only once per connection.
 #ifndef GPHTAP_SQL_PREPARED_STATEMENT_H_
@@ -10,18 +10,17 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "catalog/schema.h"
-#include "plan/plan.h"
+#include "plan/plan_cache.h"
+#include "sql/analyzer.h"
 #include "sql/ast.h"
 
 namespace gphtap {
 
 struct PreparedStatement {
   std::string name;
-  // The parsed parameterized statement. DML executes by substituting the
-  // argument values into a clone of this AST and rebinding.
+  // The parsed parameterized statement, bound and planned again when the
+  // catalog version moves past plan->catalog_version.
   std::shared_ptr<const sql_ast::Statement> stmt;
   int num_params = 0;  // highest $N seen across the statement
 
@@ -30,14 +29,10 @@ struct PreparedStatement {
   // prepared and literal forms of a statement aggregate onto one row.
   std::string fingerprint;
 
-  // SELECT fast path: the generic plan built at PREPARE time. Invalidated
-  // (replanned) when the catalog version moves, like plan-cache entries.
-  bool has_plan = false;
-  std::shared_ptr<const PlanNode> plan_root;
-  std::vector<int> gang;
-  std::vector<std::string> columns;
-  std::vector<TableDef> tables;
-  uint64_t catalog_version = 0;
+  // SELECT, UPDATE, DELETE: the generic plan. INSERT: the plan of its SELECT,
+  // or for VALUES a plan with no root that carries only the catalog stamp.
+  std::shared_ptr<const CachedPlan> plan;
+  BoundInsert insert;  // INSERT: table, column positions, bound VALUES
 };
 
 }  // namespace gphtap

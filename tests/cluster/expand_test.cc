@@ -5,8 +5,11 @@
 // actually serving data afterwards.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "common/fault_injector.h"
 #include "integration/actor.h"
@@ -142,6 +145,83 @@ TEST_F(ExpandTest, RebalanceRunsUnderConcurrentWrites) {
 
   EXPECT_EQ(Keys("t").size(), 120u);
   EXPECT_EQ(Sum("t"), 120);
+}
+
+// A prepared UPDATE planned on the old span re-plans once expansion and the
+// rebalance move the catalog version, and finds every row at its new home.
+TEST_F(ExpandTest, PreparedUpdateFollowsRowsAfterRebalance) {
+  StartCluster(2);
+  Exec("CREATE TABLE t (k int, v int) DISTRIBUTED BY (k)");
+  Exec("INSERT INTO t SELECT i, 0 FROM generate_series(0, 39) i");
+  Exec("PREPARE up AS UPDATE t SET v = v + 1 WHERE k = $1");
+  EXPECT_EQ(Exec("EXECUTE up(0)").affected, 1);
+  ASSERT_TRUE(cluster_->AddSegments(2).ok());
+  auto report = session_->RebalanceTable("t");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_GT(report->rows_moved, 0u);
+  for (int k = 0; k < 40; ++k) {
+    EXPECT_EQ(Exec("EXECUTE up(" + std::to_string(k) + ")").affected, 1) << "k=" << k;
+  }
+  EXPECT_EQ(Sum("t"), 41);
+}
+
+// Lock-then-rescan for prepared DML: an EXECUTE planned before a rebalance,
+// and queued for its coordinator lock behind the cutover, checks the catalog
+// version only once the lock is granted, so it re-plans and updates the row
+// at its new home instead of matching nothing at the old one. A resource
+// group slot holds the EXECUTE between the start of its statement and its
+// lock request while the rebalance raises its flag and copies.
+TEST_F(ExpandTest, PreparedUpdateQueuedBehindCutoverReplans) {
+  ClusterOptions options;
+  options.num_segments = 2;
+  options.resource_groups_enabled = true;
+  cluster_ = std::make_unique<Cluster>(options);
+  session_ = cluster_->Connect();
+  Exec("CREATE TABLE t (k int, v int) DISTRIBUTED BY (k)");
+  Exec("INSERT INTO t SELECT i, 0 FROM generate_series(0, 39) i");
+  Exec("CREATE RESOURCE GROUP one_slot WITH (CONCURRENCY=1)");
+  Exec("CREATE ROLE app RESOURCE GROUP one_slot");
+  ASSERT_TRUE(cluster_->AddSegments(1).ok());
+  int64_t key = 0;  // a key whose home moves when the span widens 2 -> 3
+  auto home = [&](int span) { return Cluster::SegmentForHash(HashRowKey({Datum(key)}, {0}), span); };
+  while (home(2) == home(3)) ++key;
+  auto app = cluster_->Connect("app");
+  ASSERT_TRUE(app->Execute("PREPARE up AS UPDATE t SET v = v + 1 WHERE k = $1").ok());
+  const TableId table = cluster_->LookupTable("t")->id;
+  auto wait_for_waiter = [&](LockMode mode) {
+    for (int i = 0; i < 5000; ++i) {
+      for (const auto& l : cluster_->coordinator_locks().SnapshotLocks()) {
+        if (!l.granted && l.mode == mode && l.tag == LockTag::Relation(table)) return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  };
+
+  Actor slot_holder(cluster_.get(), "app");
+  Actor writer(cluster_.get());
+  ASSERT_TRUE(slot_holder.RunSync("BEGIN").ok());
+  ASSERT_TRUE(writer.RunSync("BEGIN").ok());
+  ASSERT_TRUE(writer.RunSync("INSERT INTO t VALUES (1000, 0)").ok());  // stalls the cutover
+  auto execute = std::async(std::launch::async, [&] {
+    return app->Execute("EXECUTE up(" + std::to_string(key) + ")");
+  });
+  ASSERT_EQ(execute.wait_for(std::chrono::milliseconds(50)), std::future_status::timeout);
+  auto rebalancer = cluster_->Connect();
+  auto rebalance = std::async(std::launch::async, [&] { return rebalancer->RebalanceTable("t"); });
+  ASSERT_TRUE(wait_for_waiter(LockMode::kAccessExclusive)) << "the cutover never queued";
+  ASSERT_TRUE(slot_holder.RunSync("COMMIT").ok());  // the EXECUTE now asks for its lock
+  ASSERT_TRUE(wait_for_waiter(LockMode::kRowExclusive)) << "the EXECUTE never queued";
+  ASSERT_TRUE(writer.RunSync("COMMIT").ok());  // the cutover runs and commits
+  auto updated = execute.get();
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  EXPECT_EQ(updated->affected, 1);
+  auto report = rebalance.get();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->cutover_complete);
+  auto v = Exec("SELECT v FROM t WHERE k = " + std::to_string(key));
+  ASSERT_EQ(v.rows.size(), 1u);
+  EXPECT_EQ(v.rows[0][0].int_val(), 1);
 }
 
 TEST_F(ExpandTest, CrashDuringRebalanceCopyRecoversAndRetries) {

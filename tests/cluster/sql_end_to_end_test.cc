@@ -774,7 +774,7 @@ TEST_F(SqlEndToEndTest, FunctionScanJoinsStoredTableWithoutMotion) {
 TEST_F(SqlEndToEndTest, PreparedFunctionScanUsesAGenericPlan) {
   Exec("PREPARE p AS SELECT i FROM generate_series(1, $1) i");
   ASSERT_NE(session_->GetPrepared("p"), nullptr);
-  EXPECT_TRUE(session_->GetPrepared("p")->has_plan);
+  EXPECT_NE(session_->GetPrepared("p")->plan, nullptr);
   for (int n : {3, 7}) {
     EXPECT_EQ(Exec("EXECUTE p(" + std::to_string(n) + ")").rows.size(), static_cast<size_t>(n));
   }

@@ -160,6 +160,40 @@ TEST(StatsViewsTest, PreparedStatementsMapOntoTheLiteralFingerprint) {
   EXPECT_EQ(r->rows[0][1].int_val(), 3) << "every EXECUTE reuses the generic plan";
 }
 
+// A prepared UPDATE and SELECT pinned on the indexed distribution key run
+// PREPARE's plan on every EXECUTE (a plan-cache hit each) and dispatch to the
+// key's one segment.
+TEST(StatsViewsTest, PreparedKeyLookupsReusePlanAndDispatchOnce) {
+  Cluster cluster(StatsCluster());
+  auto s = cluster.Connect();
+  ASSERT_TRUE(s->Execute("CREATE TABLE acct (k int, v int) DISTRIBUTED BY (k)").ok());
+  ASSERT_TRUE(s->Execute("CREATE INDEX ON acct (k)").ok());
+  ASSERT_TRUE(s->Execute("INSERT INTO acct SELECT i, 0 FROM generate_series(1, 30) i").ok());
+  ASSERT_TRUE(s->Execute("PREPARE upd AS UPDATE acct SET v = v + $1 WHERE k = $2").ok());
+  ASSERT_TRUE(s->Execute("PREPARE sel AS SELECT v FROM acct WHERE k = $1").ok());
+  auto dispatches = [&] { return cluster.StatsSnapshot().counter("net.sent.dispatch"); };
+  constexpr int kExecutes = 5;
+  for (int k = 1; k <= kExecutes; ++k) {
+    uint64_t before = dispatches();
+    auto upd = s->Execute("EXECUTE upd(7, " + std::to_string(k) + ")");
+    ASSERT_TRUE(upd.ok()) << upd.status().ToString();
+    EXPECT_EQ(upd->affected, 1);
+    EXPECT_EQ(dispatches(), before + 1) << "UPDATE k=" << k;
+    before = dispatches();
+    EXPECT_EQ(SingleInt(s->Execute("EXECUTE sel(" + std::to_string(k) + ")")), 7);
+    EXPECT_EQ(dispatches(), before + 1) << "SELECT k=" << k;
+  }
+  for (const char* fp : {"update acct set v = v + $1 where k = $2",
+                         "select v from acct where k = $1"}) {
+    auto r = s->Execute(std::string("SELECT calls, plan_cache_hits FROM gp_stat_statements "
+                                    "WHERE fingerprint = '") + fp + "'");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->rows.size(), 1u) << fp;
+    EXPECT_EQ(r->rows[0][0].int_val(), kExecutes + 1) << fp;  // PREPARE + EXECUTEs
+    EXPECT_EQ(r->rows[0][1].int_val(), kExecutes) << fp;
+  }
+}
+
 TEST(StatsViewsTest, StatsDisabledRecordsNothing) {
   ClusterOptions o = StatsCluster();
   o.stats_enabled = false;

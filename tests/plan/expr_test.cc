@@ -155,25 +155,46 @@ TEST(ExprTest, PredicateTreatsNullAsFalse) {
   EXPECT_FALSE(*r);
 }
 
-TEST(ExprTest, ExtractEqualityConst) {
+TEST(ExprTest, ExtractEqualityKey) {
   // c0 = 42 AND c1 > 5
   ExprPtr pred = Expr::Binary(
       BinOp::kAnd, Expr::Binary(BinOp::kEq, Expr::Column(0), Expr::Const(I(42))),
       Expr::Binary(BinOp::kGt, Expr::Column(1), Expr::Const(I(5))));
-  Datum out;
-  EXPECT_TRUE(ExtractEqualityConst(*pred, 0, &out));
-  EXPECT_EQ(out.int_val(), 42);
-  EXPECT_FALSE(ExtractEqualityConst(*pred, 1, &out));  // inequality doesn't pin
+  ExprPtr key = ExtractEqualityKey(*pred, 0);
+  ASSERT_NE(key, nullptr);
+  EXPECT_EQ(key->kind, ExprKind::kConst);
+  EXPECT_EQ(key->value.int_val(), 42);
+  EXPECT_EQ(ExtractEqualityKey(*pred, 1), nullptr);  // inequality doesn't pin
 
   // Reversed: 42 = c0.
   ExprPtr rev = Expr::Binary(BinOp::kEq, Expr::Const(I(42)), Expr::Column(0));
-  EXPECT_TRUE(ExtractEqualityConst(*rev, 0, &out));
+  EXPECT_NE(ExtractEqualityKey(*rev, 0), nullptr);
 
-  // OR disjunction must NOT pin.
+  // OR disjunction must NOT pin, nor a NULL constant.
   ExprPtr disj = Expr::Binary(
       BinOp::kOr, Expr::Binary(BinOp::kEq, Expr::Column(0), Expr::Const(I(1))),
       Expr::Binary(BinOp::kEq, Expr::Column(0), Expr::Const(I(2))));
-  EXPECT_FALSE(ExtractEqualityConst(*disj, 0, &out));
+  EXPECT_EQ(ExtractEqualityKey(*disj, 0), nullptr);
+  EXPECT_EQ(ExtractEqualityKey(
+                *Expr::Binary(BinOp::kEq, Expr::Column(0), Expr::Const(Datum::Null())), 0),
+            nullptr);
+}
+
+// `col = $N` and `$N = col` pin the column to the parameter itself, so the
+// planner keys index scans and direct dispatch by it as it does a constant.
+TEST(ExprTest, ExtractEqualityKeyFindsParameters) {
+  ExprPtr param = Expr::Param(1);
+  ExprPtr pred = Expr::Binary(
+      BinOp::kAnd, Expr::Binary(BinOp::kGt, Expr::Column(0), Expr::Const(I(5))),
+      Expr::Binary(BinOp::kEq, Expr::Column(2), param));
+  EXPECT_EQ(ExtractEqualityKey(*pred, 2), param);
+  EXPECT_EQ(ExtractEqualityKey(*pred, 0), nullptr);
+  ExprPtr rev = Expr::Binary(BinOp::kEq, param, Expr::Column(2));
+  EXPECT_EQ(ExtractEqualityKey(*rev, 2), param);
+  // A parameter inside arithmetic is no key.
+  ExprPtr sum = Expr::Binary(BinOp::kEq, Expr::Column(2),
+                             Expr::Binary(BinOp::kAdd, param, Expr::Const(I(1))));
+  EXPECT_EQ(ExtractEqualityKey(*sum, 2), nullptr);
 }
 
 TEST(ExprTest, ShortCircuitSkipsErrors) {

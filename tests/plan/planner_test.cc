@@ -226,6 +226,51 @@ TEST(PlannerTest, IndexScanChosenForPinnedIndexedColumn) {
   EXPECT_EQ(FindNode(*planned->root, PlanKind::kSeqScan), nullptr);
 }
 
+// `key = $1` plans like `key = const`: an IndexScan keyed by the parameter
+// and a distribution key held until EXECUTE binds a value, which then routes
+// to the same one segment the constant's plan picks.
+TEST(PlannerTest, ParameterPinnedKeyPlansLikeAConstant) {
+  TableDef t = MakeTable(1, "t");
+  t.indexed_cols = {0};
+  auto pinned = [](ExprPtr key) { return Expr::Binary(BinOp::kEq, Expr::Column(0), key); };
+  const std::vector<Datum> params = {Datum(int64_t{5})};
+  std::vector<std::pair<int, ExprPtr>> sets = {
+      {1, Expr::Binary(BinOp::kAdd, Expr::Column(1), Expr::Const(Datum(int64_t{1})))}};
+
+  SelectQuery q;
+  q.tables = {t};
+  q.quals = {pinned(Expr::Param(0))};
+  q.items = {ColItem(1, "v")};
+  auto select = PlanSelect(q, Opts(4));
+  ASSERT_TRUE(select.ok()) << select.status().ToString();
+  auto update = PlanModify(t, &sets, pinned(Expr::Param(0)), Opts(4));
+  ASSERT_TRUE(update.ok()) << update.status().ToString();
+  q.quals = {pinned(Expr::Const(params[0]))};
+  auto literal = PlanSelect(q, Opts(4));
+  ASSERT_TRUE(literal.ok());
+  ASSERT_EQ(literal->gang.size(), 1u);
+
+  for (CachedPlan* planned : {&*select, &*update}) {
+    const PlanNode* scan = FindNode(*planned->root, PlanKind::kIndexScan);
+    ASSERT_NE(scan, nullptr);
+    EXPECT_EQ(scan->index_key->kind, ExprKind::kParam);
+    EXPECT_EQ(planned->gang.size(), 4u);  // wide until a value is bound
+    ASSERT_EQ(planned->param_dispatch.key.size(), 1u);
+
+    auto generic = std::make_shared<const CachedPlan>(std::move(*planned));
+    auto bound = BindPlanParams(generic, params);
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    EXPECT_EQ((*bound)->gang, literal->gang);
+    EXPECT_TRUE((*bound)->param_dispatch.key.empty());
+    const PlanNode* bound_scan = FindNode(*(*bound)->root, PlanKind::kIndexScan);
+    ASSERT_NE(bound_scan, nullptr);
+    ASSERT_EQ(bound_scan->index_key->kind, ExprKind::kConst);
+    EXPECT_EQ(bound_scan->index_key->value.int_val(), 5);
+    EXPECT_EQ(FindNode(*generic->root, PlanKind::kIndexScan)->index_key->kind,
+              ExprKind::kParam);  // the generic plan is left as it was
+  }
+}
+
 TEST(PlannerTest, SortAndLimitOnTop) {
   SelectQuery q;
   q.tables = {MakeTable(1, "t")};

@@ -55,6 +55,30 @@ TEST(ResgroupSqlTest, CpusetDdlParsesRanges) {
   EXPECT_EQ(g->config().cpuset_end, 31);
 }
 
+// Option values are checked, not read through atoi: a group whose
+// concurrency was "abc" (0) would never admit anyone.
+TEST(ResgroupSqlTest, OptionValuesAreChecked) {
+  Cluster cluster(RgCluster());  // 32 cores
+  auto s = cluster.Connect();
+  for (const char* options :
+       {"CONCURRENCY=abc", "CONCURRENCY=0", "CONCURRENCY=-3", "CONCURRENCY=1.5",
+        "CPU_SET=9-2", "CPU_SET=40-50", "CPU_SET=31-32", "CPU_SET=32", "CPU_RATE_LIMIT=101",
+        "CPU_RATE_LIMIT=nan", "CPU_RATE_LIMIT=x", "MEMORY_SHARED_QUOTA=500",
+        "MEMORY_LIMIT=0", "MEMORY_LIMIT=8796093022208", "MEMORY_LIMIT=12abc"}) {
+    auto r = s->Execute(std::string("CREATE RESOURCE GROUP g WITH (") + options + ")");
+    ASSERT_FALSE(r.ok()) << options;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << options;
+    EXPECT_EQ(cluster.resgroups().Get("g"), nullptr) << options;
+  }
+  ASSERT_TRUE(s->Execute("CREATE RESOURCE GROUP g WITH (CONCURRENCY=1, CPU_SET=0-31, "
+                         "MEMORY_LIMIT=1, MEMORY_SHARED_QUOTA=100, CPU_RATE_LIMIT=0)")
+                  .ok());
+  ASSERT_TRUE(s->Execute("CREATE RESOURCE GROUP h WITH (CPU_SET=7, CPU_RATE_LIMIT=12.5)").ok());
+  EXPECT_EQ(cluster.resgroups().Get("h")->config().cpuset_begin, 7);
+  EXPECT_EQ(cluster.resgroups().Get("h")->config().cpuset_end, 7);
+  EXPECT_DOUBLE_EQ(cluster.resgroups().Get("h")->config().cpu_rate_limit, 12.5);
+}
+
 TEST(ResgroupSqlTest, ConcurrencyLimitQueuesSessions) {
   Cluster cluster(RgCluster());
   auto admin = cluster.Connect();

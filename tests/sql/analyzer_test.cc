@@ -149,9 +149,9 @@ TEST_F(AnalyzerTest, UpdateBinding) {
   ASSERT_EQ(bound->sets.size(), 1u);
   EXPECT_EQ(bound->sets[0].first, 1);
   ASSERT_NE(bound->where, nullptr);
-  Datum key;
-  EXPECT_TRUE(ExtractEqualityConst(*bound->where, 0, &key));
-  EXPECT_EQ(key.int_val(), 5);
+  ExprPtr key = ExtractEqualityKey(*bound->where, 0);
+  ASSERT_NE(key, nullptr);
+  EXPECT_EQ(key->value.int_val(), 5);
 }
 
 TEST_F(AnalyzerTest, AggregateInWhereRejected) {

@@ -232,6 +232,21 @@ TEST(ParserTest, IntegerLiteralRange) {
   EXPECT_EQ(part.create_table->partitions[0].start->int_val(), min);
 }
 
+// A $N position outside int is rejected, never wrapped onto a smaller one
+// ($4294967297 used to read as $1).
+TEST(ParserTest, ParameterPositionRange) {
+  Statement s = Parse("SELECT $1 + $2147483647");
+  EXPECT_EQ(s.select->items[0].expr->args[0]->param, 1);
+  EXPECT_EQ(s.select->items[0].expr->args[1]->param, 2147483647);
+  for (const char* sql : {"SELECT $0", "SELECT $2147483648", "SELECT $4294967297 + 0",
+                          "PREPARE p AS SELECT $99999999999999999999"}) {
+    auto r = ParseStatement(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_NE(r.status().message().find("parameter positions"), std::string::npos)
+        << r.status().ToString();
+  }
+}
+
 TEST(ParserTest, AndOrPrecedence) {
   Statement s = Parse("SELECT 1 FROM t WHERE a = 1 OR b = 2 AND c = 3");
   // OR binds loosest: (a=1) OR ((b=2) AND (c=3)).

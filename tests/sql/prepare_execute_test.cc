@@ -1,6 +1,6 @@
-// PREPARE / EXECUTE / DEALLOCATE: parameter binding, generic vs custom plan
-// selection, catalog-version replanning, and parity with the equivalent
-// literal statements.
+// PREPARE / EXECUTE / DEALLOCATE: parameter binding into the one generic
+// plan, catalog-version replanning, and parity with the equivalent literal
+// statements.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,6 +8,7 @@
 
 #include "cluster/cluster.h"
 #include "cluster/session.h"
+#include "sql/prepared_statement.h"
 
 namespace gphtap {
 namespace {
@@ -189,6 +190,87 @@ TEST_F(PrepareExecuteTest, PrepareInsideTransactionRollsBackDmlOnly) {
   EXPECT_EQ(check->rows[0][0].int_val(), 30);  // update rolled back
   // The prepared statement survives the rollback (session state, not txn).
   EXPECT_TRUE(session_->Execute("EXECUTE upd(1, 3)").ok());
+}
+
+TEST_F(PrepareExecuteTest, DeleteAndInsertSelectMatchLiteralForms) {
+  ASSERT_TRUE(session_->Execute("CREATE TABLE copy (id int, grp int, bal int) "
+                                "DISTRIBUTED BY (id)")
+                  .ok());
+  ASSERT_TRUE(session_->Execute("CREATE TABLE lit (id int, grp int, bal int) "
+                                "DISTRIBUTED BY (id)")
+                  .ok());
+  ASSERT_TRUE(session_
+                  ->Execute("PREPARE cp AS INSERT INTO copy (bal, id) "
+                            "SELECT bal + $1, id FROM acct WHERE grp = $2")
+                  .ok());
+  auto prepared = session_->Execute("EXECUTE cp(5, 3)");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto literal = session_->Execute(
+      "INSERT INTO lit (bal, id) SELECT bal + 5, id FROM acct WHERE grp = 3");
+  ASSERT_TRUE(literal.ok()) << literal.status().ToString();
+  EXPECT_EQ(prepared->affected, literal->affected);
+  EXPECT_GT(prepared->affected, 0);
+  const std::string sums = "SELECT count(*), sum(id), sum(bal), count(grp) FROM ";
+  auto a = session_->Execute(sums + "copy");
+  auto b = session_->Execute(sums + "lit");
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->rows[0], b->rows[0]);
+
+  ASSERT_TRUE(session_->Execute("PREPARE del AS DELETE FROM copy WHERE id = $1").ok());
+  ASSERT_TRUE(session_->Execute("PREPARE delg AS DELETE FROM copy WHERE bal > $1").ok());
+  for (int id : {3, 10, 999}) {
+    auto d = session_->Execute("EXECUTE del(" + std::to_string(id) + ")");
+    auto l = session_->Execute("DELETE FROM lit WHERE id = " + std::to_string(id));
+    ASSERT_TRUE(d.ok() && l.ok()) << d.status().ToString();
+    EXPECT_EQ(d->affected, l->affected) << "id " << id;
+  }
+  auto d = session_->Execute("EXECUTE delg(1000)");
+  auto l = session_->Execute("DELETE FROM lit WHERE bal > 1000");
+  ASSERT_TRUE(d.ok() && l.ok());
+  EXPECT_EQ(d->affected, l->affected);
+  a = session_->Execute(sums + "copy");
+  b = session_->Execute(sums + "lit");
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->rows[0], b->rows[0]);
+}
+
+// INSERT ... SELECT is one statement and one transaction, prepared or not.
+TEST_F(PrepareExecuteTest, InsertSelectIsOneStatement) {
+  ASSERT_TRUE(session_->Execute("CREATE TABLE s (a int, b int) DISTRIBUTED BY (a)").ok());
+  ASSERT_TRUE(session_
+                  ->Execute("PREPARE ins AS INSERT INTO s SELECT i, i "
+                            "FROM generate_series(1, $1) i")
+                  .ok());
+  for (const char* sql : {"INSERT INTO s SELECT i, i FROM generate_series(1, 10) i",
+                          "EXECUTE ins(10)"}) {
+    const uint64_t statements = session_->stats().statements;
+    const uint64_t committed = cluster_->StatsSnapshot().counter("txn.committed");
+    auto r = session_->Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    EXPECT_EQ(r->affected, 10) << sql;
+    EXPECT_EQ(session_->stats().statements, statements + 1) << sql;
+    EXPECT_EQ(cluster_->StatsSnapshot().counter("txn.committed"), committed + 1) << sql;
+  }
+  EXPECT_FALSE(session_->Execute("INSERT INTO s SELECT i FROM generate_series(1, 3) i").ok());
+}
+
+// A prepared point lookup planned before CREATE INDEX is re-planned by the
+// next EXECUTE (the catalog version moved) and reads through the index.
+TEST_F(PrepareExecuteTest, ExecuteAfterCreateIndexUsesTheIndex) {
+  ASSERT_TRUE(session_->Execute("PREPARE q AS SELECT bal FROM acct WHERE grp = $1 AND id = $2")
+                  .ok());
+  auto before = session_->Execute("EXECUTE q(3, 10)");
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_TRUE(session_->Execute("CREATE INDEX ON acct (grp)").ok());
+  auto after = session_->Execute("EXECUTE q(3, 10)");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->rows, before->rows);
+  ASSERT_EQ(after->rows.size(), 1u);
+  EXPECT_EQ(after->rows[0][0].int_val(), 100);
+  // The re-planned generic plan keys its IndexScan by the parameter.
+  std::string plan = session_->GetPrepared("q")->plan->root->ToString();
+  EXPECT_NE(plan.find("IndexScan"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("$param1"), std::string::npos) << plan;
 }
 
 }  // namespace
