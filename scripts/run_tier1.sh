@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, then the concurrency-heavy
-# subset (locks, GDD, commit protocol, mirrors, crash recovery, metrics)
-# again under ThreadSanitizer, the expression and SQL subset under
+# subset (xid tables and visibility, locks, GDD, commit protocol, mirrors,
+# crash recovery, metrics) again under ThreadSanitizer, the expression and
+# SQL subset under
 # UndefinedBehaviorSanitizer, the executor and DML subset under
 # AddressSanitizer, then smoke-mode benchmarks whose BENCH_*.json
 # output is validated for the required keys.
@@ -15,7 +16,7 @@ cmake --build build -j "$(nproc)"
 cmake -B build-tsan -S . -DGPHTAP_SANITIZE=thread
 cmake --build build-tsan -j "$(nproc)"
 (cd build-tsan && ctest --output-on-failure -j "$(nproc)" -R \
-  'gang_runner_test|periodic_task_test|executor_test|lock_manager_test|lock_modes_test|gdd_daemon_test|gdd_algorithm_test|gdd_cases_test|commit_protocol_test|mirror_test|fault_injector_test|crash_recovery_test|failover_test|metrics_test|observability_test|motion_exchange_test|column_batch_test|vec_executor_test|vec_differential_test|ao_visibility_test|ao_compaction_test|reorg_test|expand_test|wait_event_test|system_views_test|timeout_test|chaos_test|plan_cache_test|prepare_execute_test|delta_store_test|delta_scan_test|delta_differential_test|stats_test|stats_views_test|frontend_test')
+  'gang_runner_test|periodic_task_test|txn_manager_test|visibility_test|snapshot_stress_test|executor_test|lock_manager_test|lock_modes_test|gdd_daemon_test|gdd_algorithm_test|gdd_cases_test|commit_protocol_test|mirror_test|fault_injector_test|crash_recovery_test|failover_test|metrics_test|observability_test|motion_exchange_test|column_batch_test|vec_executor_test|vec_differential_test|ao_visibility_test|ao_compaction_test|reorg_test|expand_test|wait_event_test|system_views_test|timeout_test|chaos_test|plan_cache_test|prepare_execute_test|delta_store_test|delta_scan_test|delta_differential_test|stats_test|stats_views_test|frontend_test')
 
 # Integer arithmetic, literals and both expression engines under UBSan, and
 # the prepared-statement and plan-cache tests, since every EXECUTE evaluates
@@ -207,6 +208,33 @@ seal = next(p for p in doc["points"] if p["series"] == "Delta/Seal/Throughput")
 assert seal["rows_sealed"] > 0, "seal passes drained no rows"
 print(f"BENCH delta json OK: {len(doc['points'])} points, "
       f"seal {seal['throughput_tps']:.0f} rows/s")
+EOF
+
+# Visibility micro bench: the per-xid check beside one writer, and one column
+# group's visibility pass. Validates the keys, and that no check disagreed
+# with "committed before the snapshot".
+snapshot_prev BENCH_visibility.json
+(cd build && GPHTAP_BENCH_MS=100 ./bench/bench_visibility --smoke)
+diff_prev BENCH_visibility.json
+python3 - build/BENCH_visibility.json <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+assert doc["bench"] == "visibility", doc
+by_key = {(p["series"], p["arg"]): p for p in doc["points"]}
+required = {"throughput_tps", "p50_us", "p95_us", "p99_us", "wrong"}
+for key, per in ((("Visibility/Check", 1), "ns_per_check"),
+                 (("Visibility/Check", 4), "ns_per_check"),
+                 (("Visibility/GroupDecode", 1), "ns_per_row"),
+                 (("Visibility/GroupDecode", 1024), "ns_per_row")):
+    point = by_key.get(key)
+    assert point is not None, f"missing {key} in {sorted(by_key)}"
+    missing = (required | {per}) - set(point)
+    assert not missing, f"{key} missing {missing}"
+    assert point["wrong"] == 0, f"{key}: {point['wrong']:.0f} wrong verdicts"
+    assert point[per] > 0, f"{key}: no {per} measured"
+    print(f"  {key[0]}/{key[1]}: {point[per]:.1f} {per}")
+print(f"BENCH visibility json OK: {len(doc['points'])} points")
 EOF
 
 # Stats-collector overhead: TPC-B with gp_stat_statements + the history

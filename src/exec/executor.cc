@@ -133,19 +133,18 @@ Status ExecIndexScan(const PlanNode& node, ExecContext& ctx, const RowSink& sink
   int64_t visible_rows = 0;
   for (TupleId tid : heap->IndexLookup(node.index_col, key)) {
     GPHTAP_RETURN_IF_ERROR(ctx.Tick());
-    auto v = heap->Get(tid);
-    if (!v.ok()) continue;  // vacuumed concurrently
-    if (!TupleVisible(v->header.xmin, v->header.xmax, vis)) continue;
+    std::optional<Row> row = heap->GetVisible(tid, vis);  // nullopt once vacuumed
+    if (!row.has_value()) continue;
     ++visible_rows;
     if (node.filter) {
-      GPHTAP_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*node.filter, v->row));
+      GPHTAP_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*node.filter, *row));
       if (!pass) continue;
     }
     if (node.emit_tid) {
-      v->row.push_back(Datum(static_cast<int64_t>(tid)));
-      v->row.push_back(Datum(int64_t{0}));
+      row->push_back(Datum(static_cast<int64_t>(tid)));
+      row->push_back(Datum(int64_t{0}));
     }
-    GPHTAP_RETURN_IF_ERROR(sink(std::move(v->row)));
+    GPHTAP_RETURN_IF_ERROR(sink(std::move(*row)));
   }
   if (StatementRecord* actuals = ctx.actuals(); actuals != nullptr && visible_rows > 0) {
     actuals->AddStoreRows(node.node_id, ScanStoreLabel(heap->def().storage), visible_rows);

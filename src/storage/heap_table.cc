@@ -86,6 +86,7 @@ Status HeapTable::Scan(const VisibilityContext& ctx, const ScanCallback& fn) {
     num_pages = pages_.size();
   }
   std::vector<std::pair<TupleId, Row>> batch;
+  VisibilityMemo vis(ctx);
   for (size_t p = 0; p < num_pages; ++p) {
     TouchPage(p);
     batch.clear();
@@ -94,8 +95,8 @@ Status HeapTable::Scan(const VisibilityContext& ctx, const ScanCallback& fn) {
       const Page& page = pages_[p];
       for (size_t s = 0; s < page.slots.size(); ++s) {
         const TupleVersion& v = page.slots[s];
-        if (v.header.xmin == kInvalidLocalXid) continue;  // freed slot
-        if (!TupleVisible(v.header.xmin, v.header.xmax, ctx)) continue;
+        // A freed slot's xmin is invalid, which no snapshot sees.
+        if (!vis.Visible(v.header.xmin, v.header.xmax)) continue;
         TupleId tid = p * kSlotsPerPage + s;
         batch.emplace_back(tid, v.row);
         bytes_scanned_.fetch_add(16 * v.row.size(),  // logical width estimate
@@ -129,6 +130,14 @@ uint64_t HeapTable::StoredVersionCount() const {
 
 uint64_t HeapTable::BytesScanned() const {
   return bytes_scanned_.load(std::memory_order_relaxed);
+}
+
+std::optional<Row> HeapTable::GetVisible(TupleId tid, const VisibilityContext& ctx) const {
+  TouchPage(tid / kSlotsPerPage);
+  std::shared_lock<std::shared_mutex> g(latch_);
+  const TupleVersion* v = SlotAt(tid);
+  if (v == nullptr || !TupleVisible(v->header.xmin, v->header.xmax, ctx)) return std::nullopt;
+  return v->row;
 }
 
 StatusOr<TupleVersion> HeapTable::Get(TupleId tid) const {

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <deque>
+#include <optional>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -47,6 +48,11 @@ class HeapTable : public Table {
 
   /// Copy of the version at `tid` (header + row). Invalid tid -> NotFound.
   StatusOr<TupleVersion> Get(TupleId tid) const;
+
+  /// Copy of the row at `tid` when `ctx` sees that version; nullopt when it
+  /// does not, or when the slot is invalid or free. The header is checked
+  /// under the latch, so an invisible version is never copied.
+  std::optional<Row> GetVisible(TupleId tid, const VisibilityContext& ctx) const;
 
   /// Tries to stamp xmax=xid on `tid` following the PostgreSQL rules: free or
   /// aborted xmax is overwritten; in-progress xmax means wait; committed xmax

@@ -4,28 +4,35 @@
 #ifndef GPHTAP_TXN_DISTRIBUTED_LOG_H_
 #define GPHTAP_TXN_DISTRIBUTED_LOG_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 
 #include "txn/xid.h"
+#include "txn/xid_table.h"
 
 namespace gphtap {
 
+/// One Gxid per local xid (8 bytes each); gxid 0 (kInvalidGxid) means "no
+/// mapping". Lookup takes no lock; writers serialize on a mutex.
 class DistributedLog {
  public:
+  /// Maps `local` to `gxid`, which is a valid gxid.
   void Record(LocalXid local, Gxid gxid) {
     std::lock_guard<std::mutex> g(mu_);
-    map_[local] = gxid;
+    if (gxids_.Load(local) == kInvalidGxid) ++size_;
+    gxids_.Store(local, gxid);
+    low_ = std::min(low_, uint64_t{local});
+    end_ = std::max(end_, uint64_t{local} + 1);
   }
 
   /// Looks up the distributed xid that created/modified with `local`, or nullopt
   /// if never recorded or already truncated.
   std::optional<Gxid> Lookup(LocalXid local) const {
-    std::lock_guard<std::mutex> g(mu_);
-    auto it = map_.find(local);
-    if (it == map_.end()) return std::nullopt;
-    return it->second;
+    const Gxid gxid = gxids_.Load(local);
+    if (gxid == kInvalidGxid) return std::nullopt;
+    return gxid;
   }
 
   /// Drops all entries with gxid < `oldest_needed`. Entries for in-progress
@@ -34,31 +41,42 @@ class DistributedLog {
   size_t TruncateBelow(Gxid oldest_needed) {
     std::lock_guard<std::mutex> g(mu_);
     size_t removed = 0;
-    for (auto it = map_.begin(); it != map_.end();) {
-      if (it->second < oldest_needed) {
-        it = map_.erase(it);
+    uint64_t first_kept = end_;
+    for (uint64_t xid = low_; xid < end_; ++xid) {
+      const Gxid gxid = gxids_.Load(static_cast<LocalXid>(xid));
+      if (gxid == kInvalidGxid) continue;
+      if (gxid < oldest_needed) {
+        gxids_.Store(static_cast<LocalXid>(xid), kInvalidGxid);
         ++removed;
       } else {
-        ++it;
+        first_kept = std::min(first_kept, xid);
       }
     }
+    low_ = first_kept;  // below it every slot is empty
+    size_ -= removed;
     return removed;
   }
 
   size_t size() const {
     std::lock_guard<std::mutex> g(mu_);
-    return map_.size();
+    return size_;
   }
 
   /// Crash recovery: discards all state so the WAL replay can rebuild it.
   void Reset() {
     std::lock_guard<std::mutex> g(mu_);
-    map_.clear();
+    gxids_.Clear();
+    low_ = end_ = 1;
+    size_ = 0;
   }
 
  private:
-  mutable std::mutex mu_;
-  std::unordered_map<LocalXid, Gxid> map_;
+  XidTable<Gxid> gxids_;  // what readers load; the rest is the writers' line
+  alignas(64) mutable std::mutex mu_;
+  // Every mapping lies in [low_, end_); guarded by mu_.
+  uint64_t low_ = 1;
+  uint64_t end_ = 1;
+  size_t size_ = 0;
 };
 
 }  // namespace gphtap

@@ -219,6 +219,33 @@ TEST_F(ExecutorTest, ModifyTableRunsOnEveryMemberWithoutAMotion) {
   EXPECT_EQ(cluster_->net().count(MsgKind::kResult), results + 4);
 }
 
+// A key with a committed chain of updates, an aborted update and another
+// session's uncommitted update holds eight versions; the IndexScan returns
+// exactly the one its snapshot sees.
+TEST_F(ExecutorTest, IndexScanReturnsOnlyTheVisibleVersion) {
+  ASSERT_TRUE(session_->Execute("CREATE TABLE h (k int, v int) DISTRIBUTED BY (k)").ok());
+  ASSERT_TRUE(session_->Execute("CREATE INDEX ON h (k)").ok());
+  ASSERT_TRUE(session_->Execute("INSERT INTO h VALUES (7, 0), (8, 0)").ok());
+  ASSERT_TRUE(session_->Execute("BEGIN").ok());
+  ASSERT_TRUE(session_->Execute("UPDATE h SET v = 99 WHERE k = 7").ok());
+  ASSERT_TRUE(session_->Execute("ROLLBACK").ok());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(session_->Execute("UPDATE h SET v = v + 1 WHERE k = 7").ok());
+  }
+  auto other = cluster_->Connect();
+  ASSERT_TRUE(other->Execute("BEGIN").ok());
+  ASSERT_TRUE(other->Execute("UPDATE h SET v = 100 WHERE k = 7").ok());
+
+  auto rows = Run(MakeMotion(
+      MotionKind::kGather,
+      MakeIndexScan(TableIdOf("h"), 2, 0, Expr::Const(Datum(int64_t{7}))), 1000));
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ((*rows)[0][0].int_val(), 7);
+  EXPECT_EQ((*rows)[0][1].int_val(), 5);
+  ASSERT_TRUE(other->Execute("ROLLBACK").ok());
+}
+
 TEST_F(ExecutorTest, CancellationAbortsQuery) {
   Gxid gxid;
   auto owner = cluster_->dtm().BeginTxn(&gxid);

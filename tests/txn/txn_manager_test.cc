@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "lock/lock_owner.h"
 #include "txn/clog.h"
 #include "txn/distributed_log.h"
@@ -159,6 +163,62 @@ TEST(DistributedTxnManagerTest, OldestVisibleRespectsPinnedSnapshots) {
   EXPECT_GT(m.OldestVisibleGxid(), g2);
 }
 
+// Callers read an xid's state before and after it registers: a tuple's xid
+// was registered before the tuple was written, and a crash-recovery replay
+// sets states out of order.
+TEST(CommitLogTest, UnregisteredXidsReadInProgressBelowTheHighestAndAbortedAbove) {
+  CommitLog clog;
+  EXPECT_EQ(clog.GetState(kInvalidLocalXid), TxnState::kAborted);
+  EXPECT_EQ(clog.GetState(1), TxnState::kAborted);
+  clog.Register(5);
+  EXPECT_EQ(clog.GetState(3), TxnState::kInProgress);  // never registered
+  EXPECT_EQ(clog.GetState(5), TxnState::kInProgress);
+  EXPECT_EQ(clog.GetState(6), TxnState::kAborted);
+  EXPECT_EQ(clog.GetState(kInvalidLocalXid), TxnState::kAborted);
+
+  // SetState past the highest xid extends the range across chunks.
+  const LocalXid far = 3 * XidTable<TxnState>::kChunkXids + 7;
+  clog.SetState(far, TxnState::kCommitted);
+  EXPECT_EQ(clog.GetState(far), TxnState::kCommitted);
+  EXPECT_EQ(clog.GetState(far - 1), TxnState::kInProgress);
+  EXPECT_EQ(clog.GetState(2 * XidTable<TxnState>::kChunkXids), TxnState::kInProgress);
+  EXPECT_EQ(clog.GetState(far + 1), TxnState::kAborted);
+  EXPECT_TRUE(clog.IsCommitted(far));
+
+  // The last xid of the 32-bit space is an ordinary slot.
+  const LocalXid last = 0xFFFFFFFFu;
+  clog.SetState(last, TxnState::kPrepared);
+  EXPECT_EQ(clog.GetState(last), TxnState::kPrepared);
+  EXPECT_EQ(clog.GetState(last - 1), TxnState::kInProgress);
+}
+
+TEST(CommitLogTest, ResetClearsBothTables) {
+  SegmentFixture f;
+  LocalXid x1 = *f.mgr.AssignXid(10);
+  LocalXid x2 = *f.mgr.AssignXid(11);
+  ASSERT_TRUE(f.mgr.Commit(10).ok());
+  ASSERT_TRUE(f.mgr.Abort(11).ok());
+  ASSERT_EQ(f.dlog.size(), 2u);
+
+  f.clog.Reset();
+  f.dlog.Reset();
+  EXPECT_EQ(f.clog.GetState(x1), TxnState::kAborted);  // above the (empty) range
+  EXPECT_EQ(f.clog.GetState(x2), TxnState::kAborted);
+  EXPECT_FALSE(f.dlog.Lookup(x1).has_value());
+  EXPECT_FALSE(f.dlog.Lookup(x2).has_value());
+  EXPECT_EQ(f.dlog.size(), 0u);
+  EXPECT_EQ(f.dlog.TruncateBelow(100), 0u);
+
+  // The replay rebuilds on the same storage: nothing of the old state shows.
+  f.clog.Register(x2);
+  EXPECT_EQ(f.clog.GetState(x1), TxnState::kInProgress);
+  EXPECT_EQ(f.clog.GetState(x2), TxnState::kInProgress);
+  f.dlog.Record(x2, 30);
+  EXPECT_FALSE(f.dlog.Lookup(x1).has_value());
+  EXPECT_EQ(f.dlog.Lookup(x2), std::optional<Gxid>(30));
+  EXPECT_EQ(f.dlog.size(), 1u);
+}
+
 TEST(DistributedLogTest, TruncateBelowDropsOldEntries) {
   DistributedLog dlog;
   dlog.Record(1, 10);
@@ -169,6 +229,37 @@ TEST(DistributedLogTest, TruncateBelowDropsOldEntries) {
   EXPECT_FALSE(dlog.Lookup(2).has_value());
   ASSERT_TRUE(dlog.Lookup(3).has_value());
   EXPECT_EQ(*dlog.Lookup(3), 30u);
+}
+
+// Local xids and gxids are assigned by different counters, so the mapping is
+// not monotonic: truncation must look at every entry, across chunks, and a
+// later Record below the truncated range must still count.
+TEST(DistributedLogTest, TruncateBelowClearsOnlyOlderGxidsAndSizeCountsTheRest) {
+  DistributedLog dlog;
+  const LocalXid chunk = XidTable<Gxid>::kChunkXids;
+  const std::vector<std::pair<LocalXid, Gxid>> entries = {
+      {1, 50}, {2, 10}, {3, 70}, {4, 20}, {chunk + 1, 5}, {2 * chunk + 9, 60}};
+  for (const auto& [local, gxid] : entries) dlog.Record(local, gxid);
+  EXPECT_EQ(dlog.size(), entries.size());
+  EXPECT_FALSE(dlog.Lookup(5).has_value());  // never recorded
+
+  EXPECT_EQ(dlog.TruncateBelow(50), 3u);  // gxids 10, 20 and 5
+  EXPECT_EQ(dlog.size(), 3u);
+  for (const auto& [local, gxid] : entries) {
+    if (gxid < 50) {
+      EXPECT_FALSE(dlog.Lookup(local).has_value()) << local;
+    } else {
+      EXPECT_EQ(dlog.Lookup(local), std::optional<Gxid>(gxid)) << local;
+    }
+  }
+  EXPECT_EQ(dlog.TruncateBelow(50), 0u);  // idempotent
+
+  dlog.Record(2, 80);  // below the range the last pass kept
+  EXPECT_EQ(dlog.size(), 4u);
+  EXPECT_EQ(dlog.TruncateBelow(75), 3u);  // gxids 50, 60 and 70
+  EXPECT_EQ(dlog.size(), 1u);
+  EXPECT_EQ(dlog.Lookup(2), std::optional<Gxid>(80));
+  EXPECT_FALSE(dlog.Lookup(1).has_value());
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "lock/lock_owner.h"
 #include "txn/distributed_txn_manager.h"
 #include "txn/local_txn_manager.h"
@@ -195,6 +199,123 @@ TEST_F(VisibilityTest, RandomizedMatchesOracle) {
       EXPECT_EQ(XidCommittedForSnapshot(t.x, Ctx(&snap)), expected)
           << "gxid=" << t.g << " state=" << t.state;
     }
+  }
+}
+
+// The stability a scan's run memo relies on (VisibilityMemo): while one
+// writer registers, records and commits fresh xids, finishes transactions the
+// readers already judged and truncates the xid map, no reader's verdict on
+// any xid changes under its one snapshot. Reader r takes its snapshot after
+// the writer finished the first r of four groups of pending transactions;
+// the writer finishes group r only after that snapshot, while reader r is
+// re-checking.
+TEST_F(VisibilityTest, ConcurrentWriterNeverChangesASnapshotsVerdict) {
+  constexpr int kReaders = 4;
+  constexpr int kPerGroup = 24;
+  constexpr int kMinRounds = 300;
+  struct Fixed {
+    Gxid g;
+    LocalXid x;
+    int group;  // -1: finished before any snapshot
+    bool commits;
+  };
+  std::vector<Fixed> fixed;
+  for (int i = 0; i < 2 * kPerGroup; ++i) {
+    Gxid g = dtm_.Begin(owner_);
+    LocalXid x = *mgr_.AssignXid(g);
+    const bool commits = i % 2 == 0;
+    if (commits) {
+      mgr_.Commit(g);  // local commit before the coordinator's, as the protocol does
+      dtm_.MarkCommitted(g);
+    } else {
+      dtm_.MarkAborted(g);
+      mgr_.Abort(g);
+    }
+    fixed.push_back({g, x, -1, commits});
+  }
+  for (int group = 0; group < kReaders; ++group) {
+    for (int i = 0; i < kPerGroup; ++i) {
+      Gxid g = dtm_.Begin(owner_);
+      fixed.push_back({g, *mgr_.AssignXid(g), group, i % 3 != 1});
+    }
+  }
+
+  std::atomic<int> snapped{0};   // readers holding their snapshot
+  std::atomic<int> finished{0};  // groups the writer finished
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> fresh{0};
+  std::thread writer([&] {
+    int step = 0;
+    while (!stop.load()) {
+      Gxid g = dtm_.Begin(owner_);
+      EXPECT_TRUE(mgr_.AssignXid(g).ok());
+      mgr_.Commit(g);
+      dtm_.MarkCommitted(g);
+      fresh.fetch_add(1);
+      ++step;
+      const int group = finished.load();
+      if (group < kReaders && snapped.load() > group && step % 8 == 0) {
+        for (const Fixed& t : fixed) {
+          if (t.group != group) continue;
+          if (t.commits) {
+            mgr_.Prepare(t.g);
+            mgr_.CommitPrepared(t.g);
+            dtm_.MarkCommitted(t.g);
+          } else {
+            dtm_.MarkAborted(t.g);
+            mgr_.Abort(t.g);
+          }
+        }
+        finished.store(group + 1);
+      }
+      // Every reader pinned its snapshot before it counted as snapped.
+      if (snapped.load() == kReaders && step % 16 == 0) {
+        dlog_.TruncateBelow(dtm_.OldestVisibleGxid());
+      }
+    }
+  });
+
+  std::vector<int64_t> changed(kReaders, 0), wrong(kReaders, 0), rounds(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      while (finished.load() < r) std::this_thread::yield();
+      Gxid me = dtm_.Begin(owner_);
+      DistributedSnapshot dsnap = dtm_.TakeSnapshot();
+      dtm_.PinSnapshot(me, dsnap.gxmin);
+      LocalSnapshot lsnap = mgr_.TakeLocalSnapshot();
+      VisibilityContext ctx = Ctx(&dsnap);
+      ctx.lsnap = &lsnap;
+      snapped.fetch_add(1);
+      std::vector<bool> first;
+      for (const Fixed& t : fixed) {
+        const bool v = XidCommittedForSnapshot(t.x, ctx);
+        first.push_back(v);
+        // Finished before this snapshot: its outcome; otherwise running.
+        if (v != (t.group < r && t.commits)) ++wrong[static_cast<size_t>(r)];
+      }
+      int64_t n = 0;
+      for (; n < kMinRounds || finished.load() < kReaders; ++n) {
+        for (size_t i = 0; i < fixed.size(); ++i) {
+          if (XidCommittedForSnapshot(fixed[i].x, ctx) != first[i]) {
+            ++changed[static_cast<size_t>(r)];
+          }
+        }
+      }
+      rounds[static_cast<size_t>(r)] = n;
+      dtm_.MarkCommitted(me);
+    });
+  }
+  for (auto& t : readers) t.join();
+  stop.store(true);
+  writer.join();
+
+  EXPECT_EQ(finished.load(), kReaders);
+  EXPECT_GT(fresh.load(), 0);
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(changed[static_cast<size_t>(r)], 0) << "reader " << r;
+    EXPECT_EQ(wrong[static_cast<size_t>(r)], 0) << "reader " << r;
+    EXPECT_GE(rounds[static_cast<size_t>(r)], kMinRounds);
   }
 }
 
