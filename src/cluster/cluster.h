@@ -107,7 +107,10 @@ struct ClusterOptions {
   int64_t exec_cpu_ns_per_row = 0;
 
   // Background horizon maintenance period: each pass truncates every
-  // segment's local->distributed xid map (TruncateXidMaps); 0 = off.
+  // segment's local->distributed xid map (TruncateXidMaps); 0 = off. The map
+  // holds 8 bytes per local xid; truncation gives back the memory below its
+  // oldest kept entry, so without it the map grows by 8 bytes for every
+  // transaction that wrote to the segment.
   int64_t maintenance_period_us = 0;
 
   // High availability: give every primary segment a mirror that continuously

@@ -35,7 +35,6 @@ Status AoRowTable::Scan(const VisibilityContext& ctx, const ScanCallback& fn) {
     ngroups = groups_.size();
   }
   std::vector<std::pair<TupleId, Row>> batch;
-  VisibilityMemo vis(ctx);
   for (size_t gi = 0; gi < ngroups; ++gi) {
     batch.clear();
     {
@@ -47,7 +46,7 @@ Status AoRowTable::Scan(const VisibilityContext& ctx, const ScanCallback& fn) {
         const StoredRow& row = group.rows[r];
         auto del = visimap_.find(base + r);
         LocalXid xmax = del == visimap_.end() ? kInvalidLocalXid : del->second;
-        if (!vis.Visible(row.xmin, xmax)) continue;
+        if (!TupleVisible(row.xmin, xmax, ctx)) continue;
         batch.emplace_back(base + r, row.row);
         bytes_scanned_.fetch_add(16 * row.row.size(), std::memory_order_relaxed);
       }

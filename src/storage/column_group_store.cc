@@ -40,9 +40,8 @@ StatusOr<bool> ColumnGroupStore::Decode(size_t gi, const std::vector<int>& cols,
   if (begin >= end || (sealed && sealed_[gi].freed)) return false;
   ColumnBatch batch;
   batch.sel.reserve(end - begin);
-  VisibilityMemo vis(ctx);
   for (size_t pos = begin; pos < end; ++pos) {
-    if (vis.Visible(xmins_[pos], xmaxs_[pos])) {
+    if (TupleVisible(xmins_[pos], xmaxs_[pos], ctx)) {
       batch.sel.push_back(static_cast<int32_t>(pos - begin));
     }
   }

@@ -86,7 +86,6 @@ Status HeapTable::Scan(const VisibilityContext& ctx, const ScanCallback& fn) {
     num_pages = pages_.size();
   }
   std::vector<std::pair<TupleId, Row>> batch;
-  VisibilityMemo vis(ctx);
   for (size_t p = 0; p < num_pages; ++p) {
     TouchPage(p);
     batch.clear();
@@ -95,8 +94,8 @@ Status HeapTable::Scan(const VisibilityContext& ctx, const ScanCallback& fn) {
       const Page& page = pages_[p];
       for (size_t s = 0; s < page.slots.size(); ++s) {
         const TupleVersion& v = page.slots[s];
-        // A freed slot's xmin is invalid, which no snapshot sees.
-        if (!vis.Visible(v.header.xmin, v.header.xmax)) continue;
+        if (v.header.xmin == kInvalidLocalXid) continue;  // freed slot
+        if (!TupleVisible(v.header.xmin, v.header.xmax, ctx)) continue;
         TupleId tid = p * kSlotsPerPage + s;
         batch.emplace_back(tid, v.row);
         bytes_scanned_.fetch_add(16 * v.row.size(),  // logical width estimate

@@ -37,9 +37,12 @@ class DistributedLog {
 
   /// Drops all entries with gxid < `oldest_needed`. Entries for in-progress
   /// transactions are safe because `oldest_needed` never exceeds the oldest
-  /// running distributed xid.
+  /// running distributed xid. Chunks of the table left without an entry give
+  /// their memory back, so a truncated map costs 8 bytes per xid from its
+  /// oldest entry up, not per xid it ever held.
   size_t TruncateBelow(Gxid oldest_needed) {
     std::lock_guard<std::mutex> g(mu_);
+    const uint64_t old_low = low_;
     size_t removed = 0;
     uint64_t first_kept = end_;
     for (uint64_t xid = low_; xid < end_; ++xid) {
@@ -53,6 +56,7 @@ class DistributedLog {
       }
     }
     low_ = first_kept;  // below it every slot is empty
+    gxids_.Release(old_low - old_low % XidTable<Gxid>::kChunkXids, first_kept);
     size_ -= removed;
     return removed;
   }

@@ -33,30 +33,6 @@ bool XidCommittedForSnapshot(LocalXid xid, const VisibilityContext& ctx);
 /// visible-committed (or own) xmax.
 bool TupleVisible(LocalXid xmin, LocalXid xmax, const VisibilityContext& ctx);
 
-/// TupleVisible for a scan that walks versions in storage order: consecutive
-/// versions with equal (xmin, xmax) share one verdict, computed for the first
-/// of them. Sound because a snapshot's verdict on an xid cannot change while
-/// the snapshot is in use (DESIGN.md section 4).
-class VisibilityMemo {
- public:
-  explicit VisibilityMemo(const VisibilityContext& ctx) : ctx_(ctx) {}
-
-  bool Visible(LocalXid xmin, LocalXid xmax) {
-    if (xmin != xmin_ || xmax != xmax_) {
-      xmin_ = xmin;
-      xmax_ = xmax;
-      visible_ = TupleVisible(xmin, xmax, ctx_);
-    }
-    return visible_;
-  }
-
- private:
-  const VisibilityContext& ctx_;
-  LocalXid xmin_ = kInvalidLocalXid;  // TupleVisible(0, 0) is false
-  LocalXid xmax_ = kInvalidLocalXid;
-  bool visible_ = false;
-};
-
 }  // namespace gphtap
 
 #endif  // GPHTAP_TXN_VISIBILITY_H_

@@ -14,4 +14,6 @@ void* MapZeroedPages(size_t bytes) {
 
 void UnmapPages(void* addr, size_t bytes) { munmap(addr, bytes); }
 
+void DiscardPages(void* addr, size_t bytes) { madvise(addr, bytes, MADV_DONTNEED); }
+
 }  // namespace gphtap

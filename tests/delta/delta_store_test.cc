@@ -13,7 +13,6 @@
 #include "delta/delta_index.h"
 #include "storage/change_log.h"
 #include "txn/clog.h"
-#include "txn/version_runs.h"
 #include "txn/visibility.h"
 
 namespace gphtap {
@@ -320,42 +319,6 @@ TEST(DeltaIndexTest, FeedAppliesLogAndWaitForAppliedBlocks) {
   EXPECT_EQ(di.WaitForApplied(log.size() + 100, 20'000).code(),
             StatusCode::kTimedOut);
   di.Stop();
-}
-
-// The run memo through the delta store: over rows whose runs mix committed,
-// in-progress, aborted and own xmins and deleters, the scan selects exactly
-// the rows a per-row TupleVisible selects, from the open run and once sealed.
-TEST(DeltaStoreTest, RunMemoMatchesPerRowVisibility) {
-  DeltaStore ds(MakeDef());
-  CommitLog clog;
-  const LocalXid committed = 3, running = 4, aborted = 5, own = 6, committed2 = 7;
-  const LocalXid del_committed = 8, del_running = 9, del_aborted = 10;
-  for (LocalXid x : {committed, committed2, del_committed}) clog.SetState(x, TxnState::kCommitted);
-  for (LocalXid x : {aborted, del_aborted}) clog.SetState(x, TxnState::kAborted);
-  for (LocalXid x : {running, own, del_running}) clog.Register(x);
-  const std::vector<LocalXid> xmins = {committed, running, aborted, own, committed2};
-  const std::vector<LocalXid> xmaxs = {kInvalidLocalXid, del_committed, del_running,
-                                       del_aborted, own};
-  const size_t n = DeltaStore::kGroupRows + 300;
-  const VersionRuns v = MakeVersionRuns(n, xmins, xmaxs);
-  for (size_t i = 0; i < n; ++i) {
-    ds.ApplyInsert(static_cast<TupleId>(i), v.xmin[i], MakeRow(static_cast<int64_t>(i), "r"));
-    if (v.xmax[i] != kInvalidLocalXid) ds.ApplyDelete(static_cast<TupleId>(i), v.xmax[i]);
-  }
-  VisibilityContext ctx;
-  ctx.clog = &clog;
-  ctx.my_xid = own;
-  std::vector<std::pair<int64_t, std::string>> want;
-  for (size_t i = 0; i < n; ++i) {
-    if (TupleVisible(v.xmin[i], v.xmax[i], ctx)) want.emplace_back(i, "r");
-  }
-  ASSERT_FALSE(want.empty());
-  EXPECT_EQ(ScanAll(ds, ctx), want);
-  ASSERT_EQ(ds.SealCold(nullptr).groups_sealed, 1u);
-  uint64_t from_sealed = 0, from_open = 0;
-  EXPECT_EQ(ScanAll(ds, ctx, &from_sealed, &from_open), want);
-  EXPECT_GT(from_sealed, 0u);
-  EXPECT_GT(from_open, 0u);
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "storage/column_group_store.h"
-#include "txn/version_runs.h"
 
 namespace gphtap {
 namespace {
@@ -127,46 +126,6 @@ TEST_F(ColumnGroupStoreTest, VisibilityDeletesAndDroppedRows) {
   }
   EXPECT_EQ(store_.FreeDeadGroups(deleted), std::vector<size_t>{0});
   EXPECT_FALSE(*store_.Decode(0, {0}, ctx_, &batch));
-}
-
-// The run memo (VisibilityMemo) judges each run of equal (xmin, xmax) once:
-// over rows whose runs mix committed, in-progress, aborted and own xmins and
-// deleters, a sealed and an open group select exactly the rows a per-row
-// TupleVisible selects.
-TEST_F(ColumnGroupStoreTest, RunMemoMatchesPerRowVisibility) {
-  const LocalXid running = 6, aborted = 7, own = 8, committed2 = 9;
-  const LocalXid del_committed = 10, del_running = 11, del_aborted = 12;
-  clog_.Register(running);
-  clog_.SetState(aborted, TxnState::kAborted);
-  clog_.Register(own);
-  clog_.SetState(committed2, TxnState::kCommitted);
-  clog_.SetState(del_committed, TxnState::kCommitted);
-  clog_.Register(del_running);
-  clog_.SetState(del_aborted, TxnState::kAborted);
-  const std::vector<LocalXid> xmins = {kXid, running, aborted, own, committed2};
-  const std::vector<LocalXid> xmaxs = {kInvalidLocalXid, del_committed, del_running,
-                                       del_aborted, own};
-  const size_t n = kGroup + kGroup / 2;
-  const VersionRuns v = MakeVersionRuns(n, xmins, xmaxs);
-  for (size_t pos = 0; pos < n; ++pos) {
-    store_.Append(MakeRow(pos), v.xmin[pos]);
-    store_.SetXmax(pos, v.xmax[pos]);
-  }
-  store_.SealFront();
-  VisibilityContext ctx = ctx_;
-  ctx.my_xid = own;
-  for (size_t gi = 0; gi < 2; ++gi) {  // one sealed group, one open
-    std::vector<int32_t> want;
-    for (size_t pos = gi * kGroup; pos < std::min(n, (gi + 1) * kGroup); ++pos) {
-      if (TupleVisible(v.xmin[pos], v.xmax[pos], ctx)) {
-        want.push_back(static_cast<int32_t>(pos - gi * kGroup));
-      }
-    }
-    ASSERT_FALSE(want.empty());
-    ColumnBatch batch;
-    ASSERT_TRUE(*store_.Decode(gi, {0}, ctx, &batch));
-    EXPECT_EQ(batch.sel, want) << "group " << gi;
-  }
 }
 
 }  // namespace

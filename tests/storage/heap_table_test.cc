@@ -5,7 +5,6 @@
 #include "lock/lock_owner.h"
 #include "txn/distributed_txn_manager.h"
 #include "txn/local_txn_manager.h"
-#include "txn/version_runs.h"
 #include "txn/wal.h"
 
 namespace gphtap {
@@ -285,41 +284,6 @@ TEST_F(HeapTableTest, ProjectedScanDefaultImpl) {
     EXPECT_EQ(r[0].int_val(), 10);
     return true;
   });
-}
-
-// The run memo through HeapTable::Scan: over several pages of versions whose
-// runs mix committed, in-progress, aborted and own xmins and deleters, the
-// scan returns exactly the versions a per-version TupleVisible accepts.
-TEST_F(HeapTableTest, RunMemoMatchesPerVersionVisibility) {
-  const LocalXid committed = Begin(), running = Begin(), aborted = Begin(), own = Begin(),
-                 committed2 = Begin(), del_committed = Begin(), del_running = Begin(),
-                 del_aborted = Begin();
-  const std::vector<LocalXid> xmins = {committed, running, aborted, own, committed2};
-  const std::vector<LocalXid> xmaxs = {kInvalidLocalXid, del_committed, del_running,
-                                       del_aborted, own};
-  const size_t n = 5 * HeapTable::kSlotsPerPage + 17;
-  const VersionRuns v = MakeVersionRuns(n, xmins, xmaxs);
-  for (size_t i = 0; i < n; ++i) {
-    auto tid = table_->Insert(v.xmin[i], R(static_cast<int64_t>(i), 0));
-    ASSERT_TRUE(tid.ok());
-    ASSERT_EQ(*tid, i);
-    if (v.xmax[i] != kInvalidLocalXid) table_->ApplySetXmax(*tid, v.xmax[i]);
-  }
-  for (LocalXid x : {committed, committed2, del_committed}) Commit(x);
-  for (LocalXid x : {aborted, del_aborted}) Abort(x);
-  DistributedSnapshot snap = dtm_.TakeSnapshot();
-  VisibilityContext ctx = Ctx(&snap, own);
-  std::vector<TupleId> want, got;
-  for (size_t i = 0; i < n; ++i) {
-    if (TupleVisible(v.xmin[i], v.xmax[i], ctx)) want.push_back(i);
-  }
-  ASSERT_FALSE(want.empty());
-  ASSERT_TRUE(table_->Scan(ctx, [&](TupleId tid, const Row& row) {
-    EXPECT_EQ(row[0].int_val(), static_cast<int64_t>(tid));
-    got.push_back(tid);
-    return true;
-  }).ok());
-  EXPECT_EQ(got, want);
 }
 
 }  // namespace

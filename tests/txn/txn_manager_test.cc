@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdint>
+#include <fstream>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -260,6 +263,41 @@ TEST(DistributedLogTest, TruncateBelowClearsOnlyOlderGxidsAndSizeCountsTheRest) 
   EXPECT_EQ(dlog.size(), 1u);
   EXPECT_EQ(dlog.Lookup(2), std::optional<Gxid>(80));
   EXPECT_FALSE(dlog.Lookup(1).has_value());
+}
+
+// Resident memory of this process.
+int64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  int64_t pages = 0;
+  statm >> pages >> pages;  // size, then resident
+  return pages * sysconf(_SC_PAGESIZE);
+}
+
+// With maintenance on, the map must stay bounded by the entries it keeps:
+// chunks that truncation empties give their pages back and still read empty.
+TEST(DistributedLogTest, TruncationGivesBackTheMemoryOfEmptiedChunks) {
+  DistributedLog dlog;
+  const LocalXid chunk = XidTable<Gxid>::kChunkXids;
+  const LocalXid end = 64 * chunk;  // 2 MiB of gxids
+  for (LocalXid x = 1; x < end; ++x) dlog.Record(x, x);
+
+  // Gxid = xid, so this empties chunks 0-47 (1.5 MiB) and keeps the rest.
+  const Gxid horizon = 48 * chunk + 5;
+  const int64_t before = ResidentBytes();
+  EXPECT_EQ(dlog.TruncateBelow(horizon), horizon - 1);
+  EXPECT_GE(before - ResidentBytes(), int64_t{1} << 20);
+  EXPECT_EQ(dlog.size(), end - horizon);
+  EXPECT_FALSE(dlog.Lookup(1).has_value());
+  EXPECT_FALSE(dlog.Lookup(horizon - 1).has_value());
+  EXPECT_EQ(dlog.Lookup(horizon), std::optional<Gxid>(horizon));
+  EXPECT_EQ(dlog.Lookup(end - 1), std::optional<Gxid>(end - 1));
+
+  // A late Record lands in a chunk whose pages went back.
+  dlog.Record(3, end + 1);
+  EXPECT_EQ(dlog.Lookup(3), std::optional<Gxid>(end + 1));
+  EXPECT_EQ(dlog.TruncateBelow(end + 2), end - horizon + 1);
+  EXPECT_EQ(dlog.size(), 0u);
+  EXPECT_FALSE(dlog.Lookup(3).has_value());
 }
 
 }  // namespace

@@ -202,10 +202,10 @@ TEST_F(VisibilityTest, RandomizedMatchesOracle) {
   }
 }
 
-// The stability a scan's run memo relies on (VisibilityMemo): while one
-// writer registers, records and commits fresh xids, finishes transactions the
-// readers already judged and truncates the xid map, no reader's verdict on
-// any xid changes under its one snapshot. Reader r takes its snapshot after
+// The stability that lets readers probe the xid tables without a lock:
+// while one writer registers, records and commits fresh xids, finishes
+// transactions the readers already judged and truncates the xid map, no
+// reader's verdict on any xid changes under its one snapshot. Reader r takes its snapshot after
 // the writer finished the first r of four groups of pending transactions;
 // the writer finishes group r only after that snapshot, while reader r is
 // re-checking.
