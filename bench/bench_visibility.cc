@@ -59,7 +59,7 @@ struct TxnFixture {
 
   CommitLog clog;
   DistributedLog dlog;
-  WalStub wal{0};
+  Wal wal{0};
   LocalTxnManager mgr{&clog, &dlog, &wal};
   DistributedTxnManager dtm;
   std::shared_ptr<LockOwner> owner = std::make_shared<LockOwner>(1);

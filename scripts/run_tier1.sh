@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, then the concurrency-heavy
 # subset (xid tables and visibility, locks, GDD, commit protocol, mirrors,
-# crash recovery, metrics) again under ThreadSanitizer, the expression and
-# SQL subset under
-# UndefinedBehaviorSanitizer, the executor and DML subset under
-# AddressSanitizer, then smoke-mode benchmarks whose BENCH_*.json
+# crash recovery, the change-log tailer, metrics) again under
+# ThreadSanitizer, the expression and SQL subset under
+# UndefinedBehaviorSanitizer, the executor, DML and change-log reader subset
+# under AddressSanitizer, then smoke-mode benchmarks whose BENCH_*.json
 # output is validated for the required keys.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -16,7 +16,7 @@ cmake --build build -j "$(nproc)"
 cmake -B build-tsan -S . -DGPHTAP_SANITIZE=thread
 cmake --build build-tsan -j "$(nproc)"
 (cd build-tsan && ctest --output-on-failure -j "$(nproc)" -R \
-  'gang_runner_test|periodic_task_test|txn_manager_test|visibility_test|snapshot_stress_test|executor_test|lock_manager_test|lock_modes_test|gdd_daemon_test|gdd_algorithm_test|gdd_cases_test|commit_protocol_test|mirror_test|fault_injector_test|crash_recovery_test|failover_test|metrics_test|observability_test|motion_exchange_test|column_batch_test|vec_executor_test|vec_differential_test|ao_visibility_test|ao_compaction_test|reorg_test|expand_test|wait_event_test|system_views_test|timeout_test|chaos_test|plan_cache_test|prepare_execute_test|delta_store_test|delta_scan_test|delta_differential_test|stats_test|stats_views_test|frontend_test')
+  'gang_runner_test|periodic_task_test|log_tailer_test|txn_manager_test|visibility_test|snapshot_stress_test|executor_test|lock_manager_test|lock_modes_test|gdd_daemon_test|gdd_algorithm_test|gdd_cases_test|commit_protocol_test|mirror_test|fault_injector_test|crash_recovery_test|failover_test|metrics_test|observability_test|motion_exchange_test|column_batch_test|vec_executor_test|vec_differential_test|ao_visibility_test|ao_compaction_test|reorg_test|expand_test|wait_event_test|system_views_test|timeout_test|chaos_test|plan_cache_test|prepare_execute_test|delta_store_test|delta_scan_test|delta_differential_test|stats_test|stats_views_test|frontend_test')
 
 # Integer arithmetic, literals and both expression engines under UBSan, and
 # the prepared-statement and plan-cache tests, since every EXECUTE evaluates
@@ -31,12 +31,15 @@ cmake --build build-ubsan -j "$(nproc)" --target expr_test parser_test vec_execu
 
 # The executor, the planner and the UPDATE/DELETE paths under
 # AddressSanitizer, LeakSanitizer included: the ModifyTable node holds tuple
-# copies across lock waits. The first report stops the run.
+# copies across lock waits. So do the change log's readers (mirror replay,
+# recovery, failover, the delta feed): they read records by reference from
+# the log's deque. The first report stops the run.
 cmake -B build-asan -S . -DGPHTAP_SANITIZE=address
 cmake --build build-asan -j "$(nproc)" --target executor_test planner_test \
-  sql_end_to_end_test prepare_execute_test gdd_cases_test commit_protocol_test
+  sql_end_to_end_test prepare_execute_test gdd_cases_test commit_protocol_test \
+  mirror_test crash_recovery_test failover_test delta_store_test
 (cd build-asan && ASAN_OPTIONS=halt_on_error=1 ctest --output-on-failure -j "$(nproc)" -R \
-  '^(executor_test|planner_test|sql_end_to_end_test|prepare_execute_test|gdd_cases_test|commit_protocol_test)$')
+  '^(executor_test|planner_test|sql_end_to_end_test|prepare_execute_test|gdd_cases_test|commit_protocol_test|mirror_test|crash_recovery_test|failover_test|delta_store_test)$')
 
 # Advisory bench diffing: the previous run's BENCH_*.json is kept as .prev and
 # a per-series tps/p99 delta table is printed after each fresh run. Informative

@@ -45,10 +45,10 @@ Cluster::Cluster(ClusterOptions options)
   seg_options_.buffer_pool = options.buffer_pool;
   seg_options_.fsync_cost_us = options.fsync_cost_us;
   seg_options_.locks = options.locks;
-  seg_options_.enable_mirroring = options.mirrors_enabled;
-  // The delta feed tails the same change stream crash recovery replays.
-  seg_options_.enable_recovery =
-      options.crash_recovery_enabled || options.delta_store_enabled;
+  // Mirrors, crash recovery and the delta feed all read the change log.
+  seg_options_.keep_change_log = options.mirrors_enabled ||
+                                 options.crash_recovery_enabled ||
+                                 options.delta_store_enabled;
   seg_options_.metrics = &metrics_;
   // Fixed-capacity slot arrays: AddSegments fills slots past the serving count
   // at runtime, so the vectors themselves never reallocate under readers.
@@ -595,9 +595,8 @@ Status Cluster::RecoverSegment(int index) {
   if (index < 0 || index >= num_segments()) {
     return Status::InvalidArgument("no segment " + std::to_string(index));
   }
-  Status s = segment(index)->Recover(
-      DefsForSegment(index), [this](Gxid gxid) { return ResolveInDoubt(gxid); },
-      Segment::RecoverySource::kLocalWal);
+  Status s = segment(index)->Recover(DefsForSegment(index),
+                                     [this](Gxid gxid) { return ResolveInDoubt(gxid); });
   if (s.ok() && breaker(index) != nullptr) breaker(index)->Reset();
   return s;
 }
@@ -616,16 +615,16 @@ Status Cluster::FailoverToMirror(int index) {
   Segment* seg = segment(index);
   // Fence the primary so it stops producing while we promote.
   if (seg->up()) GPHTAP_RETURN_IF_ERROR(seg->Crash());
-  // Drain the shipped stream into the mirror, then freeze it.
+  // Drain the log into the mirror, then freeze it.
   GPHTAP_RETURN_IF_ERROR(m->CatchUp());
   m->Stop();
   m->MarkPromoted();
-  // Rebuild the primary in place from the stream the mirror replayed. The
-  // mirror's copy and the stream are byte-identical (same ChangeLog), so this
-  // is "the mirror takes over" without moving table objects between nodes.
+  // Rebuild the primary in place from the log the mirror replayed, through
+  // the same Recover as a restart: the mirror's copy is that log applied, so
+  // this is "the mirror takes over" without moving table objects between
+  // nodes.
   Status s = seg->Recover(DefsForSegment(index),
-                          [this](Gxid gxid) { return ResolveInDoubt(gxid); },
-                          Segment::RecoverySource::kShippedStream);
+                          [this](Gxid gxid) { return ResolveInDoubt(gxid); });
   if (s.ok() && breaker(index) != nullptr) breaker(index)->Reset();
   return s;
 }

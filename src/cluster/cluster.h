@@ -89,8 +89,8 @@ struct ClusterOptions {
 
   // In-memory columnar delta store (src/delta/): every plain heap table gets a
   // per-segment column index tailing the change log, and heap scans run as
-  // vectorized delta-merged scans after a freshness wait. Implies the
-  // crash-recovery change stream (segments must produce change records).
+  // vectorized delta-merged scans after a freshness wait. Segments keep a
+  // change log, so crashed segments can also be recovered.
   bool delta_store_enabled = false;
   // Seal-daemon period: seal cold delta runs + reclaim all-dead groups on
   // every segment this often. 0 = no daemon (SealDeltaNow still works).
@@ -114,10 +114,10 @@ struct ClusterOptions {
   int64_t maintenance_period_us = 0;
 
   // High availability: give every primary segment a mirror that continuously
-  // replays its change stream (Section 3.1). Mirrors do not serve queries.
+  // replays its change log (Section 3.1). Mirrors do not serve queries.
   bool mirrors_enabled = false;
 
-  // Crash recovery: segments keep a change stream even without mirrors so a
+  // Crash recovery: segments keep a change log even without mirrors so a
   // "crashed" segment can be rebuilt (Segment::Recover). Implied by mirrors.
   bool crash_recovery_enabled = false;
 
@@ -273,13 +273,13 @@ class Cluster {
   DistributedLog& coordinator_dlog() { return coordinator_dlog_; }
   SimNet& net() { return net_; }
   GddDaemon* gdd() { return gdd_.get(); }
-  WalStub& coordinator_wal() { return coordinator_wal_; }
+  Wal& coordinator_wal() { return coordinator_wal_; }
 
   /// Writes (and fsyncs) the coordinator's distributed-commit record — the 2PC
   /// commit point between PREPARE and COMMIT PREPARED (Figure 10), and the
   /// authority for resolving in-doubt prepared transactions after a crash.
   void CoordinatorCommitRecord(Gxid gxid) {
-    coordinator_wal_.Append(WalRecordType::kDistributedCommit, 0, gxid);
+    coordinator_wal_.RecordDistributedCommit(gxid);
   }
 
   /// True once the 2PC commit point for `gxid` is durable on the coordinator.
@@ -293,14 +293,15 @@ class Cluster {
   /// Simulated crash of a primary segment (volatile state lost, service down).
   Status CrashSegment(int index);
 
-  /// Restarts a crashed segment from its own durable state (WAL + change log).
+  /// Restarts a crashed segment from its change log (Segment::Recover).
   /// In-doubt prepared transactions are resolved against the coordinator's
   /// distributed commit record (ResolveInDoubt).
   Status RecoverSegment(int index);
 
   /// Promotes segment `index`'s mirror: the primary is fenced (crashed if still
   /// up), the mirror catches up and stops, and the primary is rebuilt from the
-  /// shipped stream. Called by the FTS daemon; also callable directly.
+  /// log the mirror replayed, through the same Segment::Recover as
+  /// RecoverSegment. Called by the FTS daemon; also callable directly.
   Status FailoverToMirror(int index);
 
   /// Recovery policy for a prepared transaction found in a crashed segment's
@@ -481,7 +482,7 @@ class Cluster {
   // Coordinator node state (node id -1).
   CommitLog coordinator_clog_;
   DistributedLog coordinator_dlog_;
-  WalStub coordinator_wal_;
+  Wal coordinator_wal_;
   LockManager coordinator_locks_;
   LocalTxnManager coordinator_txns_;
   DistributedTxnManager dtm_;

@@ -1,6 +1,6 @@
 #include "cluster/mirror.h"
 
-#include <chrono>
+#include <utility>
 
 #include "common/clock.h"
 #include "storage/replay.h"
@@ -27,41 +27,25 @@ Table* MirrorSegment::GetTable(TableId id) {
   return it == tables_.end() ? nullptr : it->second.get();
 }
 
-void MirrorSegment::Start(ChangeLog* source) {
-  if (running_.exchange(true)) return;
+void MirrorSegment::Start(const ChangeLog* source) {
   source_ = source;
-  replayer_ = std::thread([this] { ReplayLoop(); });
+  replayer_ = std::make_unique<LogTailer>(
+      source, [this](const ChangeRecord& record, std::stop_token stop) {
+        return Apply(record, std::move(stop));
+      });
 }
 
 void MirrorSegment::Stop() {
-  if (!running_.exchange(false)) return;
-  if (source_ != nullptr) source_->Close();
-  if (replayer_.joinable()) replayer_.join();
+  if (replayer_ != nullptr) replayer_->Stop();
 }
 
-void MirrorSegment::ReplayLoop() {
-  size_t next = 0;
-  while (running_.load(std::memory_order_relaxed)) {
-    auto record = source_->Read(next);
-    if (!record.has_value()) break;  // stream closed
-    // An armed "mirror.replay_stall" (scoped by primary index) freezes replay
-    // with the record in hand, so applied lag is observable until disarmed.
-    while (running_.load(std::memory_order_relaxed) && faults_ != nullptr &&
-           faults_->IsArmed(fault_points::kMirrorReplayStall, primary_index_)) {
-      PreciseSleepUs(100);
-    }
-    if (!running_.load(std::memory_order_relaxed)) break;
-    Status s = Apply(*record);
-    if (!s.ok()) {
-      std::lock_guard<std::mutex> g(err_mu_);
-      if (error_.ok()) error_ = s;
-    }
-    ++next;
-    applied_.store(next, std::memory_order_release);
+Status MirrorSegment::Apply(const ChangeRecord& record, std::stop_token stop) {
+  // An armed "mirror.replay_stall" (scoped by primary index) freezes replay
+  // with the record in hand, so applied lag is observable until disarmed.
+  while (!stop.stop_requested() && faults_ != nullptr &&
+         faults_->IsArmed(fault_points::kMirrorReplayStall, primary_index_)) {
+    PreciseSleepUs(100);
   }
-}
-
-Status MirrorSegment::Apply(const ChangeRecord& record) {
   switch (record.kind) {
     case ChangeKind::kTxnBegin:
       clog_.Register(record.xid);
@@ -87,22 +71,9 @@ Status MirrorSegment::Apply(const ChangeRecord& record) {
 }
 
 Status MirrorSegment::CatchUp(int64_t timeout_ms) {
-  size_t target = source_ != nullptr ? source_->size() : 0;
-  int64_t deadline = MonotonicMicros() + timeout_ms * 1000;
-  while (applied_.load(std::memory_order_acquire) < target) {
-    if (MonotonicMicros() > deadline) {
-      return Status::TimedOut("mirror catch-up: applied " +
-                              std::to_string(applied_.load()) + " of " +
-                              std::to_string(target));
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
+  if (replayer_ == nullptr) return Status::OK();
+  GPHTAP_RETURN_IF_ERROR(replayer_->WaitForApplied(source_->size(), timeout_ms * 1000));
   return health();
-}
-
-Status MirrorSegment::health() const {
-  std::lock_guard<std::mutex> g(err_mu_);
-  return error_;
 }
 
 }  // namespace gphtap

@@ -1,5 +1,5 @@
-// Mirror segments (Section 3.1): each primary ships its logical change stream
-// ("WAL") to a mirror that replays it on the fly on its own replica of the
+// Mirror segments (Section 3.1): each primary's change log (its "WAL") is
+// replayed on the fly, by a LogTailer, onto the mirror's own replica of the
 // data. Mirrors do not participate in computing; they exist so that this
 // repository models the paper's high-availability substrate and so tests can
 // verify that replay reproduces the primary bit-for-bit.
@@ -11,12 +11,12 @@
 #include <atomic>
 #include <memory>
 #include <shared_mutex>
-#include <thread>
+#include <stop_token>
 #include <unordered_map>
 
 #include "common/fault_injector.h"
-#include "storage/change_log.h"
 #include "storage/heap_table.h"
+#include "storage/log_tailer.h"
 #include "storage/table_factory.h"
 #include "txn/clog.h"
 
@@ -39,29 +39,29 @@ class MirrorSegment {
   Table* GetTable(TableId id);
   CommitLog& clog() { return clog_; }
 
-  /// Starts continuous replay from the primary's stream.
-  void Start(ChangeLog* source);
+  /// Starts continuous replay from the primary's log. Call once, before the
+  /// mirror is shared.
+  void Start(const ChangeLog* source);
   void Stop();
 
-  /// Blocks until everything currently in the source stream has been applied.
+  /// Blocks until everything currently in the source log has been applied.
   Status CatchUp(int64_t timeout_ms = 5000);
 
-  uint64_t applied() const { return applied_.load(std::memory_order_acquire); }
+  uint64_t applied() const { return replayer_ != nullptr ? replayer_->applied() : 0; }
   /// Replay errors are sticky; a healthy mirror reports OK.
-  Status health() const;
+  Status health() const { return replayer_ != nullptr ? replayer_->error() : Status::OK(); }
 
   /// Attaches the cluster's fault injector; the "mirror.replay_stall" point
   /// (scoped by primary index) pauses replay to simulate a lagging mirror.
   void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
 
-  /// Failover bookkeeping: once promoted, the mirror's stream has been used to
+  /// Failover bookkeeping: once promoted, the mirror's log has been used to
   /// rebuild the primary in place and this replica must not be promoted again.
   void MarkPromoted() { promoted_.store(true, std::memory_order_release); }
   bool promoted() const { return promoted_.load(std::memory_order_acquire); }
 
  private:
-  void ReplayLoop();
-  Status Apply(const ChangeRecord& record);
+  Status Apply(const ChangeRecord& record, std::stop_token stop);
 
   const int primary_index_;
   CommitLog clog_;
@@ -69,14 +69,10 @@ class MirrorSegment {
   std::shared_mutex tables_mu_;
   std::unordered_map<TableId, std::unique_ptr<Table>> tables_;
 
-  ChangeLog* source_ = nullptr;
+  const ChangeLog* source_ = nullptr;
   FaultInjector* faults_ = nullptr;
-  std::thread replayer_;
-  std::atomic<bool> running_{false};
   std::atomic<bool> promoted_{false};
-  std::atomic<uint64_t> applied_{0};
-  mutable std::mutex err_mu_;
-  Status error_;
+  std::unique_ptr<LogTailer> replayer_;  // last: stops before the tables go
 };
 
 }  // namespace gphtap

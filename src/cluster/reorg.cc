@@ -311,7 +311,9 @@ Status Session::RebalanceHashTable(const TableDef& def, int new_span,
   for (int s = 0; s < src_span; ++s) {
     ChangeLog* log = cluster_->segment(s)->change_log();
     if (log == nullptr) continue;
-    for (const ChangeRecord& rec : log->SnapshotFrom(marks[static_cast<size_t>(s)])) {
+    const size_t end = log->size();
+    for (size_t pos = marks[static_cast<size_t>(s)]; pos < end; ++pos) {
+      const ChangeRecord& rec = log->At(pos);
       if (rec.table != def.id) continue;
       if (rec.kind == ChangeKind::kInsert || rec.kind == ChangeKind::kSetXmax) {
         ++report->catchup_records;

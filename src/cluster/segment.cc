@@ -26,8 +26,7 @@ Status Segment::Crash() {
   return Status::OK();
 }
 
-Status Segment::Recover(const std::vector<TableDef>& defs, const InDoubtResolver& resolver,
-                        RecoverySource source) {
+Status Segment::Recover(const std::vector<TableDef>& defs, const InDoubtResolver& resolver) {
   std::lock_guard<std::mutex> state(state_mu_);
   if (up()) {
     return Status::Internal("segment " + std::to_string(index_) +
@@ -36,7 +35,7 @@ Status Segment::Recover(const std::vector<TableDef>& defs, const InDoubtResolver
   if (change_log_ == nullptr) {
     return Status::NotSupported("segment " + std::to_string(index_) +
                                 ": recovery requires a change log "
-                                "(enable_recovery/enable_mirroring)");
+                                "(Segment::Options::keep_change_log)");
   }
   // Drain in-flight pinned requests; new ones fail fast on the up_ check.
   std::unique_lock<std::shared_mutex> service(service_mu_);
@@ -52,7 +51,7 @@ Status Segment::Recover(const std::vector<TableDef>& defs, const InDoubtResolver
 
   // --- Recreate the schema, detached from the change log so replay does not
   // re-append history. Partitioned roots come back empty: leaf routing is not
-  // in the stream (documented data loss, matching the mirroring limitation). ---
+  // in the log (documented data loss, matching the mirroring limitation). ---
   {
     std::unique_lock<std::shared_mutex> g(tables_mu_);
     for (const TableDef& def : defs) {
@@ -60,92 +59,46 @@ Status Segment::Recover(const std::vector<TableDef>& defs, const InDoubtResolver
     }
   }
 
-  // --- Rebuild transaction states. kLocalWal replays this segment's own WAL;
-  // kShippedStream trusts only what was shipped to the mirror (the txn records
-  // in the change stream), modeling a promotion where the primary's disk died. ---
+  // --- Replay the log: transaction records rebuild the transaction states,
+  // data records the tables. Read up to the size at entry: resolution below
+  // appends records that must not be replayed into the tables being rebuilt.
   struct TxnInfo {
     Gxid gxid = kInvalidGxid;
     TxnState state = TxnState::kInProgress;
   };
   std::map<LocalXid, TxnInfo> txns;
-  LocalXid max_xid = 0;
-  auto note = [&](LocalXid xid, Gxid gxid, TxnState state, bool begin) {
-    if (xid == kInvalidLocalXid) return;
-    max_xid = std::max(max_xid, xid);
-    auto& info = txns[xid];
-    if (begin) {
-      info.gxid = gxid;
-      info.state = TxnState::kInProgress;
-    } else {
-      info.state = state;
-    }
-  };
-  if (source == RecoverySource::kLocalWal) {
-    for (const WalRecord& rec : wal_.Snapshot()) {
-      switch (rec.type) {
-        case WalRecordType::kBegin:
-          note(rec.xid, rec.gxid, TxnState::kInProgress, /*begin=*/true);
-          break;
-        case WalRecordType::kPrepare:
-          note(rec.xid, rec.gxid, TxnState::kPrepared, /*begin=*/false);
-          break;
-        case WalRecordType::kCommit:
-        case WalRecordType::kCommitPrepared:
-          note(rec.xid, rec.gxid, TxnState::kCommitted, /*begin=*/false);
-          break;
-        case WalRecordType::kAbort:
-          note(rec.xid, rec.gxid, TxnState::kAborted, /*begin=*/false);
-          break;
-        case WalRecordType::kDistributedCommit:
-          break;  // coordinator-only record
-      }
-    }
-  }
-
-  // --- Replay the change stream: txn records (for kShippedStream) and data
-  // records (both sources). Snapshot first; resolution below appends new
-  // records that must not be replayed into the tables we are rebuilding. ---
-  const std::vector<ChangeRecord> stream = change_log_->Snapshot(change_log_->size());
-  for (const ChangeRecord& rec : stream) {
+  const size_t end = change_log_->size();
+  for (size_t pos = 0; pos < end; ++pos) {
+    const ChangeRecord& rec = change_log_->At(pos);
     switch (rec.kind) {
       case ChangeKind::kTxnBegin:
-        if (source == RecoverySource::kShippedStream) {
-          note(rec.xid, rec.gxid, TxnState::kInProgress, /*begin=*/true);
-        }
-        continue;
+        txns[rec.xid] = TxnInfo{rec.gxid, TxnState::kInProgress};
+        break;
       case ChangeKind::kTxnPrepare:
-        if (source == RecoverySource::kShippedStream) {
-          note(rec.xid, rec.gxid, TxnState::kPrepared, /*begin=*/false);
-        }
-        continue;
+        txns[rec.xid].state = TxnState::kPrepared;
+        break;
       case ChangeKind::kTxnCommit:
-        if (source == RecoverySource::kShippedStream) {
-          note(rec.xid, rec.gxid, TxnState::kCommitted, /*begin=*/false);
-        }
-        continue;
+        txns[rec.xid].state = TxnState::kCommitted;
+        break;
       case ChangeKind::kTxnAbort:
-        if (source == RecoverySource::kShippedStream) {
-          note(rec.xid, rec.gxid, TxnState::kAborted, /*begin=*/false);
-        }
-        continue;
+        txns[rec.xid].state = TxnState::kAborted;
+        break;
       default:
+        // No table: a dropped table or a partitioned root.
+        if (Table* table = GetTable(rec.table)) {
+          GPHTAP_RETURN_IF_ERROR(ApplyDataChange(table, rec));
+        }
         break;
     }
-    Table* table = GetTable(rec.table);
-    if (table == nullptr) continue;  // dropped table / partitioned root
-    Status s = ApplyDataChange(table, rec);
-    if (!s.ok()) return s;
   }
+  const LocalXid max_xid = txns.empty() ? 0 : txns.rbegin()->first;
 
   // --- Install transaction states and resolve what the log left open. ---
   std::vector<std::pair<Gxid, LocalXid>> reinstated;
   std::unordered_map<Gxid, TxnState> finished;
-  auto finish = [&](LocalXid xid, Gxid gxid, TxnState state, WalRecordType wal_type,
-                    ChangeKind stream_kind) {
+  auto finish = [&](LocalXid xid, Gxid gxid, TxnState state) {
+    txns_.LogOutcome(xid, gxid, state);
     clog_.SetState(xid, state);
-    wal_.Append(wal_type, xid, gxid);
-    change_log_->Append(
-        ChangeRecord{stream_kind, 0, kInvalidTupleId, kInvalidTupleId, xid, {}, gxid});
     if (gxid != kInvalidGxid) finished[gxid] = state;
   };
   for (const auto& [xid, info] : txns) {
@@ -157,11 +110,9 @@ Status Segment::Recover(const std::vector<TableDef>& defs, const InDoubtResolver
         InDoubtDecision d =
             info.gxid != kInvalidGxid ? resolver(info.gxid) : InDoubtDecision::kAbort;
         if (d == InDoubtDecision::kCommit) {
-          finish(xid, info.gxid, TxnState::kCommitted, WalRecordType::kCommitPrepared,
-                 ChangeKind::kTxnCommit);
+          finish(xid, info.gxid, TxnState::kCommitted);
         } else if (d == InDoubtDecision::kAbort) {
-          finish(xid, info.gxid, TxnState::kAborted, WalRecordType::kAbort,
-                 ChangeKind::kTxnAbort);
+          finish(xid, info.gxid, TxnState::kAborted);
         } else {
           reinstated.emplace_back(info.gxid, xid);
         }
@@ -170,8 +121,7 @@ Status Segment::Recover(const std::vector<TableDef>& defs, const InDoubtResolver
       case TxnState::kInProgress:
         // Volatile state (including any not-yet-prepared writes' fate) died
         // with the crash: the transaction aborts, as in PostgreSQL recovery.
-        finish(xid, info.gxid, TxnState::kAborted, WalRecordType::kAbort,
-               ChangeKind::kTxnAbort);
+        finish(xid, info.gxid, TxnState::kAborted);
         break;
       case TxnState::kCommitted:
       case TxnState::kAborted:
@@ -180,7 +130,7 @@ Status Segment::Recover(const std::vector<TableDef>& defs, const InDoubtResolver
   }
   txns_.ResetForRecovery(max_xid + 1, reinstated, std::move(finished));
 
-  // --- Reconnect the change stream and reopen for service. ---
+  // --- Reconnect the change log and reopen for service. ---
   {
     std::unique_lock<std::shared_mutex> g(tables_mu_);
     for (const TableDef& def : defs) {

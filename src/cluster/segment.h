@@ -1,15 +1,15 @@
 // One worker segment: an "enhanced PostgreSQL instance" (Section 3.1) with its
-// own lock table, transaction manager, commit log, WAL, buffer cache, and the
-// shard of every table's data.
+// own lock table, transaction manager, commit log, change log (its WAL), buffer
+// cache, and the shard of every table's data.
 //
 // Segments can "crash" (Crash(): volatile state — running transactions, the
 // lock table, table data — becomes untrustworthy and all service stops) and be
-// recovered (Recover(): tables are rebuilt by replaying the change log, the
-// commit log / xid map are rebuilt from the WAL, prepared-but-unresolved
-// transactions are reinstated or resolved against the coordinator's distributed
-// commit record). Sessions enter a segment through Pin(), which holds off
-// recovery while a request is in flight and fails fast with a retryable error
-// when the segment is down.
+// recovered (Recover(): one pass over the change log rebuilds the tables, the
+// commit log and the xid map, and prepared-but-unresolved transactions are
+// reinstated or resolved against the coordinator's distributed commit
+// record). Sessions enter a segment through Pin(), which holds off recovery
+// while a request is in flight and fails fast with a retryable error when the
+// segment is down.
 #ifndef GPHTAP_CLUSTER_SEGMENT_H_
 #define GPHTAP_CLUSTER_SEGMENT_H_
 
@@ -52,19 +52,15 @@ class Segment {
     BufferPool::Options buffer_pool;
     int64_t fsync_cost_us = 0;
     LockManager::Options locks;
-    bool enable_mirroring = false;  // emit a logical change stream (WAL shipping)
-    bool enable_recovery = false;   // keep a change stream for crash recovery
+    // Keep a change log: mirrors, crash recovery and the delta feed read it.
+    bool keep_change_log = false;
     MetricsRegistry* metrics = nullptr;  // cluster-wide observability (optional)
   };
 
   /// What recovery should do with a prepared transaction whose outcome is not
-  /// decided by this segment's own WAL.
+  /// decided by this segment's own log.
   enum class InDoubtDecision { kCommit, kAbort, kKeepPrepared };
   using InDoubtResolver = std::function<InDoubtDecision(Gxid)>;
-
-  /// Where Recover() reads the change stream from: the segment's own log
-  /// (restart after a crash) or a mirror's shipped copy (failover promotion).
-  enum class RecoverySource { kLocalWal, kShippedStream };
 
   Segment(int index, const Options& options)
       : index_(index),
@@ -72,7 +68,7 @@ class Segment {
         pool_(options.buffer_pool),
         locks_(index, options.locks),
         txns_(&clog_, &dlog_, &wal_) {
-    if (options.enable_mirroring || options.enable_recovery) {
+    if (options.keep_change_log) {
       change_log_ = std::make_unique<ChangeLog>();
       txns_.set_change_log(change_log_.get());
     }
@@ -87,11 +83,11 @@ class Segment {
 
   CommitLog& clog() { return clog_; }
   DistributedLog& dlog() { return dlog_; }
-  WalStub& wal() { return wal_; }
+  Wal& wal() { return wal_; }
   BufferPool& pool() { return pool_; }
   LockManager& locks() { return locks_; }
   LocalTxnManager& txns() { return txns_; }
-  /// The replication stream, or null when mirroring and recovery are disabled.
+  /// The change log, or null when the segment keeps none.
   ChangeLog* change_log() { return change_log_.get(); }
 
   bool up() const { return up_.load(std::memory_order_acquire); }
@@ -114,21 +110,20 @@ class Segment {
   /// actual teardown of volatile state is deferred to Recover().
   Status Crash();
 
-  /// Rebuilds the segment from durable state. `defs` recreates the schema,
-  /// the change stream (own log or a mirror's shipped copy, per `source`)
-  /// replays the data, the WAL replays transaction states, and `resolver`
-  /// decides in-doubt prepared transactions (normally backed by the
-  /// coordinator's distributed commit record). Blocks until in-flight pinned
-  /// requests drain. Requires the segment to be down and a change log attached.
-  Status Recover(const std::vector<TableDef>& defs, const InDoubtResolver& resolver,
-                 RecoverySource source);
+  /// Rebuilds the segment from its change log, after a restart or a failover
+  /// alike. `defs` recreates the schema, one pass over the log replays the
+  /// data and the transaction states, and `resolver` decides in-doubt
+  /// prepared transactions (normally backed by the coordinator's distributed
+  /// commit record). Blocks until in-flight pinned requests drain. Requires
+  /// the segment to be down and a change log kept.
+  Status Recover(const std::vector<TableDef>& defs, const InDoubtResolver& resolver);
 
   Status CreateTable(const TableDef& def) {
     if (!up()) return Status::Unavailable("segment " + std::to_string(index_) + " is down");
     std::unique_lock<std::shared_mutex> g(tables_mu_);
     if (tables_.count(def.id)) return Status::AlreadyExists("table id in segment");
     auto table = gphtap::CreateTable(def, &clog_, &pool_);
-    // Partitioned roots are not mirrored (leaf routing is not in the stream).
+    // Partitioned roots are not mirrored (leaf routing is not in the log).
     if (change_log_ != nullptr && !def.partitions.has_value()) {
       table->SetChangeLog(change_log_.get());
     }
@@ -153,7 +148,7 @@ class Segment {
   const int index_;
   CommitLog clog_;
   DistributedLog dlog_;
-  WalStub wal_;
+  Wal wal_;
   BufferPool pool_;
   LockManager locks_;
   LocalTxnManager txns_;

@@ -145,7 +145,6 @@ Status Session::EnsureTxn() {
   info_->gxid.store(gxid_, std::memory_order_release);
   txn_failed_ = false;
   write_segments_.clear();
-  snapshot_pinned_ = false;
   // The statement deadline covers admission queueing too: arm it before
   // Admit() so a saturated group evicts this request on time.
   ArmStatementDeadline();
@@ -171,11 +170,7 @@ Status Session::EnsureTxn() {
 
 Status Session::TakeStatementSnapshot() {
   // Read committed: a fresh distributed snapshot per statement.
-  snapshot_ = cluster_->dtm().TakeSnapshot();
-  if (!snapshot_pinned_) {
-    cluster_->dtm().PinSnapshot(gxid_, snapshot_.gxmin);
-    snapshot_pinned_ = true;
-  }
+  snapshot_ = cluster_->dtm().TakeSnapshot(gxid_);
   return Status::OK();
 }
 
@@ -497,7 +492,6 @@ void Session::ClearTxnState() {
   write_segments_.clear();
   explicit_txn_ = false;
   txn_failed_ = false;
-  snapshot_pinned_ = false;
   if (admitted_) {
     group_->Leave();
     admitted_ = false;

@@ -320,7 +320,6 @@ class Session {
   Gxid gxid_ = kInvalidGxid;
   std::shared_ptr<LockOwner> owner_;
   DistributedSnapshot snapshot_;
-  bool snapshot_pinned_ = false;
   std::set<int> write_segments_;
   bool explicit_txn_ = false;
   bool txn_failed_ = false;

@@ -1,9 +1,5 @@
 #include "delta/delta_index.h"
 
-#include <chrono>
-
-#include "common/clock.h"
-
 namespace gphtap {
 
 DeltaIndex::DeltaIndex(int segment_index, TableDefLookup lookup, MetricsRegistry* metrics)
@@ -17,39 +13,20 @@ DeltaIndex::DeltaIndex(int segment_index, TableDefLookup lookup, MetricsRegistry
 
 DeltaIndex::~DeltaIndex() { Stop(); }
 
-void DeltaIndex::Start(ChangeLog* log) {
-  log_ = log;
-  running_.store(true, std::memory_order_release);
-  feed_ = std::thread([this] { FeedLoop(); });
+void DeltaIndex::Start(const ChangeLog* log) {
+  feed_ = std::make_unique<LogTailer>(log, [this](const ChangeRecord& rec, std::stop_token) {
+    ApplyRecord(rec);
+    return Status::OK();
+  });
 }
 
 void DeltaIndex::Stop() {
-  if (!feed_.joinable()) return;
-  running_.store(false, std::memory_order_release);
-  log_->Close();  // wakes a blocking Read; idempotent
-  feed_.join();
+  if (feed_ != nullptr) feed_->Stop();
 }
 
-void DeltaIndex::FeedLoop() {
-  size_t cursor = applied_.load(std::memory_order_acquire);
-  while (running_.load(std::memory_order_acquire)) {
-    std::optional<ChangeRecord> rec = log_->Read(cursor);
-    if (!rec.has_value()) {
-      // Closed log with nothing left. Failover closes the shared log while
-      // the promoted side keeps appending to it, so poll rather than exit.
-      if (!running_.load(std::memory_order_acquire)) break;
-      PreciseSleepUs(200);
-      continue;
-    }
-    ApplyRecord(*rec);
-    ++cursor;
-    applied_.store(cursor, std::memory_order_release);
-    if (applied_records_ != nullptr) applied_records_->Add(1);
-    if (waiters_.load(std::memory_order_relaxed) > 0) {
-      std::lock_guard<std::mutex> g(wait_mu_);
-      wait_cv_.notify_all();
-    }
-  }
+Status DeltaIndex::WaitForApplied(uint64_t target, int64_t timeout_us) {
+  if (feed_ == nullptr) return Status::Unavailable("delta feed not started");
+  return feed_->WaitForApplied(target, timeout_us);
 }
 
 DeltaStore* DeltaIndex::StoreForRecord(TableId table) {
@@ -70,6 +47,7 @@ DeltaStore* DeltaIndex::StoreForRecord(TableId table) {
 }
 
 void DeltaIndex::ApplyRecord(const ChangeRecord& rec) {
+  if (applied_records_ != nullptr) applied_records_->Add(1);
   switch (rec.kind) {
     case ChangeKind::kTxnBegin:
     case ChangeKind::kTxnCommit:
@@ -103,30 +81,6 @@ void DeltaIndex::ApplyRecord(const ChangeRecord& rec) {
     default:
       break;
   }
-}
-
-Status DeltaIndex::WaitForApplied(uint64_t target, int64_t timeout_us) {
-  if (applied() >= target) return Status::OK();
-  const int64_t deadline = MonotonicMicros() + timeout_us;
-  waiters_.fetch_add(1, std::memory_order_relaxed);
-  std::unique_lock<std::mutex> lk(wait_mu_);
-  Status result = Status::OK();
-  for (;;) {
-    if (applied() >= target) break;
-    if (!running_.load(std::memory_order_acquire)) {
-      result = Status::Unavailable("delta index stopped");
-      break;
-    }
-    int64_t now = MonotonicMicros();
-    if (now >= deadline) {
-      result = Status::TimedOut("delta freshness wait");
-      break;
-    }
-    // Capped wait: a missed notify costs at most 1ms, never a hang.
-    wait_cv_.wait_for(lk, std::chrono::microseconds(std::min<int64_t>(deadline - now, 1000)));
-  }
-  waiters_.fetch_sub(1, std::memory_order_relaxed);
-  return result;
 }
 
 DeltaStore* DeltaIndex::store(TableId id) const {

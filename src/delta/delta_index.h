@@ -1,7 +1,9 @@
-// Per-segment delta index: tails the segment's change log on its own thread
-// (the same stream the mirror replays) and applies every heap-table data
-// record to that table's DeltaStore, so the columnar deltas trail the row
-// store by the feed's apply latency — milliseconds, not a batch ETL window.
+// Per-segment delta index: its feed, a LogTailer on the segment's change log
+// (the log the mirror replays), applies every heap-table data record to that
+// table's DeltaStore, so the columnar deltas trail the row store by the
+// feed's apply latency — milliseconds, not a batch ETL window. The log
+// survives Crash/Recover, so the feed keeps its position and stores across
+// both.
 //
 // Freshness contract: kInsert / kSetXmax records are appended at statement
 // execution time, before the writing transaction commits. A scan that first
@@ -11,19 +13,16 @@
 #ifndef GPHTAP_DELTA_DELTA_INDEX_H_
 #define GPHTAP_DELTA_DELTA_INDEX_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/metrics.h"
 #include "delta/delta_store.h"
+#include "storage/log_tailer.h"
 
 namespace gphtap {
 
@@ -34,14 +33,13 @@ class DeltaIndex {
   DeltaIndex(int segment_index, TableDefLookup lookup, MetricsRegistry* metrics);
   ~DeltaIndex();
 
-  /// Starts the feed thread tailing `log`. The log outlives this index (it is
-  /// owned by the segment and survives Crash/Recover); a Close() by failover
-  /// does not stop the feed — it polls for post-promotion appends.
-  void Start(ChangeLog* log);
+  /// Starts the feed on `log`, which outlives this index (the segment owns
+  /// it). Call once, before the index is shared.
+  void Start(const ChangeLog* log);
   void Stop();
 
   /// Number of log records applied so far.
-  uint64_t applied() const { return applied_.load(std::memory_order_acquire); }
+  uint64_t applied() const { return feed_ != nullptr ? feed_->applied() : 0; }
 
   /// Blocks until `applied() >= target` (TimedOut after `timeout_us`).
   Status WaitForApplied(uint64_t target, int64_t timeout_us);
@@ -63,7 +61,6 @@ class DeltaIndex {
                                  const AoRowDeadFn& dead);
 
  private:
-  void FeedLoop();
   void ApplyRecord(const ChangeRecord& rec);
   DeltaStore* StoreForRecord(TableId table);
 
@@ -74,19 +71,12 @@ class DeltaIndex {
   Counter* rows_ = nullptr;
   Counter* deletes_ = nullptr;
 
-  ChangeLog* log_ = nullptr;
-  std::thread feed_;
-  std::atomic<bool> running_{false};
-  std::atomic<uint64_t> applied_{0};
-
-  std::mutex wait_mu_;
-  std::condition_variable wait_cv_;
-  std::atomic<int> waiters_{0};
-
   mutable std::shared_mutex stores_mu_;
   // nullptr marks "seen and not tracked" (AO / partitioned / virtual tables)
   // so the catalog lookup happens once per table.
   std::map<TableId, std::unique_ptr<DeltaStore>> stores_;
+
+  std::unique_ptr<LogTailer> feed_;  // last: stops before the stores go
 };
 
 }  // namespace gphtap

@@ -1,16 +1,17 @@
-// Per-segment logical change stream: the in-process stand-in for WAL shipping
-// (Section 3.1: "mirrors receive WAL logs from their corresponding primary
-// segments continuously and replay the logs on the fly"). Storage and the
-// transaction manager append records in commit-order; a mirror replays them.
+// Per-segment log: the one record of what the segment did, and the in-process
+// stand-in for its WAL (Section 3.1: "mirrors receive WAL logs from their
+// corresponding primary segments continuously and replay the logs on the
+// fly"). Storage appends data records and the transaction manager appends
+// transaction records. Its readers: the mirror replayer and the delta feed
+// (each a LogTailer, storage/log_tailer.h), restart and failover recovery
+// (Segment::Recover) and rebalance catch-up.
 #ifndef GPHTAP_STORAGE_CHANGE_LOG_H_
 #define GPHTAP_STORAGE_CHANGE_LOG_H_
 
-#include <algorithm>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <optional>
-#include <vector>
+#include <stop_token>
 
 #include "catalog/datum.h"
 #include "catalog/schema.h"
@@ -44,23 +45,19 @@ struct ChangeRecord {
   Gxid gxid = kInvalidGxid;
 };
 
-/// Unbounded ordered log with blocking readers. Appenders may hold storage
-/// latches while appending (the log never takes storage locks).
+/// Unbounded ordered log. Appenders may hold storage latches while appending
+/// (the log never takes storage locks). Readers read records in place by
+/// position: std::deque::push_back never moves an existing element and
+/// nothing erases from the log, so a reference taken under the mutex stays
+/// valid for the log's lifetime.
 class ChangeLog {
  public:
   void Append(ChangeRecord record) {
-    std::lock_guard<std::mutex> g(mu_);
-    records_.push_back(std::move(record));
+    {
+      std::lock_guard<std::mutex> g(mu_);
+      records_.push_back(std::move(record));
+    }
     cv_.notify_all();
-  }
-
-  /// Returns record `index`, blocking until it exists; nullopt once the log is
-  /// closed and `index` is past the end.
-  std::optional<ChangeRecord> Read(size_t index) {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return closed_ || index < records_.size(); });
-    if (index >= records_.size()) return std::nullopt;
-    return records_[index];
   }
 
   size_t size() const {
@@ -68,34 +65,24 @@ class ChangeLog {
     return records_.size();
   }
 
-  /// Non-blocking copy of the first `limit` records (crash-recovery replay).
-  std::vector<ChangeRecord> Snapshot(size_t limit) const {
+  /// Record `position`, which must be below size().
+  const ChangeRecord& At(size_t position) const {
     std::lock_guard<std::mutex> g(mu_);
-    limit = std::min(limit, records_.size());
-    return std::vector<ChangeRecord>(records_.begin(),
-                                     records_.begin() + static_cast<ptrdiff_t>(limit));
+    return records_[position];
   }
 
-  /// Non-blocking copy of records [from, end) — rebalance catchup reads the
-  /// delta that accumulated since its copy-phase mark.
-  std::vector<ChangeRecord> SnapshotFrom(size_t from) const {
-    std::lock_guard<std::mutex> g(mu_);
-    if (from >= records_.size()) return {};
-    return std::vector<ChangeRecord>(records_.begin() + static_cast<ptrdiff_t>(from),
-                                     records_.end());
-  }
-
-  void Close() {
-    std::lock_guard<std::mutex> g(mu_);
-    closed_ = true;
-    cv_.notify_all();
+  /// Record `position`, blocking until it is appended; null if `stop` is
+  /// requested while it waits.
+  const ChangeRecord* Await(size_t position, std::stop_token stop) const {
+    std::unique_lock<std::mutex> lk(mu_);
+    if (!cv_.wait(lk, stop, [&] { return position < records_.size(); })) return nullptr;
+    return &records_[position];
   }
 
  private:
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  mutable std::condition_variable_any cv_;  // an append, or a reader's stop
   std::deque<ChangeRecord> records_;
-  bool closed_ = false;
 };
 
 }  // namespace gphtap

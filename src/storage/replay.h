@@ -1,7 +1,7 @@
 // Shared change-record application: the single switch that turns a logical
-// ChangeRecord back into physical table state. Used by mirror replay (shipped
-// stream) and by segment crash recovery (local change-log replay) so both paths
-// reproduce the primary bit-for-bit with one implementation.
+// ChangeRecord back into physical table state. Used by mirror replay and by
+// segment recovery (restart and failover) so every reader of the change log
+// reproduces the primary bit-for-bit with one implementation.
 #ifndef GPHTAP_STORAGE_REPLAY_H_
 #define GPHTAP_STORAGE_REPLAY_H_
 

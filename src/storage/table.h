@@ -62,7 +62,7 @@ class Table {
   /// concurrent reader or writer can be inside the table.
   virtual Status Truncate() = 0;
 
-  /// Attaches the segment's replication stream; writes will be mirrored.
+  /// Attaches the segment's change log; writes will be logged.
   void SetChangeLog(ChangeLog* log) { change_log_ = log; }
 
  protected:

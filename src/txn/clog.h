@@ -40,7 +40,7 @@ class CommitLog {
 
   bool IsCommitted(LocalXid xid) const { return GetState(xid) == TxnState::kCommitted; }
 
-  /// Crash recovery: discards all state so the WAL replay can rebuild it.
+  /// Crash recovery: discards all state so the change-log replay can rebuild it.
   void Reset() {
     std::lock_guard<std::mutex> g(mu_);
     end_.store(1, std::memory_order_release);

@@ -66,7 +66,7 @@ class DistributedLog {
     return size_;
   }
 
-  /// Crash recovery: discards all state so the WAL replay can rebuild it.
+  /// Crash recovery: discards all state so the change-log replay can rebuild it.
   void Reset() {
     std::lock_guard<std::mutex> g(mu_);
     gxids_.Clear();

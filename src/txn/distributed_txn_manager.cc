@@ -21,15 +21,7 @@ std::shared_ptr<LockOwner> DistributedTxnManager::BeginTxn(Gxid* gxid_out,
   return owner;
 }
 
-void DistributedTxnManager::PinSnapshot(Gxid gxid, Gxid snapshot_gxmin) {
-  std::lock_guard<std::mutex> g(mu_);
-  auto it = running_.find(gxid);
-  if (it != running_.end() && it->second.snapshot_gxmin == 0) {
-    it->second.snapshot_gxmin = snapshot_gxmin;
-  }
-}
-
-DistributedSnapshot DistributedTxnManager::TakeSnapshot() const {
+DistributedSnapshot DistributedTxnManager::TakeSnapshot(Gxid pin) {
   std::lock_guard<std::mutex> g(mu_);
   DistributedSnapshot snap;
   snap.gxmax = next_gxid_;
@@ -37,6 +29,10 @@ DistributedSnapshot DistributedTxnManager::TakeSnapshot() const {
   snap.max_committed = max_committed_;
   snap.in_progress.reserve(running_.size());
   for (const auto& [gxid, info] : running_) snap.in_progress.push_back(gxid);
+  auto it = running_.find(pin);
+  if (it != running_.end() && it->second.snapshot_gxmin == 0) {
+    it->second.snapshot_gxmin = snap.gxmin;
+  }
   return snap;
 }
 

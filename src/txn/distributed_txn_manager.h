@@ -23,11 +23,11 @@ class DistributedTxnManager {
   /// `start_time_us` (used by the youngest-victim policy).
   std::shared_ptr<LockOwner> BeginTxn(Gxid* gxid_out, int64_t start_time_us = 0);
 
-  /// Records the gxmin of the snapshot a transaction took, pinning the
-  /// truncation horizon of the local->distributed maps.
-  void PinSnapshot(Gxid gxid, Gxid snapshot_gxmin);
-
-  DistributedSnapshot TakeSnapshot() const;
+  /// Takes a distributed snapshot. With `pin` set, the first snapshot of
+  /// transaction `pin` also pins the truncation horizon of the
+  /// local->distributed maps at its gxmin, under the same lock, so no
+  /// transaction the snapshot holds running can lose its mapping first.
+  DistributedSnapshot TakeSnapshot(Gxid pin = kInvalidGxid);
 
   /// Removes the transaction from the in-progress set. For commits this must be
   /// called only after every participant acknowledged (the paper: a one-phase

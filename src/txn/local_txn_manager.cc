@@ -8,7 +8,7 @@ StatusOr<LocalXid> LocalTxnManager::AssignXid(Gxid gxid) {
   if (it != active_.end()) return it->second;
   // A distributed transaction that crash recovery already finished here must
   // not restart. Its previous incarnation's writes were aborted when the
-  // segment went down (they were only in-progress in the WAL), and the
+  // segment went down (they were only in-progress in the log), and the
   // coordinator does not know: if a later statement of the same transaction
   // were handed a fresh local xid, PREPARE/COMMIT would see a perfectly
   // healthy participant and commit the transaction with its earlier
@@ -24,11 +24,7 @@ StatusOr<LocalXid> LocalTxnManager::AssignXid(Gxid gxid) {
   running_local_[xid] = gxid;
   clog_->Register(xid);
   dlog_->Record(xid, gxid);
-  wal_->Append(WalRecordType::kBegin, xid, gxid);
-  if (change_log_ != nullptr) {
-    change_log_->Append(ChangeRecord{ChangeKind::kTxnBegin, 0, kInvalidTupleId,
-                                     kInvalidTupleId, xid, {}, gxid});
-  }
+  Log(ChangeKind::kTxnBegin, xid, gxid);
   return xid;
 }
 
@@ -67,22 +63,19 @@ Status LocalTxnManager::Prepare(Gxid gxid) {
   }
   LocalXid xid = it->second;
   g.unlock();
-  // WAL fsync happens outside the manager mutex: prepare latency must not block
-  // unrelated snapshots.
-  wal_->Append(WalRecordType::kPrepare, xid, gxid);
+  // The record and its fsync happen outside the manager mutex: prepare
+  // latency must not block unrelated snapshots.
+  Log(ChangeKind::kTxnPrepare, xid, gxid);
+  wal_->Sync(Wal::SyncKind::kPrepare);
   clog_->SetState(xid, TxnState::kPrepared);
-  if (change_log_ != nullptr) {
-    change_log_->Append(ChangeRecord{ChangeKind::kTxnPrepare, 0, kInvalidTupleId,
-                                     kInvalidTupleId, xid, {}, gxid});
-  }
   return Status::OK();
 }
 
-Status LocalTxnManager::Finish(Gxid gxid, TxnState final_state, WalRecordType record) {
+Status LocalTxnManager::Finish(Gxid gxid, TxnState final_state) {
   std::unique_lock<std::mutex> g(mu_);
   auto it = active_.find(gxid);
   if (it == active_.end()) {
-    // Crash recovery may already have resolved this transaction from the WAL
+    // Crash recovery may already have resolved this transaction from the log
     // (and the coordinator's commit record). A retried commit for a
     // recovery-committed transaction is an idempotent OK; a commit for a
     // recovery-aborted transaction must report the loss, never pretend success.
@@ -100,7 +93,8 @@ Status LocalTxnManager::Finish(Gxid gxid, TxnState final_state, WalRecordType re
   }
   LocalXid xid = it->second;
   g.unlock();
-  wal_->Append(record, xid, gxid);
+  // As in PostgreSQL: the record is durable before the outcome is visible.
+  LogOutcome(xid, gxid, final_state);
   g.lock();
   // State flip and removal from the running set are atomic with respect to
   // TakeLocalSnapshot (both under mu_), so a snapshot never sees a committed
@@ -108,25 +102,27 @@ Status LocalTxnManager::Finish(Gxid gxid, TxnState final_state, WalRecordType re
   clog_->SetState(xid, final_state);
   active_.erase(gxid);
   running_local_.erase(xid);
-  if (change_log_ != nullptr) {
-    change_log_->Append(ChangeRecord{final_state == TxnState::kCommitted
-                                         ? ChangeKind::kTxnCommit
-                                         : ChangeKind::kTxnAbort,
-                                     0, kInvalidTupleId, kInvalidTupleId, xid, {}, gxid});
-  }
   return Status::OK();
 }
 
 Status LocalTxnManager::CommitPrepared(Gxid gxid) {
-  return Finish(gxid, TxnState::kCommitted, WalRecordType::kCommitPrepared);
+  return Finish(gxid, TxnState::kCommitted);
 }
 
-Status LocalTxnManager::Commit(Gxid gxid) {
-  return Finish(gxid, TxnState::kCommitted, WalRecordType::kCommit);
+Status LocalTxnManager::Commit(Gxid gxid) { return Finish(gxid, TxnState::kCommitted); }
+
+Status LocalTxnManager::Abort(Gxid gxid) { return Finish(gxid, TxnState::kAborted); }
+
+void LocalTxnManager::LogOutcome(LocalXid xid, Gxid gxid, TxnState final_state) {
+  const bool commit = final_state == TxnState::kCommitted;
+  Log(commit ? ChangeKind::kTxnCommit : ChangeKind::kTxnAbort, xid, gxid);
+  if (commit) wal_->Sync(Wal::SyncKind::kCommit);
 }
 
-Status LocalTxnManager::Abort(Gxid gxid) {
-  return Finish(gxid, TxnState::kAborted, WalRecordType::kAbort);
+void LocalTxnManager::Log(ChangeKind kind, LocalXid xid, Gxid gxid) {
+  if (change_log_ == nullptr) return;
+  change_log_->Append(
+      ChangeRecord{kind, 0, kInvalidTupleId, kInvalidTupleId, xid, {}, gxid});
 }
 
 bool LocalTxnManager::HasWritten(Gxid gxid) const {

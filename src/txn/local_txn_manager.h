@@ -25,7 +25,7 @@ namespace gphtap {
 /// Thread-safe.
 class LocalTxnManager {
  public:
-  LocalTxnManager(CommitLog* clog, DistributedLog* dlog, WalStub* wal)
+  LocalTxnManager(CommitLog* clog, DistributedLog* dlog, Wal* wal)
       : clog_(clog), dlog_(dlog), wal_(wal) {}
 
   /// Returns the local xid of `gxid` on this node, assigning one on first use
@@ -61,7 +61,15 @@ class LocalTxnManager {
   /// Number of local transactions currently in progress.
   size_t NumRunning() const;
 
-  /// Attaches the segment's replication stream (txn begin/commit/abort records).
+  /// Records that local transaction `xid` committed or aborted, synced when
+  /// it committed. Finishing a transaction writes it, and so does crash
+  /// recovery when it decides a transaction the log left open.
+  void LogOutcome(LocalXid xid, Gxid gxid, TxnState final_state);
+
+  /// Attaches the segment's change log, where each transaction event (begin,
+  /// prepare, commit, abort) is recorded once. Without one (the coordinator,
+  /// a segment that keeps no log) events are not recorded; prepares and
+  /// commits are still synced.
   void set_change_log(ChangeLog* log) { change_log_ = log; }
 
   /// Crash recovery: discards all volatile bookkeeping and restarts xid
@@ -77,11 +85,12 @@ class LocalTxnManager {
                         std::unordered_map<Gxid, TxnState> finished);
 
  private:
-  Status Finish(Gxid gxid, TxnState final_state, WalRecordType record);
+  Status Finish(Gxid gxid, TxnState final_state);
+  void Log(ChangeKind kind, LocalXid xid, Gxid gxid);
 
   CommitLog* const clog_;
   DistributedLog* const dlog_;
-  WalStub* const wal_;
+  Wal* const wal_;
   ChangeLog* change_log_ = nullptr;
 
   mutable std::mutex mu_;

@@ -1,12 +1,10 @@
-// Write-ahead log: a replayable in-memory log of typed transaction records per
-// node, plus the fsync cost model that makes commit-protocol latencies
-// (Figure 10) measurable. The record vector stands in for the durable on-disk
-// log: a segment "crash" discards all volatile state (tables, lock table,
-// running-transaction bookkeeping) but keeps its Wal, and recovery replays the
-// typed records to rebuild the commit log, the local->distributed xid map, and
-// the set of prepared-but-unresolved transactions (see Segment::Recover and
-// DESIGN.md "Crash recovery and failover"). Fsync() injects latency only; the
-// simulated disk never loses an appended record.
+// The fsync cost model of one node's log, which makes commit-protocol
+// latencies (Figure 10) measurable, plus the coordinator's record of which
+// distributed transactions committed. The records themselves live in one
+// place: a segment's change log (storage/change_log.h), which recovery
+// replays (see Segment::Recover and DESIGN.md "Crash recovery and failover").
+// Sync() injects latency only; the simulated disk never loses an appended
+// record.
 #ifndef GPHTAP_TXN_WAL_H_
 #define GPHTAP_TXN_WAL_H_
 
@@ -14,7 +12,6 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_set>
-#include <vector>
 
 #include "common/clock.h"
 #include "common/metrics.h"
@@ -23,84 +20,51 @@
 
 namespace gphtap {
 
-enum class WalRecordType : uint8_t {
-  kBegin = 0,
-  kPrepare = 1,        // 2PC phase one
-  kCommit = 2,         // local / one-phase commit
-  kCommitPrepared = 3, // 2PC phase two
-  kAbort = 4,
-  kDistributedCommit = 5,  // coordinator's commit record between 2PC phases
-};
-
-struct WalRecord {
-  WalRecordType type = WalRecordType::kBegin;
-  LocalXid xid = kInvalidLocalXid;
-  Gxid gxid = kInvalidGxid;
-};
-
 class Wal {
  public:
+  /// The commit-critical record a sync makes durable.
+  enum class SyncKind { kPrepare, kCommit };
+
   explicit Wal(int64_t fsync_cost_us = 0) : fsync_cost_us_(fsync_cost_us) {}
 
-  /// Appends a record and, for commit-critical records, performs a simulated
-  /// fsync (latency injection + counter).
-  void Append(WalRecordType type, LocalXid xid, Gxid gxid = kInvalidGxid) {
+  /// Makes a just-appended prepare or commit record durable: one simulated
+  /// fsync (latency injection + counters).
+  void Sync(SyncKind kind) {
+    Counter* counter = kind == SyncKind::kPrepare ? m_prepare_fsyncs_ : m_commit_fsyncs_;
+    if (counter != nullptr) counter->Add(1);
+    fsyncs_.fetch_add(1, std::memory_order_relaxed);
+    if (fsync_cost_us_ <= 0) return;
+    WaitEventScope wait(WaitEvent::kWalFsync);
+    // The record is already appended (the simulated disk never loses it), so
+    // the latency injection can be abandoned early: a cancelled or
+    // deadline-expired statement stops *waiting* for the fsync without
+    // affecting durability. Sleep in poll-sized chunks and re-check.
+    int64_t remaining = fsync_cost_us_;
+    while (remaining > 0) {
+      if (!CheckAmbientInterrupt().ok()) break;
+      int64_t chunk = remaining < kInterruptPollUs ? remaining : kInterruptPollUs;
+      PreciseSleepUs(chunk);
+      remaining -= chunk;
+    }
+  }
+
+  /// Coordinator only: durably records that distributed transaction `gxid`
+  /// committed — the 2PC commit point between PREPARE and COMMIT PREPARED.
+  void RecordDistributedCommit(Gxid gxid) {
     {
       std::lock_guard<std::mutex> g(mu_);
-      log_.push_back(WalRecord{type, xid, gxid});
-      if (type == WalRecordType::kDistributedCommit && gxid != kInvalidGxid) {
-        distributed_commits_.insert(gxid);
-      }
+      distributed_commits_.insert(gxid);
     }
-    records_.fetch_add(1, std::memory_order_relaxed);
-    switch (type) {
-      case WalRecordType::kPrepare:
-        if (m_prepare_fsyncs_ != nullptr) m_prepare_fsyncs_->Add(1);
-        Fsync();
-        break;
-      case WalRecordType::kCommit:
-      case WalRecordType::kCommitPrepared:
-      case WalRecordType::kDistributedCommit:
-        if (m_commit_fsyncs_ != nullptr) m_commit_fsyncs_->Add(1);
-        Fsync();
-        break;
-      default:
-        break;
-    }
+    Sync(SyncKind::kCommit);
   }
 
-  void Fsync() {
-    fsyncs_.fetch_add(1, std::memory_order_relaxed);
-    if (fsync_cost_us_ > 0) {
-      WaitEventScope wait(WaitEvent::kWalFsync);
-      // The record is already appended (the simulated disk never loses it), so
-      // the latency injection can be abandoned early: a cancelled or
-      // deadline-expired statement stops *waiting* for the fsync without
-      // affecting durability. Sleep in poll-sized chunks and re-check.
-      int64_t remaining = fsync_cost_us_;
-      while (remaining > 0) {
-        if (!CheckAmbientInterrupt().ok()) break;
-        int64_t chunk = remaining < kInterruptPollUs ? remaining : kInterruptPollUs;
-        PreciseSleepUs(chunk);
-        remaining -= chunk;
-      }
-    }
-  }
-
-  /// A copy of the log for recovery replay.
-  std::vector<WalRecord> Snapshot() const {
-    std::lock_guard<std::mutex> g(mu_);
-    return log_;
-  }
-
-  /// True if a kDistributedCommit record for `gxid` exists — the coordinator's
-  /// authority for resolving in-doubt prepared transactions (Section 5).
+  /// True once RecordDistributedCommit(gxid) ran — the coordinator's authority
+  /// for resolving in-doubt prepared transactions (Section 5).
   bool HasDistributedCommit(Gxid gxid) const {
     std::lock_guard<std::mutex> g(mu_);
     return distributed_commits_.count(gxid) > 0;
   }
 
-  uint64_t records() const { return records_.load(std::memory_order_relaxed); }
   uint64_t fsyncs() const { return fsyncs_.load(std::memory_order_relaxed); }
   int64_t fsync_cost_us() const { return fsync_cost_us_; }
 
@@ -115,16 +79,11 @@ class Wal {
  private:
   const int64_t fsync_cost_us_;
   mutable std::mutex mu_;
-  std::vector<WalRecord> log_;
   std::unordered_set<Gxid> distributed_commits_;
-  std::atomic<uint64_t> records_{0};
   std::atomic<uint64_t> fsyncs_{0};
   Counter* m_prepare_fsyncs_ = nullptr;
   Counter* m_commit_fsyncs_ = nullptr;
 };
-
-// Transitional alias: the counting stub grew into a real (in-memory) log.
-using WalStub = Wal;
 
 }  // namespace gphtap
 

@@ -174,7 +174,7 @@ TEST(DeltaStoreTest, ReclaimEmitsReplayableFreeGroup) {
   EXPECT_EQ(ds.Stats().freed_groups, 1u);
 
   ASSERT_EQ(log.size(), 1u);
-  ChangeRecord rec = *log.Read(0);
+  const ChangeRecord& rec = log.At(0);
   EXPECT_EQ(rec.kind, ChangeKind::kFreeGroup);
   EXPECT_EQ(rec.table, 11u);
   EXPECT_EQ(rec.tid, 0u);   // group index
@@ -222,7 +222,8 @@ TEST(DeltaStoreTest, FreeGroupBeforeSealDefersUntilGroupForms) {
   // Mirror side: replay the captured log in order into a fresh store that has
   // never sealed. The kFreeGroup arrives while group 0 is still open.
   DeltaStore mirror(def);
-  for (const ChangeRecord& rec : log.Snapshot(log.size())) {
+  for (size_t pos = 0; pos < log.size(); ++pos) {
+    const ChangeRecord& rec = log.At(pos);
     switch (rec.kind) {
       case ChangeKind::kInsert:
         mirror.ApplyInsert(rec.tid, rec.xid, rec.row);

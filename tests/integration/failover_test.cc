@@ -2,6 +2,7 @@
 // and promotes its mirror; sessions see clean retryable errors during the
 // outage and identical data afterwards.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <string>
@@ -150,6 +151,33 @@ TEST(FailoverTest, MirrorStallShowsLagInHealth) {
   ASSERT_TRUE(cluster.CatchUpMirrors().ok());
   Status consistent = cluster.VerifyMirrorsConsistent();
   EXPECT_TRUE(consistent.ok()) << consistent.ToString();
+}
+
+// A failover stops the mirror's tailer and nothing else: the delta feed stays
+// parked on the log, so an idle cluster wakes about as often after the
+// failover as before it.
+TEST(FailoverTest, DeltaFeedStaysParkedAfterFailover) {
+  ClusterOptions o = MirroredOptions();
+  o.delta_store_enabled = true;
+  Cluster cluster(o);
+  auto session = cluster.Connect();
+  MustExec(session.get(), "CREATE TABLE t (k int, v int) DISTRIBUTED BY (k)");
+  MustExec(session.get(), "INSERT INTO t SELECT i, i FROM generate_series(1, 30) i");
+  ASSERT_TRUE(cluster.CatchUpMirrors().ok());
+  // Voluntary context switches of the whole process over 200 idle ms.
+  auto idle_switches = [] {
+    rusage start{};
+    getrusage(RUSAGE_SELF, &start);
+    PreciseSleepUs(200'000);
+    rusage end{};
+    getrusage(RUSAGE_SELF, &end);
+    return end.ru_nvcsw - start.ru_nvcsw;
+  };
+  const long before = idle_switches();
+  ASSERT_TRUE(cluster.FailoverToMirror(1).ok());
+  const long after = idle_switches();
+  EXPECT_LE(after, before + 50) << "before failover " << before << ", after " << after;
+  EXPECT_EQ(MustExec(session.get(), "SELECT count(*) FROM t").rows[0][0].int_val(), 30);
 }
 
 TEST(FailoverTest, FailoverWithoutMirrorIsRejected) {

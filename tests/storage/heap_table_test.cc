@@ -71,7 +71,7 @@ class HeapTableTest : public ::testing::Test {
 
   CommitLog clog_;
   DistributedLog dlog_;
-  WalStub wal_{0};
+  Wal wal_{0};
   LocalTxnManager mgr_;
   DistributedTxnManager dtm_;
   std::shared_ptr<LockOwner> owner_ = std::make_shared<LockOwner>(0);

@@ -46,7 +46,7 @@ class StorageKindsTest : public ::testing::Test {
 
   CommitLog clog_;
   DistributedLog dlog_;
-  WalStub wal_{0};
+  Wal wal_{0};
   LocalTxnManager mgr_;
   Gxid next_gxid_ = 1;
 };

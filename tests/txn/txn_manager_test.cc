@@ -18,9 +18,11 @@ namespace gphtap {
 namespace {
 
 struct SegmentFixture {
+  SegmentFixture() { mgr.set_change_log(&log); }
   CommitLog clog;
   DistributedLog dlog;
-  WalStub wal{0};
+  Wal wal{0};
+  ChangeLog log;
   LocalTxnManager mgr{&clog, &dlog, &wal};
 };
 
@@ -86,7 +88,7 @@ TEST(LocalTxnManagerTest, PrepareUnknownFails) {
 TEST(LocalTxnManagerTest, CommitWithoutWriteIsNoop) {
   SegmentFixture f;
   EXPECT_TRUE(f.mgr.Commit(5).ok());
-  EXPECT_EQ(f.wal.records(), 0u);
+  EXPECT_EQ(f.log.size(), 0u);
 }
 
 TEST(LocalTxnManagerTest, WalCountsFsyncs) {
@@ -95,7 +97,7 @@ TEST(LocalTxnManagerTest, WalCountsFsyncs) {
   f.mgr.Prepare(1);
   f.mgr.CommitPrepared(1);
   // Begin is not fsynced; prepare and commit-prepared are.
-  EXPECT_EQ(f.wal.records(), 3u);
+  EXPECT_EQ(f.log.size(), 3u);
   EXPECT_EQ(f.wal.fsyncs(), 2u);
 }
 
@@ -151,11 +153,9 @@ TEST(DistributedTxnManagerTest, OldestVisibleRespectsPinnedSnapshots) {
   DistributedTxnManager m;
   auto o = std::make_shared<LockOwner>(0);
   Gxid g1 = m.Begin(o);
-  DistributedSnapshot s1 = m.TakeSnapshot();
-  m.PinSnapshot(g1, s1.gxmin);
+  m.TakeSnapshot(g1);
   Gxid g2 = m.Begin(o);
-  DistributedSnapshot s2 = m.TakeSnapshot();
-  m.PinSnapshot(g2, s2.gxmin);
+  m.TakeSnapshot(g2);
   // g1 is the oldest running txn; nothing below it is needed.
   EXPECT_EQ(m.OldestVisibleGxid(), g1);
   m.MarkCommitted(g1);
@@ -164,6 +164,34 @@ TEST(DistributedTxnManagerTest, OldestVisibleRespectsPinnedSnapshots) {
   EXPECT_EQ(m.OldestVisibleGxid(), g1);
   m.MarkCommitted(g2);
   EXPECT_GT(m.OldestVisibleGxid(), g2);
+}
+
+// A transaction's first snapshot pins the truncation horizon in the same call
+// that takes it. The interleaving this closes: A and S run, S takes its
+// snapshot (A running in it), A commits, and maintenance truncates the xid
+// map at OldestVisibleGxid() before S's pin could land. A reader of S would
+// then find no mapping for A's local xid and judge A by a later local
+// snapshot, which sees A committed.
+TEST(DistributedTxnManagerTest, SnapshotPinsHorizonBeforeTruncation) {
+  constexpr LocalXid kAXid = 7;
+  // Returns whether A's mapping survives; `pinned` takes S's snapshot with
+  // its pin, otherwise the pin comes in a later call, after the truncation.
+  auto a_survives = [](bool pinned) {
+    DistributedTxnManager m;
+    DistributedLog dlog;
+    auto o = std::make_shared<LockOwner>(0);
+    Gxid a = m.Begin(o);
+    dlog.Record(kAXid, a);
+    Gxid s = m.Begin(o);
+    DistributedSnapshot snap = pinned ? m.TakeSnapshot(s) : m.TakeSnapshot();
+    EXPECT_TRUE(snap.IsRunning(a));
+    m.MarkCommitted(a);
+    dlog.TruncateBelow(m.OldestVisibleGxid());
+    if (!pinned) m.TakeSnapshot(s);  // the pin lands too late
+    return dlog.Lookup(kAXid) == std::optional<Gxid>(a);
+  };
+  EXPECT_TRUE(a_survives(/*pinned=*/true));
+  EXPECT_FALSE(a_survives(/*pinned=*/false));
 }
 
 // Callers read an xid's state before and after it registers: a tuple's xid

@@ -32,7 +32,7 @@ class VisibilityTest : public ::testing::Test {
 
   CommitLog clog_;
   DistributedLog dlog_;
-  WalStub wal_{0};
+  Wal wal_{0};
   LocalTxnManager mgr_;
   DistributedTxnManager dtm_;
   std::shared_ptr<LockOwner> owner_ = std::make_shared<LockOwner>(0);
@@ -281,8 +281,7 @@ TEST_F(VisibilityTest, ConcurrentWriterNeverChangesASnapshotsVerdict) {
     readers.emplace_back([&, r] {
       while (finished.load() < r) std::this_thread::yield();
       Gxid me = dtm_.Begin(owner_);
-      DistributedSnapshot dsnap = dtm_.TakeSnapshot();
-      dtm_.PinSnapshot(me, dsnap.gxmin);
+      DistributedSnapshot dsnap = dtm_.TakeSnapshot(me);
       LocalSnapshot lsnap = mgr_.TakeLocalSnapshot();
       VisibilityContext ctx = Ctx(&dsnap);
       ctx.lsnap = &lsnap;
