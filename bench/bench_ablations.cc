@@ -145,16 +145,14 @@ BENCHMARK(BM_AoColumnScan)
 void BM_Compress(benchmark::State& state) {
   auto kind = static_cast<CompressionKind>(state.range(0));
   Rng rng(3);
-  std::vector<Datum> values;
-  for (int i = 0; i < 10000; ++i) {
-    values.push_back(Datum(static_cast<int64_t>(rng.Uniform(64))));
-  }
+  ColumnVector values(TypeId::kInt64);
+  for (int i = 0; i < 10000; ++i) values.ints.push_back(static_cast<int64_t>(rng.Uniform(64)));
   Histogram lat;
   Stopwatch total;
   for (auto _ : state) {
     Stopwatch sw;
     CompressedBlock block;
-    CompressColumn(kind, TypeId::kInt64, values, &block);
+    EncodeColumn(kind, values, values.size(), &block);
     benchmark::DoNotOptimize(block);
     state.counters["bytes"] = static_cast<double>(block.bytes.size());
     lat.Record(sw.ElapsedMicros());

@@ -1,10 +1,14 @@
 // Vectorized kernel microbenchmarks: the batch engine's filter / aggregate /
 // end-to-end scan-query paths against their tuple-at-a-time equivalents on
-// identical data. These measure real executor CPU (no simulated per-row
-// charge), the quantity the Fig16 VecAblation series scales up.
+// identical data, and the column codecs' decode into typed vectors. These
+// measure real executor CPU (no simulated per-row charge), the quantity the
+// Fig16 VecAblation series scales up.
+#include <bit>
+
 #include "bench_common.h"
 #include "exec/agg_ops.h"
 #include "plan/expr.h"
+#include "storage/compression.h"
 #include "vec/column_batch.h"
 #include "vec/vec_kernels.h"
 
@@ -188,6 +192,75 @@ void BM_ScanQueryRow(::benchmark::State& state) {
   RunScanQuery(state, "VecKernels/ScanQuery/RowEngine", false);
 }
 
+// Codec decode, one point per codec (arg = CompressionKind): one sealed
+// group's int64 block and double block, 1,024 values each (runs of 4 over 256
+// distinct values, no NULLs), decoded into fresh column vectors as a scan
+// decodes a group. `ns_per_value` counts both blocks' values; `wrong` counts
+// decoded values that differ from the input, and must be 0.
+void BM_Decode(::benchmark::State& state) {
+  constexpr size_t kRows = ColumnBatch::kDefaultCapacity;
+  const auto kind = static_cast<CompressionKind>(state.range(0));
+  Rng rng(11);
+  std::vector<int64_t> int_table(256);
+  std::vector<double> dbl_table(256);
+  for (size_t k = 0; k < 256; ++k) {
+    int_table[k] = static_cast<int64_t>(rng.Uniform(10'000'000));
+    dbl_table[k] = static_cast<double>(rng.Uniform(1'000'000)) / 100;
+  }
+  ColumnVector ints(TypeId::kInt64), dbls(TypeId::kDouble);
+  for (size_t i = 0; i < kRows; ++i) {
+    ints.ints.push_back(int_table[i / 4 % 256]);
+    dbls.dbls.push_back(dbl_table[i / 4 % 256]);
+  }
+  CompressedBlock int_block, dbl_block;
+  EncodeColumn(kind, ints, kRows, &int_block);
+  EncodeColumn(kind, dbls, kRows, &dbl_block);
+
+  Histogram lat_ns;
+  int64_t active_ns = 0;
+  bool ok = true;
+  ColumnVector int_out, dbl_out;
+  for (auto _ : state) {
+    Stopwatch sw;
+    int_out = ColumnVector();
+    dbl_out = ColumnVector();
+    ok &= DecodeColumn(int_block, &int_out).ok();
+    ok &= DecodeColumn(dbl_block, &dbl_out).ok();
+    ::benchmark::DoNotOptimize(int_out.ints.data());
+    ::benchmark::DoNotOptimize(dbl_out.dbls.data());
+    ::benchmark::ClobberMemory();
+    const int64_t ns = sw.ElapsedNanos();
+    lat_ns.Record(ns);
+    active_ns += ns;
+  }
+  int64_t wrong = 0;
+  if (!ok || int_out.tag != ints.tag || dbl_out.tag != dbls.tag ||
+      int_out.size() != kRows || dbl_out.size() != kRows) {
+    wrong = 2 * kRows;
+  } else {
+    for (size_t i = 0; i < kRows; ++i) {
+      wrong += int_out.IsNull(i) || int_out.ints[i] != ints.ints[i];
+      wrong += dbl_out.IsNull(i) ||
+               std::bit_cast<uint64_t>(dbl_out.dbls[i]) != std::bit_cast<uint64_t>(dbls.dbls[i]);
+    }
+  }
+  const double iterations = static_cast<double>(lat_ns.count());
+  const double ns_per_value =
+      iterations > 0 ? static_cast<double>(active_ns) / (iterations * 2 * kRows) : 0;
+  auto us = [&](double p) { return static_cast<double>(lat_ns.Percentile(p)) / 1000.0; };
+  state.counters["ns_per_value"] = ns_per_value;
+  RecordPoint("VecKernels/Decode", state.range(0),
+              {{"throughput_tps", active_ns > 0 ? iterations * 1e9 / static_cast<double>(active_ns) : 0},
+               {"p50_us", us(50)},
+               {"p95_us", us(95)},
+               {"p99_us", us(99)},
+               {"ns_per_value", ns_per_value},
+               {"iterations", iterations},
+               {"int_block_bytes", static_cast<double>(int_block.bytes.size())},
+               {"double_block_bytes", static_cast<double>(dbl_block.bytes.size())},
+               {"wrong", static_cast<double>(wrong)}});
+}
+
 void RegisterAll() {
   for (auto* fn : {BM_FilterVec, BM_FilterRow, BM_AggVec, BM_AggRow,
                    BM_PartitionVec, BM_PartitionRow}) {
@@ -208,6 +281,13 @@ void RegisterAll() {
     for (int64_t rows : Points({20000})) b->Args({rows});
     b->Unit(::benchmark::kMicrosecond);
   }
+  auto* decode = ::benchmark::RegisterBenchmark("VecKernels/Decode", BM_Decode);
+  for (CompressionKind kind : {CompressionKind::kNone, CompressionKind::kRle,
+                               CompressionKind::kDelta, CompressionKind::kDict,
+                               CompressionKind::kLz}) {
+    decode->Arg(static_cast<int64_t>(kind));
+  }
+  decode->Unit(::benchmark::kMicrosecond);
 }
 
 }  // namespace

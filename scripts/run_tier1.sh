@@ -2,10 +2,10 @@
 # Tier-1 verification: full build + test suite, then the concurrency-heavy
 # subset (xid tables and visibility, locks, GDD, commit protocol, mirrors,
 # crash recovery, the change-log tailer, metrics) again under
-# ThreadSanitizer, the expression and SQL subset under
-# UndefinedBehaviorSanitizer, the executor, DML and change-log reader subset
-# under AddressSanitizer, then smoke-mode benchmarks whose BENCH_*.json
-# output is validated for the required keys.
+# ThreadSanitizer, the expression, SQL and column-codec subset under
+# UndefinedBehaviorSanitizer, the executor, DML, change-log reader and
+# column-codec subset under AddressSanitizer, then smoke-mode benchmarks whose
+# BENCH_*.json output is validated for the required keys.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,26 +20,31 @@ cmake --build build-tsan -j "$(nproc)"
 
 # Integer arithmetic, literals and both expression engines under UBSan, and
 # the prepared-statement and plan-cache tests, since every EXECUTE evaluates
-# its parameters through cloned plans: signed overflow or any other undefined
-# behaviour stops the run at its first report.
+# its parameters through cloned plans, and the column codecs, whose decoder
+# walks raw block bytes with shifts and memcpy: signed overflow or any other
+# undefined behaviour stops the run at its first report.
 cmake -B build-ubsan -S . -DGPHTAP_SANITIZE=undefined
 cmake --build build-ubsan -j "$(nproc)" --target expr_test parser_test vec_executor_test \
-  vec_differential_test sql_end_to_end_test prepare_execute_test plan_cache_test
+  vec_differential_test sql_end_to_end_test prepare_execute_test plan_cache_test \
+  compression_test column_group_store_test
 (cd build-ubsan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ctest --output-on-failure -j "$(nproc)" -R \
-  'expr_test|parser_test|vec_executor_test|vec_differential_test|sql_end_to_end_test|prepare_execute_test|plan_cache_test')
+  'expr_test|parser_test|vec_executor_test|vec_differential_test|sql_end_to_end_test|prepare_execute_test|plan_cache_test|compression_test|column_group_store_test')
 
 # The executor, the planner and the UPDATE/DELETE paths under
 # AddressSanitizer, LeakSanitizer included: the ModifyTable node holds tuple
 # copies across lock waits. So do the change log's readers (mirror replay,
 # recovery, failover, the delta feed): they read records by reference from
-# the log's deque. The first report stops the run.
+# the log's deque. So do the column codecs, whose decoder walks block bytes
+# by pointer arithmetic and must stop at their end. The first report stops
+# the run.
 cmake -B build-asan -S . -DGPHTAP_SANITIZE=address
 cmake --build build-asan -j "$(nproc)" --target executor_test planner_test \
   sql_end_to_end_test prepare_execute_test gdd_cases_test commit_protocol_test \
-  mirror_test crash_recovery_test failover_test delta_store_test
+  mirror_test crash_recovery_test failover_test delta_store_test \
+  compression_test column_group_store_test
 (cd build-asan && ASAN_OPTIONS=halt_on_error=1 ctest --output-on-failure -j "$(nproc)" -R \
-  '^(executor_test|planner_test|sql_end_to_end_test|prepare_execute_test|gdd_cases_test|commit_protocol_test|mirror_test|crash_recovery_test|failover_test|delta_store_test)$')
+  '^(executor_test|planner_test|sql_end_to_end_test|prepare_execute_test|gdd_cases_test|commit_protocol_test|mirror_test|crash_recovery_test|failover_test|delta_store_test|compression_test|column_group_store_test)$')
 
 # Advisory bench diffing: the previous run's BENCH_*.json is kept as .prev and
 # a per-series tps/p99 delta table is printed after each fresh run. Informative
@@ -171,6 +176,15 @@ for pair in ("Filter", "Agg", "ScanQuery", "Partition"):
             f"{pair}@{arg}: vectorized {vec_tps:.0f} tps < row {row_tps:.0f} tps")
         print(f"  {pair}@{arg}: vec {vec_tps:.0f} tps vs row {row_tps:.0f} tps "
               f"({vec_tps / row_tps:.2f}x)")
+# The codec decode series: one point per codec, each decoding its blocks
+# back to exactly the values encoded.
+decode = {p["arg"]: p for p in doc["points"] if p["series"] == "VecKernels/Decode"}
+codecs = {0: "none", 1: "rle", 2: "delta", 3: "dict", 4: "lz"}
+for arg, name in codecs.items():
+    assert arg in decode, f"missing VecKernels/Decode point for {name}"
+    point = decode[arg]
+    assert point["wrong"] == 0, f"{name} decoded {point['wrong']:.0f} wrong values"
+    print(f"  Decode/{name}: {point['ns_per_value']:.2f} ns/value")
 print(f"BENCH vec json OK: {len(doc['points'])} points, vectorized wins everywhere")
 EOF
 

@@ -503,7 +503,8 @@ std::vector<LocalWaitGraph> Cluster::CollectWaitGraphs() {
 
 Status Cluster::CatchUpMirrors(int64_t timeout_ms) {
   for (int i = 0; i < num_segments(); ++i) {
-    if (mirror(i) == nullptr) continue;
+    // A promoted mirror's replay stopped at the failover that consumed it.
+    if (mirror(i) == nullptr || mirror(i)->promoted()) continue;
     GPHTAP_RETURN_IF_ERROR(mirror(i)->CatchUp(timeout_ms));
   }
   return Status::OK();
@@ -530,7 +531,7 @@ Status Cluster::VerifyMirrorsConsistent() {
   GPHTAP_RETURN_IF_ERROR(CatchUpMirrors());
   for (int mi = 0; mi < num_segments(); ++mi) {
     MirrorSegment* m = mirror(mi);
-    if (m == nullptr) continue;
+    if (m == nullptr || m->promoted()) continue;
     Segment* primary = segment(m->primary_index());
     for (const TableDef& def : ListTables()) {
       if (def.partitions.has_value()) continue;  // not mirrored

@@ -5,13 +5,15 @@
 namespace gphtap {
 
 ColumnGroupStore::ColumnGroupStore(const Schema& schema, CompressionKind compression)
-    : compression_(compression), open_(schema.num_columns()) {
-  for (const Column& col : schema.columns()) types_.push_back(col.type);
+    : compression_(compression) {
+  for (const Column& col : schema.columns()) open_.emplace_back(col.type);
 }
 
 size_t ColumnGroupStore::Append(const Row& row, LocalXid xmin) {
   static const Datum kNull = Datum::Null();
-  for (size_t c = 0; c < open_.size(); ++c) open_[c].Append(c < row.size() ? row[c] : kNull);
+  for (size_t c = 0; c < open_.size(); ++c) {
+    open_[c].AppendTyped(c < row.size() ? row[c] : kNull);
+  }
   xmins_.push_back(xmin);
   xmaxs_.push_back(kInvalidLocalXid);
   return xmins_.size() - 1;
@@ -20,13 +22,9 @@ size_t ColumnGroupStore::Append(const Row& row, LocalXid xmin) {
 void ColumnGroupStore::SealFront() {
   CompressedGroup group;
   group.columns.resize(open_.size());
-  std::vector<Datum> vals(kGroupRows);
   for (size_t c = 0; c < open_.size(); ++c) {
-    for (size_t r = 0; r < kGroupRows; ++r) vals[r] = open_[c].GetDatum(r);
-    CompressColumn(compression_, types_[c], vals, &group.columns[c]);
-    ColumnVector rest;
-    for (size_t r = kGroupRows; r < open_[c].size(); ++r) rest.AppendFrom(open_[c], r);
-    open_[c] = std::move(rest);
+    EncodeColumn(compression_, open_[c], kGroupRows, &group.columns[c]);
+    open_[c].EraseFront(kGroupRows);
   }
   sealed_.push_back(std::move(group));
 }
@@ -52,13 +50,9 @@ StatusOr<bool> ColumnGroupStore::Decode(size_t gi, const std::vector<int>& cols,
   for (size_t k = 0; k < cols.size(); ++k) {
     const size_t c = static_cast<size_t>(cols[k]);
     if (sealed) {
-      GPHTAP_ASSIGN_OR_RETURN(std::vector<Datum> vals,
-                              DecompressColumn(sealed_[gi].columns[c]));
-      batch.columns[k].AdoptDatums(std::move(vals), types_[c]);
+      GPHTAP_RETURN_IF_ERROR(DecodeColumn(sealed_[gi].columns[c], &batch.columns[k]));
     } else {
-      for (size_t pos = begin; pos < end; ++pos) {
-        batch.columns[k].AppendFrom(open_[c], pos - open_begin);
-      }
+      batch.columns[k].AssignRange(open_[c], begin - open_begin, end - open_begin);
     }
   }
   *out = std::move(batch);
@@ -118,7 +112,7 @@ std::vector<AoGroupInfo> ColumnGroupStore::GroupInfos(const AoRowDeadFn& dead) c
 void ColumnGroupStore::Clear() {
   sealed_.clear();
   num_freed_ = 0;
-  for (ColumnVector& col : open_) col.Clear();
+  for (ColumnVector& col : open_) col.ResetTyped(col.tag, 0);
   xmins_.clear();
   xmaxs_.clear();
 }

@@ -1,9 +1,10 @@
 // Sealed column groups: the storage under AO column-oriented tables and under
 // the delta store's in-memory column index. Rows append to an open run of
-// typed ColumnVectors; "sealing" compresses the leading full run of
-// kGroupRows rows into one immutable block per column (each column is its
+// ColumnVectors typed by the schema; "sealing" compresses the leading full run
+// of kGroupRows rows into one immutable block per column (each column is its
 // own stream of compressed blocks, Section 3.4), so a scan decompresses only
-// the columns it touches.
+// the columns it touches. Seal and decode go straight between block bytes and
+// the int64/double arrays: no value of those columns is boxed.
 //
 // Groups are positional: row N lives in group N / kGroupRows before and after
 // sealing and freeing. A replayer that appends the same rows in the same order
@@ -43,7 +44,8 @@ class ColumnGroupStore {
   size_t num_groups() const { return (size() + kGroupRows - 1) / kGroupRows; }
 
   /// Appends `row` (missing trailing columns read as NULL) created by `xmin`
-  /// to the open run; returns its position.
+  /// to the open run; returns its position. The row's values have their
+  /// columns' types (Schema::CheckRow).
   size_t Append(const Row& row, LocalXid xmin);
 
   LocalXid xmin(size_t pos) const { return xmins_[pos]; }
@@ -91,11 +93,11 @@ class ColumnGroupStore {
     return xmins_[pos] == kInvalidLocalXid || dead(xmins_[pos], xmaxs_[pos]);
   }
 
-  std::vector<TypeId> types_;
   CompressionKind compression_;
   std::vector<CompressedGroup> sealed_;
   size_t num_freed_ = 0;
-  std::vector<ColumnVector> open_;  // one per column, rows from num_sealed() * kGroupRows
+  // One per column, tagged from the schema, rows from num_sealed() * kGroupRows.
+  std::vector<ColumnVector> open_;
   // Per-row visibility by position, kept across sealing and freeing.
   std::vector<LocalXid> xmins_;
   std::vector<LocalXid> xmaxs_;

@@ -1,6 +1,17 @@
 #include "vec/column_batch.h"
 
+#include <algorithm>
+
 namespace gphtap {
+
+namespace {
+
+// Empties a null mask that flags no row, the lazy "no NULLs" form.
+void DropMaskWithoutNulls(std::vector<uint8_t>* nulls) {
+  if (std::find(nulls->begin(), nulls->end(), 1) == nulls->end()) nulls->clear();
+}
+
+}  // namespace
 
 void ColumnVector::ResetTyped(Tag t, size_t n) {
   Clear();
@@ -16,44 +27,6 @@ void ColumnVector::ResetTyped(Tag t, size_t n) {
       datums.assign(n, Datum());
       break;
   }
-}
-
-void ColumnVector::AdoptDatums(std::vector<Datum>&& vals, TypeId type) {
-  Clear();
-  if (type == TypeId::kInt64 || type == TypeId::kDouble) {
-    const bool want_int = type == TypeId::kInt64;
-    bool typed_ok = true;
-    for (const Datum& d : vals) {
-      if (!d.is_null() && (want_int ? !d.is_int() : !d.is_double())) {
-        typed_ok = false;
-        break;
-      }
-    }
-    if (typed_ok) {
-      tag = want_int ? Tag::kInt64 : Tag::kDouble;
-      bool any_null = false;
-      if (want_int) {
-        ints.reserve(vals.size());
-        for (const Datum& d : vals) {
-          ints.push_back(d.is_null() ? 0 : d.int_val());
-          any_null |= d.is_null();
-        }
-      } else {
-        dbls.reserve(vals.size());
-        for (const Datum& d : vals) {
-          dbls.push_back(d.is_null() ? 0.0 : d.double_val());
-          any_null |= d.is_null();
-        }
-      }
-      if (any_null) {
-        nulls.resize(vals.size());
-        for (size_t i = 0; i < vals.size(); ++i) nulls[i] = vals[i].is_null();
-      }
-      return;
-    }
-  }
-  tag = Tag::kDatum;
-  datums = std::move(vals);
 }
 
 void ColumnVector::Demote() {
@@ -79,39 +52,10 @@ void ColumnVector::Append(const Datum& d) {
       tag = Tag::kInt64;
     }
   }
-  switch (tag) {
-    case Tag::kInt64:
-      if (d.is_null()) {
-        EnsureNulls();
-        ints.push_back(0);
-        nulls.push_back(1);
-        return;
-      }
-      if (d.is_int()) {
-        ints.push_back(d.int_val());
-        if (!nulls.empty()) nulls.push_back(0);
-        return;
-      }
-      break;
-    case Tag::kDouble:
-      if (d.is_null()) {
-        EnsureNulls();
-        dbls.push_back(0.0);
-        nulls.push_back(1);
-        return;
-      }
-      if (d.is_double()) {
-        dbls.push_back(d.double_val());
-        if (!nulls.empty()) nulls.push_back(0);
-        return;
-      }
-      break;
-    case Tag::kDatum:
-      datums.push_back(d);
-      return;
-  }
-  Demote();
-  datums.push_back(d);
+  const bool fits = tag == Tag::kDatum || d.is_null() ||
+                    (tag == Tag::kInt64 ? d.is_int() : d.is_double());
+  if (!fits) Demote();
+  AppendTyped(d);
 }
 
 void ColumnVector::Append(Datum&& d) {
@@ -120,6 +64,67 @@ void ColumnVector::Append(Datum&& d) {
     return;
   }
   Append(static_cast<const Datum&>(d));
+}
+
+void ColumnVector::AppendTyped(const Datum& d) {
+  if (tag == Tag::kDatum) {
+    datums.push_back(d);
+    return;
+  }
+  const bool null = d.is_null();
+  if (null) {
+    EnsureNulls();  // sized to the rows before this one
+    nulls.push_back(1);
+  } else if (!nulls.empty()) {
+    nulls.push_back(0);
+  }
+  if (tag == Tag::kInt64) {
+    ints.push_back(null ? 0 : d.int_val());
+  } else {
+    dbls.push_back(null ? 0.0 : d.AsDouble());
+  }
+}
+
+void ColumnVector::AssignRange(const ColumnVector& src, size_t begin, size_t end) {
+  Clear();
+  tag = src.tag;
+  auto copy = [&](const auto& from, auto* to) {
+    to->assign(from.begin() + static_cast<long>(begin), from.begin() + static_cast<long>(end));
+  };
+  switch (tag) {
+    case Tag::kInt64:
+      copy(src.ints, &ints);
+      break;
+    case Tag::kDouble:
+      copy(src.dbls, &dbls);
+      break;
+    case Tag::kDatum:
+      copy(src.datums, &datums);
+      break;
+  }
+  if (!src.nulls.empty()) {
+    copy(src.nulls, &nulls);
+    DropMaskWithoutNulls(&nulls);
+  }
+}
+
+void ColumnVector::EraseFront(size_t n) {
+  auto erase = [n](auto* v) { v->erase(v->begin(), v->begin() + static_cast<long>(n)); };
+  switch (tag) {
+    case Tag::kInt64:
+      erase(&ints);
+      break;
+    case Tag::kDouble:
+      erase(&dbls);
+      break;
+    case Tag::kDatum:
+      erase(&datums);
+      break;
+  }
+  if (!nulls.empty()) {
+    erase(&nulls);
+    DropMaskWithoutNulls(&nulls);
+  }
 }
 
 void ColumnVector::AppendFrom(const ColumnVector& src, size_t r) {

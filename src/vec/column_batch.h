@@ -27,6 +27,14 @@ namespace gphtap {
 struct ColumnVector {
   enum class Tag : uint8_t { kInt64, kDouble, kDatum };
 
+  ColumnVector() = default;
+  /// An empty column laid out for a stored column of `type`: int64 and double
+  /// unboxed, strings boxed. Stored columns take their tag from the schema.
+  explicit ColumnVector(TypeId type)
+      : tag(type == TypeId::kInt64    ? Tag::kInt64
+            : type == TypeId::kDouble ? Tag::kDouble
+                                      : Tag::kDatum) {}
+
   Tag tag = Tag::kInt64;
   std::vector<int64_t> ints;   // tag == kInt64 payload
   std::vector<double> dbls;    // tag == kDouble payload
@@ -86,11 +94,6 @@ struct ColumnVector {
     nulls[r] = 1;
   }
 
-  /// Takes ownership of a decompressed column, laying it out unboxed when the
-  /// declared type allows (NULLs keep the mask; any off-type datum falls the
-  /// whole column back to boxed storage).
-  void AdoptDatums(std::vector<Datum>&& vals, TypeId type);
-
   /// Converts the typed payload to boxed datums (exact value preserving).
   void Demote();
 
@@ -105,6 +108,18 @@ struct ColumnVector {
   /// column demotes itself on the first off-type value.
   void Append(const Datum& d);
   void Append(Datum&& d);
+
+  /// Appends `d` keeping the tag: `d` is NULL or of the column's type (an int
+  /// for a double column widens). The column-group store's append, whose
+  /// columns never re-tag.
+  void AppendTyped(const Datum& d);
+
+  /// Replaces the contents with rows [begin, end) of `src`, tag included, by
+  /// range copy.
+  void AssignRange(const ColumnVector& src, size_t begin, size_t end);
+
+  /// Drops the first `n` rows, keeping the tag.
+  void EraseFront(size_t n);
 
   /// Appends slot `r` of `src` — the column-copy gather used by Compact,
   /// partitioning, and join output assembly. An empty destination adopts the

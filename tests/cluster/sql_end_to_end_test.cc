@@ -259,6 +259,16 @@ TEST_F(SqlEndToEndTest, AoAndColumnTablesThroughSql) {
   EXPECT_EQ(Exec("SELECT count(*) FROM aoc").rows[0][0].int_val(), 90);
 }
 
+TEST_F(SqlEndToEndTest, DictCompressedDoublesKeepEveryDigit) {
+  // g is constant, so one segment holds all 1,024 rows and their group seals.
+  // Printed with 6 significant digits, these values collapse to ~100 keys.
+  Exec("CREATE TABLE t (g int, k int, v double) WITH (storage=ao_column, "
+       "compresstype=dict) DISTRIBUTED BY (g)");
+  Exec("INSERT INTO t SELECT 0, i, 100000.0 + 0.1 * i FROM generate_series(0, 1023) i");
+  EXPECT_EQ(Exec("SELECT count(*) FROM t WHERE v = 100000.1").rows[0][0].int_val(), 1);
+  EXPECT_EQ(Exec("SELECT max(v) FROM t").rows[0][0].double_val(), 100000.0 + 0.1 * 1023);
+}
+
 TEST_F(SqlEndToEndTest, AoDmlTransactional) {
   Exec("CREATE TABLE ao (k int, v int) WITH (appendonly=true) DISTRIBUTED BY (k)");
   Exec("INSERT INTO ao SELECT i, i FROM generate_series(1, 50) i");

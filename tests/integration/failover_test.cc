@@ -111,6 +111,21 @@ TEST(FailoverTest, PromotedMirrorServesIdenticalData) {
   MustExec(session.get(), "INSERT INTO t VALUES (1000, 1)");
 }
 
+TEST(FailoverTest, MirrorChecksSkipAPromotedMirror) {
+  // The promoted mirror's replay stopped at the failover; the primary's
+  // Recover consumed its log. The other mirrors still catch up and agree.
+  Cluster cluster(MirroredOptions());
+  auto session = cluster.Connect();
+  MustExec(session.get(), "CREATE TABLE t (k int, v int) DISTRIBUTED BY (k)");
+  MustExec(session.get(), "INSERT INTO t SELECT i, i FROM generate_series(1, 30) i");
+  ASSERT_TRUE(cluster.FailoverToMirror(1).ok());
+  MustExec(session.get(), "INSERT INTO t SELECT i, i FROM generate_series(31, 60) i");
+  Status caught_up = cluster.CatchUpMirrors();
+  EXPECT_TRUE(caught_up.ok()) << caught_up.ToString();
+  Status consistent = cluster.VerifyMirrorsConsistent();
+  EXPECT_TRUE(consistent.ok()) << consistent.ToString();
+}
+
 TEST(FailoverTest, FtsDetectsProbeTimeout) {
   ClusterOptions o = MirroredOptions();
   o.fts_enabled = true;

@@ -101,6 +101,38 @@ TEST_F(ColumnGroupStoreTest, PartialSealKeepsTheTypedOpenRun) {
   }
 }
 
+TEST_F(ColumnGroupStoreTest, LeadingNullDoubleColumnStaysUnboxed) {
+  // Column w's first row is NULL: the open run takes its tag from the schema,
+  // not from that value, so w decodes as doubles wherever its rows live.
+  auto row = [](size_t i) {
+    return Row{Datum(static_cast<int64_t>(i)),
+               i % kGroup == 0 ? Datum::Null() : Datum(static_cast<double>(i) / 4),
+               Datum::Null()};
+  };
+  auto expect_doubles = [&](size_t gi, size_t rows) {
+    ColumnBatch batch;
+    ASSERT_TRUE(*store_.Decode(gi, {1, 2}, ctx_, &batch));
+    ASSERT_EQ(batch.rows, rows);
+    const ColumnVector& w = batch.columns[0];
+    ASSERT_EQ(w.tag, ColumnVector::Tag::kDouble) << "group " << gi;
+    EXPECT_EQ(batch.columns[1].tag, ColumnVector::Tag::kDatum);
+    for (size_t r = 0; r < rows; ++r) {
+      const size_t i = gi * kGroup + r;
+      ASSERT_EQ(w.IsNull(r), i % kGroup == 0) << i;
+      if (!w.IsNull(r)) {
+        EXPECT_EQ(w.dbls[r], static_cast<double>(i) / 4) << i;
+      }
+      EXPECT_TRUE(batch.columns[1].IsNull(r));
+    }
+  };
+  for (size_t i = 0; i < 10; ++i) store_.Append(row(i), kXid);
+  expect_doubles(0, 10);  // open run
+  for (size_t i = 10; i < kGroup + 10; ++i) store_.Append(row(i), kXid);
+  store_.SealFront();
+  expect_doubles(0, kGroup);  // sealed group
+  expect_doubles(1, 10);      // open run after a partial seal, first row NULL
+}
+
 TEST_F(ColumnGroupStoreTest, VisibilityDeletesAndDroppedRows) {
   const LocalXid running = 6, deleter = 7;
   clog_.Register(running);
