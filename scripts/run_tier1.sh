@@ -3,9 +3,10 @@
 # subset (xid tables and visibility, locks, GDD, commit protocol, mirrors,
 # crash recovery, the change-log tailer, metrics) again under
 # ThreadSanitizer, the expression, SQL and column-codec subset under
-# UndefinedBehaviorSanitizer, the executor, DML, change-log reader and
-# column-codec subset under AddressSanitizer, then smoke-mode benchmarks whose
-# BENCH_*.json output is validated for the required keys.
+# UndefinedBehaviorSanitizer, the executor, DML, change-log reader,
+# column-codec and group-store scan subset under AddressSanitizer, then
+# smoke-mode benchmarks whose BENCH_*.json output is validated for the
+# required keys.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,15 +37,19 @@ cmake --build build-ubsan -j "$(nproc)" --target expr_test parser_test vec_execu
 # copies across lock waits. So do the change log's readers (mirror replay,
 # recovery, failover, the delta feed): they read records by reference from
 # the log's deque. So do the column codecs, whose decoder walks block bytes
-# by pointer arithmetic and must stop at their end. The first report stops
-# the run.
+# by pointer arithmetic and must stop at their end. So do the group-store
+# scans of both AO orientations and of the delta store: each group decodes
+# under its own latch hold while seals, frees and truncates change the store
+# between groups, so a batch must never point into freed blocks or a
+# reallocated open run. The first report stops the run.
 cmake -B build-asan -S . -DGPHTAP_SANITIZE=address
 cmake --build build-asan -j "$(nproc)" --target executor_test planner_test \
   sql_end_to_end_test prepare_execute_test gdd_cases_test commit_protocol_test \
   mirror_test crash_recovery_test failover_test delta_store_test \
-  compression_test column_group_store_test
+  compression_test column_group_store_test storage_kinds_test ao_compaction_test \
+  ao_visibility_test delta_scan_test
 (cd build-asan && ASAN_OPTIONS=halt_on_error=1 ctest --output-on-failure -j "$(nproc)" -R \
-  '^(executor_test|planner_test|sql_end_to_end_test|prepare_execute_test|gdd_cases_test|commit_protocol_test|mirror_test|crash_recovery_test|failover_test|delta_store_test|compression_test|column_group_store_test)$')
+  '^(executor_test|planner_test|sql_end_to_end_test|prepare_execute_test|gdd_cases_test|commit_protocol_test|mirror_test|crash_recovery_test|failover_test|delta_store_test|compression_test|column_group_store_test|storage_kinds_test|ao_compaction_test|ao_visibility_test|delta_scan_test)$')
 
 # Advisory bench diffing: the previous run's BENCH_*.json is kept as .prev and
 # a per-series tps/p99 delta table is printed after each fresh run. Informative

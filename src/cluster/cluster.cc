@@ -8,7 +8,6 @@
 #include "common/clock.h"
 #include "frontend/frontend.h"
 #include "net/motion_exchange.h"
-#include "storage/ao_table.h"
 #include "storage/column_store.h"
 #include "storage/heap_table.h"
 
@@ -657,13 +656,9 @@ ClusterHealth Cluster::Health() {
       return xmax != kInvalidLocalXid && clog.IsCommitted(xmax);
     };
     for (const TableDef& def : defs) {
-      std::vector<AoGroupInfo> groups;
-      if (auto* ao = dynamic_cast<AoRowTable*>(seg->GetTable(def.id))) {
-        groups = ao->GroupInfos(dead);
-      } else if (auto* aoc = dynamic_cast<AoColumnTable*>(seg->GetTable(def.id))) {
-        groups = aoc->GroupInfos(dead);
-      }
-      for (const AoGroupInfo& group : groups) {
+      auto* ao = dynamic_cast<AoColumnTable*>(seg->GetTable(def.id));
+      if (ao == nullptr) continue;
+      for (const AoGroupInfo& group : ao->GroupInfos(dead)) {
         info.ao_live_rows += group.live;
         info.ao_dead_rows += group.dead;
         if (group.freed) ++info.ao_reclaimed_groups;

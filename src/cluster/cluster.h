@@ -95,13 +95,6 @@ struct ClusterOptions {
   // Seal-daemon period: seal cold delta runs + reclaim all-dead groups on
   // every segment this often. 0 = no daemon (SealDeltaNow still works).
   int64_t delta_seal_period_us = 20'000;
-  // How long a delta-merged scan waits for the feed to reach the log position
-  // captured at scan start before falling back to the row engine.
-  int64_t delta_freshness_timeout_us = 200'000;
-
-  // Interconnect buffering (rows per receiver queue) for motions.
-  size_t motion_buffer_rows = 8192;
-
   // Simulated per-row executor CPU work, charged to the session's resource
   // group (0 = off). This is what makes OLAP queries "heavy" in HTAP benches.
   int64_t exec_cpu_ns_per_row = 0;

@@ -12,8 +12,6 @@
 #include "cluster/session.h"
 #include "common/fault_injector.h"
 #include "common/clock.h"
-#include "storage/ao_group.h"
-#include "storage/ao_table.h"
 #include "storage/column_store.h"
 #include "storage/heap_table.h"
 
@@ -56,11 +54,10 @@ Status Session::MarkDeletedResolved(Table* table, TupleId tid, LocalXid xid) {
 // AO VACUUM: whole-group reclamation + dead-heavy compaction
 // ---------------------------------------------------------------------------
 
-Status Session::VacuumAppendOptimizedSegment(Segment* seg, const TableDef& def,
-                                             Table* table, int64_t* reclaimed) {
-  auto* ao = dynamic_cast<AoRowTable*>(table);
-  auto* aoc = dynamic_cast<AoColumnTable*>(table);
-  if (ao == nullptr && aoc == nullptr) return Status::OK();
+Status Session::VacuumAppendOptimizedSegment(Segment* seg, Table* table,
+                                             int64_t* reclaimed) {
+  auto* ao = dynamic_cast<AoColumnTable*>(table);
+  if (ao == nullptr) return Status::OK();
 
   // A row is reclaimable only when no live snapshot anywhere can still see it:
   // aborted xmin, or committed xmax whose distributed transaction precedes the
@@ -77,17 +74,14 @@ Status Session::VacuumAppendOptimizedSegment(Segment* seg, const TableDef& def,
 
   // Pass 1: free groups that are dead end to end. Replayed as kFreeGroup, so
   // the group keeps its index slot and tids stay reproducible.
-  AoReclaimResult freed = ao != nullptr ? ao->ReclaimDeadGroups(dead)
-                                        : aoc->ReclaimDeadGroups(dead);
+  AoReclaimResult freed = ao->ReclaimDeadGroups(dead);
   *reclaimed += static_cast<int64_t>(freed.rows_freed);
 
   // Pass 2: compact dead-heavy sealed groups — rewrite their live rows into
   // the open tail under this vacuum's transaction. The drained groups go
   // all-dead once it commits and the next vacuum frees them whole.
-  std::vector<AoGroupInfo> infos =
-      ao != nullptr ? ao->GroupInfos(dead) : aoc->GroupInfos(dead);
   std::unordered_set<size_t> heavy;
-  for (const AoGroupInfo& info : infos) {
+  for (const AoGroupInfo& info : ao->GroupInfos(dead)) {
     if (!info.sealed || info.freed || info.live == 0 || info.rows == 0) continue;
     if (info.dead * 100 >= info.rows * kDeadHeavyPercent) heavy.insert(info.index);
   }
@@ -103,11 +97,9 @@ Status Session::VacuumAppendOptimizedSegment(Segment* seg, const TableDef& def,
   vis.lsnap = &lsnap;
   vis.my_xid = my_xid;
 
-  const uint64_t group_size =
-      ao != nullptr ? AoRowTable::kGroupSize : ColumnGroupStore::kGroupRows;
   std::vector<std::pair<TupleId, Row>> movers;
   GPHTAP_RETURN_IF_ERROR(table->Scan(vis, [&](TupleId tid, const Row& row) {
-    if (heavy.count(static_cast<size_t>(tid / group_size)) != 0) {
+    if (heavy.count(static_cast<size_t>(tid / AoColumnTable::kRowGroupSize)) != 0) {
       movers.emplace_back(tid, row);
     }
     return true;

@@ -1093,7 +1093,7 @@ StatusOr<QueryResult> Session::ExecuteVacuum(const TableDef& def) {
         // dead-heavy ones by rewriting their live rows into the open tail.
         progress.SetPhase("ao-reclaim");
         GPHTAP_RETURN_IF_ERROR(
-            VacuumAppendOptimizedSegment(seg, def, table, &reclaimed));
+            VacuumAppendOptimizedSegment(seg, table, &reclaimed));
         progress.Advance();
         continue;
       }

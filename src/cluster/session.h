@@ -264,11 +264,10 @@ class Session {
   Status LockRelationSegment(Segment* seg, const TableDef& def, LockMode mode);
 
   // ---- Online reorg / expansion internals (cluster/reorg.cc) ----
-  // AO/AO-column VACUUM: frees all-dead sealed row groups, then rewrites the
-  // live rows out of dead-heavy groups into fresh groups under the vacuum's
-  // own transaction.
-  Status VacuumAppendOptimizedSegment(Segment* seg, const TableDef& def, Table* table,
-                                      int64_t* reclaimed);
+  // AO VACUUM: frees all-dead sealed row groups, then rewrites the live rows
+  // out of dead-heavy groups into fresh groups under the vacuum's own
+  // transaction.
+  Status VacuumAppendOptimizedSegment(Segment* seg, Table* table, int64_t* reclaimed);
   // Per-segment CLUSTER rewrite: collect visible rows, optionally sort, then
   // delete + re-insert under this transaction's xid.
   Status ClusterSegment(Segment* seg, const TableDef& def, int order_col,

@@ -1,5 +1,10 @@
-// Blocking bounded MPMC queue with close semantics, used by the interconnect and
-// the thread pool. Closing wakes all waiters; Pop returns false once drained.
+// Blocking bounded MPMC queue with close semantics, used by the interconnect.
+// Closing wakes all waiters; Pop returns nullopt once drained.
+//
+// The bound counts units of `Weigh(item)`, one per item by default. A push is
+// admitted while fewer units than the capacity are queued, so an item that
+// alone outweighs the capacity still moves once the queue drains. An item's
+// weight must not change while it is queued.
 #ifndef GPHTAP_COMMON_BOUNDED_QUEUE_H_
 #define GPHTAP_COMMON_BOUNDED_QUEUE_H_
 
@@ -13,6 +18,11 @@
 namespace gphtap {
 
 template <typename T>
+struct UnitWeight {
+  size_t operator()(const T&) const { return 1; }
+};
+
+template <typename T, typename Weigh = UnitWeight<T>>
 class BoundedQueue {
  public:
   explicit BoundedQueue(size_t capacity) : capacity_(capacity) {}
@@ -23,10 +33,9 @@ class BoundedQueue {
   /// Blocks until there is room. Returns false if the queue was closed.
   bool Push(T item) {
     std::unique_lock<std::mutex> lk(mu_);
-    not_full_.wait(lk, [&] { return closed_ || items_.size() < capacity_; });
+    not_full_.wait(lk, [&] { return closed_ || queued_ < capacity_; });
     if (closed_) return false;
-    items_.push_back(std::move(item));
-    not_empty_.notify_one();
+    PutBack(std::move(item));
     return true;
   }
 
@@ -34,9 +43,8 @@ class BoundedQueue {
   /// left unmoved, so the caller may retry with the blocking Push.
   bool TryPush(T&& item) {
     std::lock_guard<std::mutex> lk(mu_);
-    if (closed_ || items_.size() >= capacity_) return false;
-    items_.push_back(std::move(item));
-    not_empty_.notify_one();
+    if (closed_ || queued_ >= capacity_) return false;
+    PutBack(std::move(item));
     return true;
   }
 
@@ -45,10 +53,7 @@ class BoundedQueue {
     std::unique_lock<std::mutex> lk(mu_);
     not_empty_.wait(lk, [&] { return closed_ || !items_.empty(); });
     if (items_.empty()) return std::nullopt;  // closed and drained
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return item;
+    return TakeFront();
   }
 
   /// Result of a timed push attempt (distinguishes "no room yet" from closed).
@@ -59,11 +64,10 @@ class BoundedQueue {
   PushResult PushFor(T& item, int64_t timeout_us) {
     std::unique_lock<std::mutex> lk(mu_);
     not_full_.wait_for(lk, std::chrono::microseconds(timeout_us),
-                       [&] { return closed_ || items_.size() < capacity_; });
+                       [&] { return closed_ || queued_ < capacity_; });
     if (closed_) return PushResult::kClosed;
-    if (items_.size() >= capacity_) return PushResult::kTimedOut;
-    items_.push_back(std::move(item));
-    not_empty_.notify_one();
+    if (queued_ >= capacity_) return PushResult::kTimedOut;
+    PutBack(std::move(item));
     return PushResult::kPushed;
   }
 
@@ -74,20 +78,14 @@ class BoundedQueue {
     not_empty_.wait_for(lk, std::chrono::microseconds(timeout_us),
                         [&] { return closed_ || !items_.empty(); });
     if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return item;
+    return TakeFront();
   }
 
   /// Non-blocking pop.
   std::optional<T> TryPop() {
     std::lock_guard<std::mutex> lk(mu_);
     if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return item;
+    return TakeFront();
   }
 
   /// After Close, pushes fail and pops drain remaining items then return nullopt.
@@ -109,11 +107,26 @@ class BoundedQueue {
   }
 
  private:
+  // Both require mu_ held; TakeFront also a non-empty queue.
+  void PutBack(T&& item) {
+    queued_ += Weigh()(item);
+    items_.push_back(std::move(item));
+    not_empty_.notify_one();
+  }
+  T TakeFront() {
+    queued_ -= Weigh()(items_.front());
+    T item = std::move(items_.front());
+    items_.pop_front();
+    not_full_.notify_one();
+    return item;
+  }
+
   const size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::deque<T> items_;
+  size_t queued_ = 0;  // sum of Weigh() over items_
   bool closed_ = false;
 };
 

@@ -30,6 +30,10 @@ class DeltaIndex {
  public:
   using TableDefLookup = std::function<StatusOr<TableDef>(TableId)>;
 
+  /// How long a delta-merged scan waits for the feed to reach the log
+  /// position captured at scan start before the row engine serves it.
+  static constexpr int64_t kFreshnessTimeoutUs = 200'000;
+
   DeltaIndex(int segment_index, TableDefLookup lookup, MetricsRegistry* metrics);
   ~DeltaIndex();
 

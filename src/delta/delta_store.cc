@@ -98,22 +98,19 @@ AoReclaimResult DeltaStore::ReclaimDeadGroups(const AoRowDeadFn& dead, ChangeLog
 Status DeltaStore::ScanBatches(const VisibilityContext& ctx, const std::vector<int>& cols,
                                const BatchScanCallback& fn, uint64_t* sealed_rows_scanned,
                                uint64_t* open_rows_scanned) const {
-  std::shared_lock<std::shared_mutex> g(latch_);
   std::vector<int> all;
   if (cols.empty()) {
     all.resize(def_.schema.num_columns());
     std::iota(all.begin(), all.end(), 0);
   }
-  const std::vector<int>& touched = cols.empty() ? all : cols;
-  for (size_t gi = 0; gi < store_.num_groups(); ++gi) {
-    ColumnBatch batch;
-    GPHTAP_ASSIGN_OR_RETURN(bool any, store_.Decode(gi, touched, ctx, &batch));
-    if (!any) continue;
-    uint64_t* scanned = gi < store_.num_sealed() ? sealed_rows_scanned : open_rows_scanned;
-    if (scanned != nullptr) *scanned += batch.sel.size();
-    if (!fn(std::move(batch))) break;
-  }
-  return Status::OK();
+  return store_.Scan(latch_, cols.empty() ? all : cols, ctx,
+                     [&](size_t, const ColumnGroupStore::GroupRead& read,
+                         ColumnBatch&& batch) {
+                       uint64_t* scanned =
+                           read.sealed ? sealed_rows_scanned : open_rows_scanned;
+                       if (scanned != nullptr) *scanned += batch.sel.size();
+                       return fn(std::move(batch));
+                     });
 }
 
 DeltaStoreStats DeltaStore::Stats() const {

@@ -14,9 +14,12 @@
 // vacuumed or reused.
 //
 // Concurrency: one feed thread applies log records (unique latch), the seal
-// daemon seals/reclaims (unique latch), any number of scans read under the
-// shared latch — a scan therefore observes a stable store while the feed
-// briefly queues behind it.
+// daemon seals/reclaims (unique latch), and scans decode one group per shared
+// hold (ColumnGroupStore::Scan), so a scan whose consumer blocks never stalls
+// the feed. The scan's snapshot, not the latch, makes it a consistent cut:
+// every record a visible transaction wrote was applied before the scan began
+// (DeltaIndex::WaitForApplied), and no record applied mid-scan changes a
+// verdict under that snapshot (DESIGN.md §11).
 #ifndef GPHTAP_DELTA_DELTA_STORE_H_
 #define GPHTAP_DELTA_DELTA_STORE_H_
 
@@ -82,8 +85,7 @@ class DeltaStore {
   // ---- scans ----------------------------------------------------------------
   /// Vectorized scan of the whole store under `ctx`: every group, sealed or
   /// open, arrives as one batch of its touched columns whose selection vector
-  /// holds the visible rows. The shared latch is held across the scan, so the
-  /// result is a consistent cut of the store.
+  /// holds the visible rows. `fn` runs with no latch held.
   /// `sealed_rows_scanned` / `open_rows_scanned` (may be null) accumulate the
   /// visible row counts served from each part — the EXPLAIN per-store counts.
   Status ScanBatches(const VisibilityContext& ctx, const std::vector<int>& cols,

@@ -551,7 +551,7 @@ Status ExecutePlan(Cluster* cluster, const QueryPlan& plan, Gxid gxid,
     int senders = static_cast<int>(plan.gang.size());
     int receivers = m->motion == MotionKind::kGather ? 1 : static_cast<int>(plan.gang.size());
     exchanges[m->motion_id] = std::make_shared<MotionExchange>(
-        senders, receivers, cluster->options().motion_buffer_rows, &cluster->net());
+        senders, receivers, MotionExchange::kBufferRows, &cluster->net());
   }
   // Make the exchanges reachable from Cluster::CancelTxn (GDD kill, statement
   // timeout, user cancel) so receivers parked on an idle sender wake promptly.

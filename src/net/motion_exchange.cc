@@ -12,7 +12,7 @@ MotionExchange::MotionExchange(int num_senders, int num_receivers, size_t buffer
   eos_seen_.reserve(static_cast<size_t>(num_receivers));
   pending_rows_.reserve(static_cast<size_t>(num_receivers));
   for (int i = 0; i < num_receivers; ++i) {
-    queues_.push_back(std::make_unique<BoundedQueue<Item>>(buffer_rows));
+    queues_.push_back(std::make_unique<Queue>(buffer_rows));
     eos_seen_.push_back(std::make_unique<std::atomic<int>>(0));
     pending_rows_.push_back(std::make_unique<std::deque<Row>>());
   }
@@ -43,11 +43,11 @@ bool MotionExchange::PushItem(int receiver, Item item) {
   bool ok = false;
   while (true) {
     auto res = queue.PushFor(item, kInterruptPollUs);
-    if (res == BoundedQueue<Item>::PushResult::kPushed) {
+    if (res == Queue::PushResult::kPushed) {
       ok = true;
       break;
     }
-    if (res == BoundedQueue<Item>::PushResult::kClosed) break;
+    if (res == Queue::PushResult::kClosed) break;
     if (!CheckAmbientInterrupt().ok()) break;
   }
   send_wait_us_.fetch_add(sw.ElapsedMicros(), std::memory_order_relaxed);

@@ -35,6 +35,12 @@ using BatchPtr = std::shared_ptr<ColumnBatch>;
 /// thread (the executor's contract — one slice instance per gang member).
 class MotionExchange {
  public:
+  /// Rows a receiver's queue holds before its senders block.
+  static constexpr size_t kBufferRows = 8192;
+
+  /// `buffer_rows` bounds each receiver's queue in rows: a batch counts as
+  /// its live rows, and a send is admitted while fewer than `buffer_rows`
+  /// rows are queued, so one batch larger than the bound still moves.
   /// `net` (optional) charges kTupleData once per kRowsPerMessage rows.
   MotionExchange(int num_senders, int num_receivers, size_t buffer_rows,
                  SimNet* net = nullptr);
@@ -88,6 +94,14 @@ class MotionExchange {
  private:
   struct Eos {};
   using Item = std::variant<Row, BatchPtr, Eos>;
+  // A batch weighs its live rows; a row or an end-of-stream mark weighs one.
+  struct ItemRows {
+    size_t operator()(const Item& item) const {
+      const BatchPtr* batch = std::get_if<BatchPtr>(&item);
+      return batch != nullptr ? (*batch)->ActiveRows() : 1;
+    }
+  };
+  using Queue = BoundedQueue<Item, ItemRows>;
 
   /// Push with wait attribution: non-blocking fast path first, then a blocking
   /// Push under a kMotionSend wait scope so only real stalls are counted.
@@ -103,7 +117,7 @@ class MotionExchange {
   const int num_senders_;
   const int num_receivers_;
   SimNet* const net_;
-  std::vector<std::unique_ptr<BoundedQueue<Item>>> queues_;  // one per receiver
+  std::vector<std::unique_ptr<Queue>> queues_;  // one per receiver
   std::vector<std::unique_ptr<std::atomic<int>>> eos_seen_;  // per receiver
   // Rows exploded from a batch item, awaiting Recv. Only the receiver's own
   // consumer thread touches its deque, so no lock is needed.

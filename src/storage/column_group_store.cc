@@ -30,8 +30,8 @@ void ColumnGroupStore::SealFront() {
 }
 
 StatusOr<bool> ColumnGroupStore::Decode(size_t gi, const std::vector<int>& cols,
-                                        const VisibilityContext& ctx,
-                                        ColumnBatch* out) const {
+                                        const VisibilityContext& ctx, ColumnBatch* out,
+                                        GroupRead* read) const {
   const size_t begin = gi * kGroupRows;
   const size_t end = std::min(size(), begin + kGroupRows);
   const bool sealed = gi < sealed_.size();
@@ -47,16 +47,40 @@ StatusOr<bool> ColumnGroupStore::Decode(size_t gi, const std::vector<int>& cols,
   batch.rows = end - begin;
   batch.columns.resize(cols.size());
   const size_t open_begin = sealed_.size() * kGroupRows;
+  uint64_t bytes = 0;
   for (size_t k = 0; k < cols.size(); ++k) {
     const size_t c = static_cast<size_t>(cols[k]);
     if (sealed) {
       GPHTAP_RETURN_IF_ERROR(DecodeColumn(sealed_[gi].columns[c], &batch.columns[k]));
+      bytes += sealed_[gi].columns[c].bytes.size();
     } else {
       batch.columns[k].AssignRange(open_[c], begin - open_begin, end - open_begin);
+      bytes += 16 * batch.rows;
     }
   }
+  if (read != nullptr) *read = GroupRead{sealed, bytes};
   *out = std::move(batch);
   return true;
+}
+
+Status ColumnGroupStore::Scan(std::shared_mutex& latch, const std::vector<int>& cols,
+                              const VisibilityContext& ctx, const GroupScanFn& fn) const {
+  size_t num_groups;
+  {
+    std::shared_lock<std::shared_mutex> g(latch);
+    num_groups = this->num_groups();
+  }
+  for (size_t gi = 0; gi < num_groups; ++gi) {
+    ColumnBatch batch;
+    GroupRead read;
+    {
+      std::shared_lock<std::shared_mutex> g(latch);
+      GPHTAP_ASSIGN_OR_RETURN(bool any, Decode(gi, cols, ctx, &batch, &read));
+      if (!any) continue;
+    }
+    if (!fn(gi, read, std::move(batch))) break;
+  }
+  return Status::OK();
 }
 
 uint64_t ColumnGroupStore::CompressedBytes(size_t gi, int col) const {

@@ -27,11 +27,22 @@ Status AoColumnTable::Scan(const VisibilityContext& ctx, const ScanCallback& fn)
 
 Status AoColumnTable::ScanColumns(const VisibilityContext& ctx,
                                   const std::vector<int>& cols, const ScanCallback& fn) {
-  return ScanGroups(ctx, cols, [&](size_t gi, ColumnBatch&& batch) {
+  // A row-oriented table stores whole rows: it reads every column, then
+  // projects `cols` out of each row.
+  const bool whole_rows = def().storage == StorageKind::kAoRow;
+  std::vector<int> read = cols;
+  if (whole_rows) {
+    read.resize(schema().num_columns());
+    std::iota(read.begin(), read.end(), 0);
+  }
+  return ScanGroups(ctx, read, [&](size_t gi, ColumnBatch&& batch) {
+    Row row(cols.size());
     for (int32_t r : batch.sel) {
-      if (!fn(gi * kRowGroupSize + static_cast<size_t>(r), batch.MaterializeRow(r))) {
-        return false;
+      for (size_t k = 0; k < cols.size(); ++k) {
+        const size_t c = whole_rows ? static_cast<size_t>(cols[k]) : k;
+        row[k] = batch.columns[c].GetDatum(static_cast<size_t>(r));
       }
+      if (!fn(gi * kRowGroupSize + static_cast<size_t>(r), row)) return false;
     }
     return true;
   });
@@ -44,23 +55,15 @@ Status AoColumnTable::ScanBatches(const VisibilityContext& ctx,
                     [&](size_t, ColumnBatch&& batch) { return fn(std::move(batch)); });
 }
 
-Status AoColumnTable::ScanGroups(
-    const VisibilityContext& ctx, const std::vector<int>& cols,
-    const std::function<bool(size_t, ColumnBatch&&)>& fn) {
-  // Groups that exist when the scan starts hold every row its snapshot can
-  // see. Each decodes under its own latch hold — sealed by then or not — and
-  // the callback runs outside the latch, so it may write to this table.
-  size_t num_groups;
-  {
-    std::shared_lock<std::shared_mutex> g(latch_);
-    num_groups = store_.num_groups();
-  }
-  for (size_t gi = 0; gi < num_groups; ++gi) {
-    ColumnBatch batch;
-    GPHTAP_ASSIGN_OR_RETURN(bool any, DecodeGroupBatch(gi, ctx, cols, &batch));
-    if (any && !fn(gi, std::move(batch))) break;
-  }
-  return Status::OK();
+Status AoColumnTable::ScanGroups(const VisibilityContext& ctx,
+                                 const std::vector<int>& cols,
+                                 const std::function<bool(size_t, ColumnBatch&&)>& fn) {
+  return store_.Scan(latch_, cols, ctx,
+                     [&](size_t gi, const ColumnGroupStore::GroupRead& read,
+                         ColumnBatch&& batch) {
+                       bytes_scanned_.fetch_add(read.bytes, std::memory_order_relaxed);
+                       return fn(gi, std::move(batch));
+                     });
 }
 
 size_t AoColumnTable::NumSealedGroups() const {
@@ -71,16 +74,13 @@ size_t AoColumnTable::NumSealedGroups() const {
 StatusOr<bool> AoColumnTable::DecodeGroupBatch(size_t gi, const VisibilityContext& ctx,
                                                const std::vector<int>& cols,
                                                ColumnBatch* batch) {
-  std::shared_lock<std::shared_mutex> g(latch_);
-  GPHTAP_ASSIGN_OR_RETURN(bool any, store_.Decode(gi, cols, ctx, batch));
-  if (!any) return false;
-  uint64_t bytes = 0;
-  if (gi < store_.num_sealed()) {
-    for (int c : cols) bytes += store_.CompressedBytes(gi, c);
-  } else {
-    bytes = 16 * cols.size() * batch->rows;
+  ColumnGroupStore::GroupRead read;
+  {
+    std::shared_lock<std::shared_mutex> g(latch_);
+    GPHTAP_ASSIGN_OR_RETURN(bool any, store_.Decode(gi, cols, ctx, batch, &read));
+    if (!any) return false;
   }
-  bytes_scanned_.fetch_add(bytes, std::memory_order_relaxed);
+  bytes_scanned_.fetch_add(read.bytes, std::memory_order_relaxed);
   return true;
 }
 
@@ -107,7 +107,7 @@ AoReclaimResult AoColumnTable::ReclaimDeadGroups(const AoRowDeadFn& dead) {
 Status AoColumnTable::ApplyFreeGroup(size_t group_index) {
   std::unique_lock<std::shared_mutex> g(latch_);
   if (group_index >= store_.num_sealed()) {
-    return Status::NotFound("AO-column free-group replay: group " +
+    return Status::NotFound("AO free-group replay: group " +
                             std::to_string(group_index));
   }
   store_.Free(group_index);
@@ -136,7 +136,7 @@ uint64_t AoColumnTable::BytesScanned() const {
 Status AoColumnTable::MarkDeleted(TupleId tid, LocalXid xid) {
   std::unique_lock<std::shared_mutex> g(latch_);
   if (tid >= store_.size()) {
-    return Status::NotFound("AO-column tid " + std::to_string(tid));
+    return Status::NotFound("AO tid " + std::to_string(tid));
   }
   store_.SetXmax(tid, xid);
   if (change_log() != nullptr) {

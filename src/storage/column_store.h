@@ -1,6 +1,13 @@
-// Append-optimized column-oriented storage: each column lives in its own
-// stream of compressed blocks ("each column is allotted a separate file"),
-// so projected scans read only the touched columns (Section 3.4).
+// Append-optimized storage (Section 3.4), row- and column-oriented alike: one
+// ColumnGroupStore per table, each column its own stream of compressed blocks
+// ("each column is allotted a separate file"). DELETE/UPDATE stamp a row's
+// xmax under a relation-level ExclusiveLock (Greenplum's visibility map), not
+// through MVCC version chains.
+//
+// Orientation decides two things only. A row-oriented table stores whole
+// rows, so its scans read and charge every column; a column-oriented scan
+// reads only the touched columns. And the planner keeps AO-row tables on the
+// row engine (see PlanSelect), so only column-oriented tables scan as batches.
 #ifndef GPHTAP_STORAGE_COLUMN_STORE_H_
 #define GPHTAP_STORAGE_COLUMN_STORE_H_
 
@@ -52,7 +59,9 @@ class AoColumnTable : public Table {
   /// Compressed footprint of one column's sealed blocks, in bytes.
   uint64_t ColumnCompressedBytes(int col) const;
 
-  /// Stamps the row's xmax (see AoRowTable::MarkDeleted).
+  /// Stamps the row's xmax. Callers serialize through the relation's
+  /// ExclusiveLock, so an xmax already there can only be an aborted
+  /// deleter's, and is overwritten.
   Status MarkDeleted(TupleId tid, LocalXid xid) override;
 
   /// Per-group occupancy under the caller's dead-row predicate (bloat
@@ -69,8 +78,7 @@ class AoColumnTable : public Table {
   Status ApplyFreeGroup(size_t group_index);
 
  private:
-  // Decodes every group that exists when the scan starts, in order, and hands
-  // each batch with its group index to `fn`; stops when `fn` returns false.
+  // The store's scan loop, charging each group's bytes to BytesScanned.
   Status ScanGroups(const VisibilityContext& ctx, const std::vector<int>& cols,
                     const std::function<bool(size_t, ColumnBatch&&)>& fn);
 
@@ -79,7 +87,6 @@ class AoColumnTable : public Table {
   // so concurrent scans decode in parallel.
   mutable std::shared_mutex latch_;
   ColumnGroupStore store_;
-  // Atomic: concurrent scans account under the shared latch.
   mutable std::atomic<uint64_t> bytes_scanned_{0};
 };
 

@@ -1,6 +1,5 @@
 #include "storage/replay.h"
 
-#include "storage/ao_table.h"
 #include "storage/column_store.h"
 #include "storage/heap_table.h"
 
@@ -16,10 +15,8 @@ Status ApplyDataChange(Table* table, const ChangeRecord& record) {
     case ChangeKind::kSetXmax:
       if (heap != nullptr) {
         heap->ApplySetXmax(record.tid, record.xid);
-      } else if (auto* ao = dynamic_cast<AoRowTable*>(table)) {
-        return ao->MarkDeleted(record.tid, record.xid);
-      } else if (auto* aoc = dynamic_cast<AoColumnTable*>(table)) {
-        return aoc->MarkDeleted(record.tid, record.xid);
+      } else if (dynamic_cast<AoColumnTable*>(table) != nullptr) {
+        return table->MarkDeleted(record.tid, record.xid);
       }
       return Status::OK();
     case ChangeKind::kLink:
@@ -30,10 +27,8 @@ Status ApplyDataChange(Table* table, const ChangeRecord& record) {
       return Status::OK();
     case ChangeKind::kFreeGroup:
       // AO reclamation: `tid` carries the freed group's index.
-      if (auto* ao = dynamic_cast<AoRowTable*>(table)) {
+      if (auto* ao = dynamic_cast<AoColumnTable*>(table)) {
         return ao->ApplyFreeGroup(static_cast<size_t>(record.tid));
-      } else if (auto* aoc = dynamic_cast<AoColumnTable*>(table)) {
-        return aoc->ApplyFreeGroup(static_cast<size_t>(record.tid));
       }
       return Status::OK();
     case ChangeKind::kTruncate:

@@ -1,6 +1,5 @@
 #include "storage/table_factory.h"
 
-#include "storage/ao_table.h"
 #include "storage/column_store.h"
 #include "storage/external_table.h"
 #include "storage/heap_table.h"
@@ -16,7 +15,6 @@ std::unique_ptr<Table> CreateLeaf(const TableDef& def, const CommitLog* clog,
     case StorageKind::kHeap:
       return std::make_unique<HeapTable>(def, clog, pool);
     case StorageKind::kAoRow:
-      return std::make_unique<AoRowTable>(def);
     case StorageKind::kAoColumn:
       return std::make_unique<AoColumnTable>(def);
     case StorageKind::kExternal:

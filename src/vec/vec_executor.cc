@@ -168,8 +168,7 @@ Status ExecSeqScanDeltaMerged(const PlanNode& node, ExecContext& ctx,
   Status fresh;
   {
     WaitEventScope scope(WaitEvent::kDeltaFreshness, ctx.segment->index());
-    fresh = di->WaitForApplied(target,
-                               ctx.cluster->options().delta_freshness_timeout_us);
+    fresh = di->WaitForApplied(target, DeltaIndex::kFreshnessTimeoutUs);
   }
   m.counter("delta.freshness_wait_us")->Add(
       static_cast<uint64_t>(MonotonicMicros() - t0));

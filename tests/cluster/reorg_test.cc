@@ -129,10 +129,10 @@ TEST_F(ReorgTest, VacuumCompactsDeadHeavyAoGroups) {
   StartCluster(2);
   Exec("CREATE TABLE ao (k int, v int) WITH (appendonly=true, orientation=row) "
        "DISTRIBUTED BY (k)");
-  // Enough rows to seal at least one 256-row group per segment.
-  Exec("INSERT INTO ao SELECT i, 1 FROM generate_series(0, 599) i");
-  // Kill ~half: every sealed group goes well past the 10% dead-heavy bar.
-  Exec("DELETE FROM ao WHERE k < 300");
+  // Enough rows to seal at least one 1,024-row group per segment.
+  Exec("INSERT INTO ao SELECT i, 1 FROM generate_series(0, 2999) i");
+  // Kill half: every sealed group goes well past the 10% dead-heavy bar.
+  Exec("DELETE FROM ao WHERE k < 1500");
 
   auto bloat = [&]() -> std::pair<int64_t, int64_t> {
     auto r = Exec(
@@ -140,8 +140,8 @@ TEST_F(ReorgTest, VacuumCompactsDeadHeavyAoGroups) {
     return {r.rows[0][0].int_val(), r.rows[0][1].int_val()};
   };
   auto [live_before, dead_before] = bloat();
-  EXPECT_EQ(live_before, 300);
-  EXPECT_EQ(dead_before, 300);
+  EXPECT_EQ(live_before, 1500);
+  EXPECT_EQ(dead_before, 1500);
 
   Exec("VACUUM ao");
   // The first pass rewrites live rows out of dead-heavy groups (the rewrite
@@ -149,10 +149,10 @@ TEST_F(ReorgTest, VacuumCompactsDeadHeavyAoGroups) {
   Exec("VACUUM ao");
 
   auto [live_after, dead_after] = bloat();
-  EXPECT_EQ(live_after, 300);
+  EXPECT_EQ(live_after, 1500);
   EXPECT_LT(dead_after, dead_before);
-  EXPECT_EQ(Keys("ao").size(), 300u);
-  EXPECT_EQ(Sum("ao"), 300);
+  EXPECT_EQ(Keys("ao").size(), 1500u);
+  EXPECT_EQ(Sum("ao"), 1500);
 }
 
 }  // namespace

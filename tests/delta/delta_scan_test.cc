@@ -112,6 +112,19 @@ TEST_F(DeltaScanTest, ExplainLabelsStores) {
   EXPECT_NE(ResultText(*cp).find("store=ao-column"), std::string::npos)
       << ResultText(*cp);
 
+  // An AO-row table shares the AO-column table's storage but stays on the
+  // row engine.
+  ASSERT_TRUE(session_
+                  ->Execute("CREATE TABLE r (a int, b int) WITH (storage=ao_row) "
+                            "DISTRIBUTED BY (a)")
+                  .ok());
+  auto rowp = session_->Execute("EXPLAIN SELECT b FROM r WHERE a > 3");
+  ASSERT_TRUE(rowp.ok());
+  EXPECT_NE(ResultText(*rowp).find("store=ao-row"), std::string::npos)
+      << ResultText(*rowp);
+  EXPECT_EQ(ResultText(*rowp).find("vectorized"), std::string::npos)
+      << ResultText(*rowp);
+
   // Session override: the same heap scan drops back to the row engine and the
   // plan says so.
   ASSERT_TRUE(session_->Execute("SET vectorized_execution = off").ok());

@@ -1,12 +1,16 @@
 // DeltaStore / DeltaIndex unit tests: log application + MVCC visibility,
-// positional seal boundaries, tid reuse after vacuum, reclamation, and the
+// positional seal boundaries, tid reuse after vacuum, reclamation, the
 // replay-ordering fix — a seal-daemon kFreeGroup arriving before the replica
 // has sealed the group it frees (pending_free_) and across a truncate
-// (epoch-stamped frees).
+// (epoch-stamped frees) — and scans whose consumer parks between groups while
+// the feed and the seal daemon keep going.
 #include "delta/delta_store.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -282,6 +286,179 @@ TEST(DeltaStoreTest, StaleEpochFreeIgnoredAcrossTruncate) {
   ds.ApplyFreeGroup(0, /*epoch=*/1);
   EXPECT_EQ(ds.Stats().freed_groups, 1u);
   EXPECT_TRUE(ScanAll(ds, ctx).empty());
+}
+
+// Runs `mutate` on another thread while the calling scan consumer waits; true
+// when it finished within 2 s. A mutation that blocks on a latch the scan
+// holds leaves its future in `pending`, to finish once the scan lets go.
+bool LandWhileParked(const std::function<void()>& mutate,
+                     std::vector<std::future<void>>* pending) {
+  pending->push_back(std::async(std::launch::async, mutate));
+  return pending->back().wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+}
+
+// A consumer parked on its first batch (a motion send blocked on a full
+// receiver) must not stall the feed: the store's latch is not held while the
+// consumer runs.
+TEST(DeltaStoreTest, ParkedConsumerDoesNotStallTheFeed) {
+  DeltaStore ds(MakeDef());
+  CommitLog clog;
+  clog.Register(2);
+  clog.SetState(2, TxnState::kCommitted);
+  clog.Register(3);
+  for (size_t i = 0; i < 2 * DeltaStore::kGroupRows; ++i) {
+    ds.ApplyInsert(static_cast<TupleId>(i), 2, MakeRow(static_cast<int64_t>(i), "p"));
+  }
+  ASSERT_EQ(ds.SealCold(&clog).groups_sealed, 2u);
+
+  VisibilityContext ctx;
+  ctx.clog = &clog;
+  std::vector<std::future<void>> pending;
+  size_t batches = 0;
+  Status s = ds.ScanBatches(
+      ctx, {0, 1},
+      [&](ColumnBatch&&) {
+        if (batches++ > 0) return true;
+        const bool fed = LandWhileParked(
+            [&] {
+              ds.ApplyInsert(static_cast<TupleId>(2 * DeltaStore::kGroupRows), 3,
+                             MakeRow(-1, "new"));
+              ds.ApplyDelete(0, 3);
+            },
+            &pending);
+        EXPECT_TRUE(fed) << "ApplyInsert/ApplyDelete blocked behind a parked scan";
+        return fed;
+      },
+      nullptr, nullptr);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  for (auto& f : pending) f.wait();
+  EXPECT_EQ(batches, 2u);
+  EXPECT_EQ(ds.Stats().deletes, 1u);
+}
+
+// Between two groups of one scan, the seal daemon seals a group, reclaims a
+// dead one and replays a stale-epoch free; the feed drops a vacuumed row for
+// tid reuse, appends and deletes under a transaction the snapshot cannot see,
+// and an in-progress creator commits. Later, a truncate starts a new epoch.
+// The scan's rows equal a per-row TupleVisible oracle over what each group
+// held when the scan read it.
+TEST(DeltaStoreTest, MidScanSealFreeAndTruncateKeepTheSnapshotCut) {
+  constexpr size_t kG = DeltaStore::kGroupRows;
+  constexpr LocalXid kC = 10;  // committed creator
+  constexpr LocalXid kD = 11;  // committed deleter
+  constexpr LocalXid kA = 12;  // aborted
+  constexpr LocalXid kP = 13;  // in progress at the snapshot, commits mid-scan
+  constexpr LocalXid kF = 20;  // begins after the snapshot
+  CommitLog clog;
+  for (LocalXid x : {kC, kD, kA, kP}) clog.Register(x);
+  clog.SetState(kC, TxnState::kCommitted);
+  clog.SetState(kD, TxnState::kCommitted);
+  clog.SetState(kA, TxnState::kAborted);
+  clog.Register(kF);
+  LocalSnapshot snap;
+  snap.xmin = kC;
+  snap.xmax = kP + 1;
+  snap.in_progress = {kP};
+  VisibilityContext ctx;
+  ctx.clog = &clog;
+  ctx.lsnap = &snap;
+
+  struct Applied {
+    int64_t key;
+    LocalXid xmin;
+    LocalXid xmax;
+  };
+  DeltaStore ds(MakeDef());
+  ds.ApplyTruncate();  // truncate epoch 1: an epoch-0 free is stale
+  // Group 0: mixed; group 1: all deleted; group 2: some rows of kP, and row
+  // 2101 dead to every snapshot; group 3: a partial tail.
+  std::vector<Applied> applied;
+  for (size_t pos = 0; pos < 3 * kG + 100; ++pos) {
+    Applied row{static_cast<int64_t>(pos), kC, kInvalidLocalXid};
+    if (pos < kG) {
+      if (pos % 7 == 0) row.xmin = kA;
+      if (pos % 5 == 0) row.xmax = kD;
+    } else if (pos < 2 * kG) {
+      row.xmax = kD;
+    } else if (pos < 3 * kG) {
+      if (pos % 3 == 0) row.xmin = kP;
+      if (pos == 2101) row.xmax = kD;
+    }
+    ds.ApplyInsert(static_cast<TupleId>(pos), row.xmin, MakeRow(row.key, "v"));
+    if (row.xmax != kInvalidLocalXid) ds.ApplyDelete(static_cast<TupleId>(pos), row.xmax);
+    applied.push_back(row);
+  }
+  ASSERT_EQ(ds.SealCold(&clog).groups_sealed, 2u);  // group 2 waits for kP
+
+  // The new epoch: 3 * kG + 128 rows of kF, so its group 3 exists too.
+  std::vector<Applied> refill;
+  for (size_t pos = 0; pos < 3 * kG + 128; ++pos) {
+    refill.push_back(Applied{static_cast<int64_t>(1'000'000 + pos), kF, kInvalidLocalXid});
+  }
+
+  const std::vector<std::function<void()>> mutations = {
+      [&] {  // after group 0
+        clog.SetState(kP, TxnState::kCommitted);
+        EXPECT_EQ(ds.SealCold(&clog).groups_sealed, 1u);
+        AoReclaimResult freed = ds.ReclaimDeadGroups(
+            [&](LocalXid, LocalXid xmax) {
+              return xmax != kInvalidLocalXid && clog.IsCommitted(xmax);
+            },
+            nullptr);
+        EXPECT_EQ(freed.groups_freed, 1u);
+        ds.ApplyFreeGroup(2, /*epoch=*/0);  // stale: must not free group 2
+        ds.ApplyDelete(2050, kF);
+        ds.ApplyInsert(2101, kF, MakeRow(-2101, "reused"));  // drops the old row
+        for (size_t i = 0; i < 2 * kG; ++i) {
+          ds.ApplyInsert(static_cast<TupleId>(100'000 + i), kF, MakeRow(-1, "late"));
+        }
+      },
+      [&] {  // after group 2
+        ds.ApplyTruncate();
+        for (size_t pos = 0; pos < refill.size(); ++pos) {
+          ds.ApplyInsert(static_cast<TupleId>(pos), kF, MakeRow(refill[pos].key, "n"));
+        }
+      },
+  };
+
+  std::vector<int64_t> got;
+  std::vector<std::future<void>> pending;
+  size_t step = 0;
+  uint64_t sealed = 0;
+  uint64_t open = 0;
+  Status s = ds.ScanBatches(
+      ctx, {0},
+      [&](ColumnBatch&& batch) {
+        for (int32_t r : batch.sel) {
+          got.push_back(batch.columns[0].GetDatum(static_cast<size_t>(r)).int_val());
+        }
+        if (step == mutations.size()) return true;
+        const bool landed = LandWhileParked(mutations[step++], &pending);
+        EXPECT_TRUE(landed) << "mutation " << step << " blocked behind a parked scan";
+        return landed;
+      },
+      &sealed, &open);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  for (auto& f : pending) f.wait();
+  EXPECT_EQ(step, mutations.size());
+
+  // Groups 0-2 as applied before the scan, then group 3 of the new epoch.
+  std::vector<int64_t> want;
+  for (size_t pos = 0; pos < 3 * kG; ++pos) {
+    if (TupleVisible(applied[pos].xmin, applied[pos].xmax, ctx)) {
+      want.push_back(applied[pos].key);
+    }
+  }
+  for (size_t pos = 3 * kG; pos < refill.size(); ++pos) {
+    if (TupleVisible(refill[pos].xmin, refill[pos].xmax, ctx)) {
+      want.push_back(refill[pos].key);
+    }
+  }
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(got, want);
+  // Groups 0 and 2 were sealed when the scan decoded them.
+  EXPECT_EQ(sealed, want.size());
+  EXPECT_EQ(open, 0u);
 }
 
 TEST(DeltaIndexTest, FeedAppliesLogAndWaitForAppliedBlocks) {

@@ -132,6 +132,29 @@ TEST(MotionExchangeTest, BatchNetChargedByActualRows) {
   EXPECT_EQ(net.count(MsgKind::kTupleData), 5u);
 }
 
+// The bound counts rows: a batch weighs its live rows, and a send is admitted
+// while fewer rows than the bound are queued, so one batch larger than the
+// bound still moves, and the next one waits for it to drain.
+TEST(MotionExchangeTest, BufferBoundCountsBatchRows) {
+  MotionExchange ex(1, 1, 8);
+  ASSERT_TRUE(ex.SendBatch(0, MakeBatch(0, 1024)));
+  std::atomic<bool> second_sent{false};
+  std::thread sender([&] {
+    EXPECT_TRUE(ex.SendBatch(0, MakeBatch(1024, 1)));
+    second_sent = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(second_sent.load()) << "1,024 queued rows did not apply backpressure";
+  auto first = ex.RecvBatch(0);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->ActiveRows(), 1024u);
+  sender.join();
+  EXPECT_TRUE(second_sent.load());
+  auto second = ex.RecvBatch(0);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->columns[0].GetDatum(0).int_val(), 1024);
+}
+
 TEST(MotionExchangeTest, BatchWithDeletedRowsChargesLiveRowsOnly) {
   SimNet net(0);
   MotionExchange ex(1, 1, 1 << 16, &net);

@@ -1,10 +1,10 @@
-// AO-row, AO-column, external, and partitioned tables through the Table API.
+// Append-optimized (both orientations), external, and partitioned tables
+// through the Table API.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 
-#include "storage/ao_table.h"
 #include "storage/column_store.h"
 #include "storage/external_table.h"
 #include "storage/partitioned_table.h"
@@ -51,8 +51,41 @@ class StorageKindsTest : public ::testing::Test {
   Gxid next_gxid_ = 1;
 };
 
-TEST_F(StorageKindsTest, AoRowInsertAndScan) {
-  AoRowTable t(Def(StorageKind::kAoRow));
+// The append-optimized table, once per orientation.
+class AoTableTest : public StorageKindsTest,
+                    public ::testing::WithParamInterface<StorageKind> {
+ protected:
+  TableDef AoDef(CompressionKind comp = CompressionKind::kNone) { return Def(GetParam(), comp); }
+
+  int64_t Count(AoColumnTable* t) {
+    int64_t count = 0;
+    EXPECT_TRUE(t->Scan(Ctx(), [&](TupleId, const Row&) {
+                   ++count;
+                   return true;
+                 }).ok());
+    return count;
+  }
+
+  // Dead rows under the reporting predicate (aborted creator or committed
+  // deleter), summed over the groups.
+  uint64_t DeadRows(const AoColumnTable& t) {
+    uint64_t dead = 0;
+    for (const AoGroupInfo& g : t.GroupInfos([this](LocalXid xmin, LocalXid xmax) {
+           return clog_.GetState(xmin) == TxnState::kAborted ||
+                  (xmax != kInvalidLocalXid && clog_.IsCommitted(xmax));
+         })) {
+      dead += g.dead;
+    }
+    return dead;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(BothOrientations, AoTableTest,
+                         ::testing::Values(StorageKind::kAoRow, StorageKind::kAoColumn),
+                         [](const auto& info) { return StorageKindName(info.param); });
+
+TEST_P(AoTableTest, InsertAndScan) {
+  AoColumnTable t(AoDef());
   LocalXid x = BeginCommitted();
   for (int64_t i = 0; i < 100; ++i) {
     ASSERT_TRUE(t.Insert(x, Row{Datum(i), Datum(i * 10)}).ok());
@@ -68,27 +101,23 @@ TEST_F(StorageKindsTest, AoRowInsertAndScan) {
   EXPECT_FALSE(t.SupportsMvccWrite());
 }
 
-TEST_F(StorageKindsTest, AoRowAbortedInsertInvisible) {
-  AoRowTable t(Def(StorageKind::kAoRow));
+TEST_P(AoTableTest, AbortedInsertInvisible) {
+  AoColumnTable t(AoDef());
   Gxid g = next_gxid_++;
   LocalXid x = *mgr_.AssignXid(g);
   ASSERT_TRUE(t.Insert(x, Row{Datum(int64_t{1}), Datum(int64_t{2})}).ok());
   mgr_.Abort(g);
-  int count = 0;
-  t.Scan(Ctx(), [&](TupleId, const Row&) {
-    ++count;
-    return true;
-  });
-  EXPECT_EQ(count, 0);
+  EXPECT_EQ(Count(&t), 0);
 }
 
-TEST_F(StorageKindsTest, AoColumnSealsGroupsAndRoundTrips) {
-  AoColumnTable t(Def(StorageKind::kAoColumn, CompressionKind::kRle));
+TEST_P(AoTableTest, SealsGroupsAndRoundTrips) {
+  AoColumnTable t(AoDef(CompressionKind::kRle));
   LocalXid x = BeginCommitted();
   const int n = static_cast<int>(AoColumnTable::kRowGroupSize) * 2 + 100;
   for (int64_t i = 0; i < n; ++i) {
     ASSERT_TRUE(t.Insert(x, Row{Datum(i), Datum(i % 3)}).ok());
   }
+  EXPECT_EQ(t.NumSealedGroups(), 2u);
   int64_t sum = 0;
   int count = 0;
   ASSERT_TRUE(t.Scan(Ctx(), [&](TupleId, const Row& r) {
@@ -100,37 +129,42 @@ TEST_F(StorageKindsTest, AoColumnSealsGroupsAndRoundTrips) {
   EXPECT_EQ(sum, static_cast<int64_t>(n) * (n - 1) / 2);
 }
 
-TEST_F(StorageKindsTest, AoColumnProjectedScanReadsFewerBytes) {
-  AoColumnTable wide(TableDef{
-      2,
-      "wide",
-      Schema({{"a", TypeId::kInt64},
-              {"b", TypeId::kString},
-              {"c", TypeId::kInt64}}),
-      DistributionPolicy::Hash({0}),
-      StorageKind::kAoColumn,
-      CompressionKind::kNone,
-      std::nullopt,
-      "",
-      {}});
+// Orientation decides what a projected scan reads: a column-oriented table
+// reads only the touched columns, a row-oriented one every column.
+TEST_P(AoTableTest, ProjectedScanReadsWhatTheOrientationStores) {
+  TableDef def = AoDef();
+  def.schema = Schema({{"a", TypeId::kInt64}, {"b", TypeId::kString}, {"c", TypeId::kInt64}});
+  AoColumnTable wide(def);
   LocalXid x = BeginCommitted();
   for (int64_t i = 0; i < static_cast<int64_t>(AoColumnTable::kRowGroupSize) * 2; ++i) {
     ASSERT_TRUE(
         wide.Insert(x, Row{Datum(i), Datum(std::string(100, 'x')), Datum(i)}).ok());
   }
   uint64_t before = wide.BytesScanned();
-  wide.ScanColumns(Ctx(), {0}, [](TupleId, const Row&) { return true; });
+  int64_t sum = 0;
+  ASSERT_TRUE(wide.ScanColumns(Ctx(), {2}, [&](TupleId, const Row& r) {
+                    EXPECT_EQ(r.size(), 1u);
+                    sum += r[0].int_val();
+                    return true;
+                  }).ok());
+  const int64_t n = static_cast<int64_t>(AoColumnTable::kRowGroupSize) * 2;
+  EXPECT_EQ(sum, n * (n - 1) / 2);
   uint64_t narrow_cost = wide.BytesScanned() - before;
   before = wide.BytesScanned();
-  wide.Scan(Ctx(), [](TupleId, const Row&) { return true; });
+  ASSERT_TRUE(wide.Scan(Ctx(), [](TupleId, const Row&) { return true; }).ok());
   uint64_t full_cost = wide.BytesScanned() - before;
-  // The string column dominates: projecting it away must save >5x.
-  EXPECT_LT(narrow_cost * 5, full_cost);
+  if (GetParam() == StorageKind::kAoColumn) {
+    // The string column dominates: projecting it away must save >5x.
+    EXPECT_LT(narrow_cost * 5, full_cost);
+  } else {
+    EXPECT_EQ(narrow_cost, full_cost);
+  }
 }
 
-TEST_F(StorageKindsTest, AoColumnCompressionReducesFootprint) {
-  AoColumnTable rle(Def(StorageKind::kAoColumn, CompressionKind::kRle));
-  AoColumnTable raw(Def(StorageKind::kAoColumn, CompressionKind::kNone));
+// compresstype applies to both orientations.
+TEST_P(AoTableTest, CompressionReducesFootprint) {
+  AoColumnTable rle(AoDef(CompressionKind::kRle));
+  AoColumnTable raw(AoDef(CompressionKind::kNone));
   LocalXid x = BeginCommitted();
   for (int64_t i = 0; i < static_cast<int64_t>(AoColumnTable::kRowGroupSize) * 4; ++i) {
     Row r{Datum(int64_t{7}), Datum(int64_t{7})};  // constant: RLE's best case
@@ -138,6 +172,53 @@ TEST_F(StorageKindsTest, AoColumnCompressionReducesFootprint) {
     ASSERT_TRUE(raw.Insert(x, r).ok());
   }
   EXPECT_LT(rle.ColumnCompressedBytes(0) * 4, raw.ColumnCompressedBytes(0));
+}
+
+TEST_P(AoTableTest, VisimapDeleteHidesRows) {
+  AoColumnTable t(AoDef());
+  LocalXid x = BeginCommitted();
+  for (int64_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(t.Insert(x, Row{Datum(i), Datum(i)}).ok());
+  }
+  LocalXid deleter = BeginCommitted();
+  ASSERT_TRUE(t.MarkDeleted(3, deleter).ok());
+  ASSERT_TRUE(t.MarkDeleted(7, deleter).ok());
+  EXPECT_FALSE(t.MarkDeleted(99, deleter).ok());  // out of range
+  int count = 0;
+  t.Scan(Ctx(), [&](TupleId tid, const Row&) {
+    EXPECT_NE(tid, 3u);
+    EXPECT_NE(tid, 7u);
+    ++count;
+    return true;
+  });
+  EXPECT_EQ(count, 8);
+  EXPECT_EQ(DeadRows(t), 2u);
+}
+
+TEST_P(AoTableTest, VisimapDeleteByAbortedTxnStaysVisible) {
+  AoColumnTable t(AoDef());
+  LocalXid x = BeginCommitted();
+  ASSERT_TRUE(t.Insert(x, Row{Datum(int64_t{1}), Datum(int64_t{1})}).ok());
+  // Deleter aborts: the visimap entry must not hide the row.
+  Gxid g = next_gxid_++;
+  LocalXid aborted = *mgr_.AssignXid(g);
+  ASSERT_TRUE(t.MarkDeleted(0, aborted).ok());
+  mgr_.Abort(g);
+  EXPECT_EQ(Count(&t), 1);
+}
+
+TEST_P(AoTableTest, VisimapAcrossSealedGroups) {
+  AoColumnTable t(AoDef(CompressionKind::kRle));
+  LocalXid x = BeginCommitted();
+  const int64_t n = static_cast<int64_t>(AoColumnTable::kRowGroupSize) + 100;
+  for (int64_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(t.Insert(x, Row{Datum(i), Datum(i)}).ok());
+  }
+  LocalXid deleter = BeginCommitted();
+  // One tid in a sealed group, one in the open tail.
+  ASSERT_TRUE(t.MarkDeleted(5, deleter).ok());
+  ASSERT_TRUE(t.MarkDeleted(static_cast<TupleId>(n - 1), deleter).ok());
+  EXPECT_EQ(Count(&t), n - 2);
 }
 
 TEST_F(StorageKindsTest, ExternalTableRoundTrip) {
@@ -214,63 +295,6 @@ TEST_F(StorageKindsTest, PartitionedPolymorphicStorageRoutesAndScans) {
 
   // Out-of-range value is rejected.
   EXPECT_FALSE(table->Insert(x, Row{Datum::Null(), Datum(int64_t{0})}).ok());
-}
-
-TEST_F(StorageKindsTest, AoVisimapDeleteHidesRows) {
-  AoRowTable t(Def(StorageKind::kAoRow));
-  LocalXid x = BeginCommitted();
-  for (int64_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(t.Insert(x, Row{Datum(i), Datum(i)}).ok());
-  }
-  LocalXid deleter = BeginCommitted();
-  ASSERT_TRUE(t.MarkDeleted(3, deleter).ok());
-  ASSERT_TRUE(t.MarkDeleted(7, deleter).ok());
-  EXPECT_FALSE(t.MarkDeleted(99, deleter).ok());  // out of range
-  int count = 0;
-  t.Scan(Ctx(), [&](TupleId tid, const Row&) {
-    EXPECT_NE(tid, 3u);
-    EXPECT_NE(tid, 7u);
-    ++count;
-    return true;
-  });
-  EXPECT_EQ(count, 8);
-  EXPECT_EQ(t.VisimapSize(), 2u);
-}
-
-TEST_F(StorageKindsTest, AoVisimapDeleteByAbortedTxnStaysVisible) {
-  AoRowTable t(Def(StorageKind::kAoRow));
-  LocalXid x = BeginCommitted();
-  ASSERT_TRUE(t.Insert(x, Row{Datum(int64_t{1}), Datum(int64_t{1})}).ok());
-  // Deleter aborts: the visimap entry must not hide the row.
-  Gxid g = next_gxid_++;
-  LocalXid aborted = *mgr_.AssignXid(g);
-  ASSERT_TRUE(t.MarkDeleted(0, aborted).ok());
-  mgr_.Abort(g);
-  int count = 0;
-  t.Scan(Ctx(), [&](TupleId, const Row&) {
-    ++count;
-    return true;
-  });
-  EXPECT_EQ(count, 1);
-}
-
-TEST_F(StorageKindsTest, AoColumnVisimapAcrossSealedGroups) {
-  AoColumnTable t(Def(StorageKind::kAoColumn, CompressionKind::kRle));
-  LocalXid x = BeginCommitted();
-  const int64_t n = static_cast<int64_t>(AoColumnTable::kRowGroupSize) + 100;
-  for (int64_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(t.Insert(x, Row{Datum(i), Datum(i)}).ok());
-  }
-  LocalXid deleter = BeginCommitted();
-  // One tid in a sealed group, one in the open tail.
-  ASSERT_TRUE(t.MarkDeleted(5, deleter).ok());
-  ASSERT_TRUE(t.MarkDeleted(static_cast<TupleId>(n - 1), deleter).ok());
-  int64_t count = 0;
-  t.Scan(Ctx(), [&](TupleId, const Row&) {
-    ++count;
-    return true;
-  });
-  EXPECT_EQ(count, n - 2);
 }
 
 TEST_F(StorageKindsTest, EveryKindRejectsAnIntForADoubleColumn) {
