@@ -1,8 +1,10 @@
 // Vectorized kernel microbenchmarks: the batch engine's filter / aggregate /
 // end-to-end scan-query paths against their tuple-at-a-time equivalents on
-// identical data, and the column codecs' decode into typed vectors. These
+// identical data, the column codecs' decode into typed vectors, and a point
+// query that skips the column groups its filter rules out. These
 // measure real executor CPU (no simulated per-row charge), the quantity the
 // Fig16 VecAblation series scales up.
+#include <algorithm>
 #include <bit>
 
 #include "bench_common.h"
@@ -261,6 +263,63 @@ void BM_Decode(::benchmark::State& state) {
                {"wrong", static_cast<double>(wrong)}});
 }
 
+// Group skipping: `k = c` over a key-ordered AO-column table of 32 sealed
+// groups on one segment, c stepping through the keys (a prepared statement,
+// as an OLTP point lookup runs). `groups_skipped` is per query, 31 when only
+// the group holding c is read; `wrong` counts queries whose count was not 1,
+// and must be 0.
+void BM_SkipScan(::benchmark::State& state) {
+  const int64_t groups = state.range(0);
+  const int64_t rows = groups * static_cast<int64_t>(ColumnBatch::kDefaultCapacity);
+  ClusterOptions options;
+  options.num_segments = 1;
+  Cluster cluster(options);
+  auto session = cluster.Connect();
+  for (const char* sql : {"CREATE TABLE sk (k int, v int) WITH (storage=ao_column) "
+                          "DISTRIBUTED BY (k)",
+                          "PREPARE sk_point AS SELECT count(*) FROM sk WHERE k = $1"}) {
+    if (auto r = session->Execute(sql); !r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+  }
+  std::vector<Row> data;
+  for (int64_t i = 0; i < rows; ++i) data.push_back(Row{Datum(i), Datum(i % 100)});
+  if (!session->ExecuteInsert(*cluster.LookupTable("sk"), data).ok()) {
+    state.SkipWithError("load failed");
+    return;
+  }
+  const uint64_t skipped_before = cluster.StatsSnapshot().counter("storage.groups_skipped");
+  Histogram lat_ns;
+  int64_t active_ns = 0;
+  int64_t queries = 0;
+  int64_t wrong = 0;
+  for (auto _ : state) {
+    const std::string sql = "EXECUTE sk_point(" + std::to_string(queries * 7919 % rows) + ")";
+    Stopwatch sw;
+    auto q = session->Execute(sql);
+    const int64_t ns = sw.ElapsedNanos();
+    lat_ns.Record(ns);
+    active_ns += ns;
+    ++queries;
+    wrong += !q.ok() || q->rows.size() != 1 || q->rows[0][0].int_val() != 1;
+  }
+  const double n = static_cast<double>(std::max<int64_t>(queries, 1));
+  const double skipped = static_cast<double>(
+      cluster.StatsSnapshot().counter("storage.groups_skipped") - skipped_before);
+  auto us = [&](double p) { return static_cast<double>(lat_ns.Percentile(p)) / 1000.0; };
+  state.counters["groups_skipped"] = skipped / n;
+  RecordPoint("VecKernels/SkipScan", groups,
+              {{"throughput_tps", active_ns > 0 ? n * 1e9 / static_cast<double>(active_ns) : 0},
+               {"p50_us", us(50)},
+               {"p95_us", us(95)},
+               {"p99_us", us(99)},
+               {"ns_per_query", static_cast<double>(active_ns) / n},
+               {"iterations", static_cast<double>(queries)},
+               {"groups_skipped", skipped / n},
+               {"wrong", static_cast<double>(wrong)}});
+}
+
 void RegisterAll() {
   for (auto* fn : {BM_FilterVec, BM_FilterRow, BM_AggVec, BM_AggRow,
                    BM_PartitionVec, BM_PartitionRow}) {
@@ -288,6 +347,9 @@ void RegisterAll() {
     decode->Arg(static_cast<int64_t>(kind));
   }
   decode->Unit(::benchmark::kMicrosecond);
+  ::benchmark::RegisterBenchmark("VecKernels/SkipScan", BM_SkipScan)
+      ->Arg(32)
+      ->Unit(::benchmark::kMicrosecond);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, then the concurrency-heavy
 # subset (xid tables and visibility, locks, GDD, commit protocol, mirrors,
-# crash recovery, the change-log tailer, metrics) again under
-# ThreadSanitizer, the expression, SQL and column-codec subset under
-# UndefinedBehaviorSanitizer, the executor, DML, change-log reader,
+# crash recovery, the change-log tailer, metrics, group skipping) again under
+# ThreadSanitizer, the expression, SQL, column-codec and group-skip subset
+# under UndefinedBehaviorSanitizer, the executor, DML, change-log reader,
 # column-codec and group-store scan subset under AddressSanitizer, then
 # smoke-mode benchmarks whose BENCH_*.json output is validated for the
 # required keys.
@@ -17,20 +17,21 @@ cmake --build build -j "$(nproc)"
 cmake -B build-tsan -S . -DGPHTAP_SANITIZE=thread
 cmake --build build-tsan -j "$(nproc)"
 (cd build-tsan && ctest --output-on-failure -j "$(nproc)" -R \
-  'gang_runner_test|periodic_task_test|log_tailer_test|txn_manager_test|visibility_test|snapshot_stress_test|executor_test|lock_manager_test|lock_modes_test|gdd_daemon_test|gdd_algorithm_test|gdd_cases_test|commit_protocol_test|mirror_test|fault_injector_test|crash_recovery_test|failover_test|metrics_test|observability_test|motion_exchange_test|column_batch_test|vec_executor_test|vec_differential_test|ao_visibility_test|ao_compaction_test|reorg_test|expand_test|wait_event_test|system_views_test|timeout_test|chaos_test|plan_cache_test|prepare_execute_test|delta_store_test|delta_scan_test|delta_differential_test|stats_test|stats_views_test|frontend_test')
+  'gang_runner_test|periodic_task_test|log_tailer_test|txn_manager_test|visibility_test|snapshot_stress_test|executor_test|lock_manager_test|lock_modes_test|gdd_daemon_test|gdd_algorithm_test|gdd_cases_test|commit_protocol_test|mirror_test|fault_injector_test|crash_recovery_test|failover_test|metrics_test|observability_test|motion_exchange_test|column_batch_test|vec_executor_test|vec_differential_test|ao_visibility_test|ao_compaction_test|reorg_test|expand_test|wait_event_test|system_views_test|timeout_test|chaos_test|plan_cache_test|prepare_execute_test|delta_store_test|delta_scan_test|delta_differential_test|group_skip_test|stats_test|stats_views_test|frontend_test')
 
 # Integer arithmetic, literals and both expression engines under UBSan, and
 # the prepared-statement and plan-cache tests, since every EXECUTE evaluates
 # its parameters through cloned plans, and the column codecs, whose decoder
-# walks raw block bytes with shifts and memcpy: signed overflow or any other
+# walks raw block bytes with shifts and memcpy, and the group-skip test, whose
+# ranges compare the int64 extremes with doubles: signed overflow or any other
 # undefined behaviour stops the run at its first report.
 cmake -B build-ubsan -S . -DGPHTAP_SANITIZE=undefined
 cmake --build build-ubsan -j "$(nproc)" --target expr_test parser_test vec_executor_test \
   vec_differential_test sql_end_to_end_test prepare_execute_test plan_cache_test \
-  compression_test column_group_store_test
+  compression_test column_group_store_test group_skip_test
 (cd build-ubsan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ctest --output-on-failure -j "$(nproc)" -R \
-  'expr_test|parser_test|vec_executor_test|vec_differential_test|sql_end_to_end_test|prepare_execute_test|plan_cache_test|compression_test|column_group_store_test')
+  'expr_test|parser_test|vec_executor_test|vec_differential_test|sql_end_to_end_test|prepare_execute_test|plan_cache_test|compression_test|column_group_store_test|group_skip_test')
 
 # The executor, the planner and the UPDATE/DELETE paths under
 # AddressSanitizer, LeakSanitizer included: the ModifyTable node holds tuple
@@ -41,15 +42,16 @@ cmake --build build-ubsan -j "$(nproc)" --target expr_test parser_test vec_execu
 # scans of both AO orientations and of the delta store: each group decodes
 # under its own latch hold while seals, frees and truncates change the store
 # between groups, so a batch must never point into freed blocks or a
-# reallocated open run. The first report stops the run.
+# reallocated open run, and a skipped group's range must be read from the
+# group the hold covers. The first report stops the run.
 cmake -B build-asan -S . -DGPHTAP_SANITIZE=address
 cmake --build build-asan -j "$(nproc)" --target executor_test planner_test \
   sql_end_to_end_test prepare_execute_test gdd_cases_test commit_protocol_test \
   mirror_test crash_recovery_test failover_test delta_store_test \
   compression_test column_group_store_test storage_kinds_test ao_compaction_test \
-  ao_visibility_test delta_scan_test
+  ao_visibility_test delta_scan_test group_skip_test
 (cd build-asan && ASAN_OPTIONS=halt_on_error=1 ctest --output-on-failure -j "$(nproc)" -R \
-  '^(executor_test|planner_test|sql_end_to_end_test|prepare_execute_test|gdd_cases_test|commit_protocol_test|mirror_test|crash_recovery_test|failover_test|delta_store_test|compression_test|column_group_store_test|storage_kinds_test|ao_compaction_test|ao_visibility_test|delta_scan_test)$')
+  '^(executor_test|planner_test|sql_end_to_end_test|prepare_execute_test|gdd_cases_test|commit_protocol_test|mirror_test|crash_recovery_test|failover_test|delta_store_test|compression_test|column_group_store_test|storage_kinds_test|ao_compaction_test|ao_visibility_test|delta_scan_test|group_skip_test)$')
 
 # Advisory bench diffing: the previous run's BENCH_*.json is kept as .prev and
 # a per-series tps/p99 delta table is printed after each fresh run. Informative
@@ -190,6 +192,14 @@ for arg, name in codecs.items():
     point = decode[arg]
     assert point["wrong"] == 0, f"{name} decoded {point['wrong']:.0f} wrong values"
     print(f"  Decode/{name}: {point['ns_per_value']:.2f} ns/value")
+# The skip-scan point: a point query over 32 key-ordered groups reads one of
+# them and answers right every time.
+skip = by_key.get(("VecKernels/SkipScan", 32))
+assert skip is not None, "missing VecKernels/SkipScan point"
+assert skip["wrong"] == 0, f"SkipScan: {skip['wrong']:.0f} wrong answers"
+assert skip["groups_skipped"] >= 30, f"SkipScan skipped {skip['groups_skipped']:.1f} groups"
+print(f"  SkipScan: {skip['ns_per_query'] / 1000:.1f} us/query, "
+      f"{skip['groups_skipped']:.1f} of 32 groups skipped")
 print(f"BENCH vec json OK: {len(doc['points'])} points, vectorized wins everywhere")
 EOF
 

@@ -125,13 +125,15 @@ const char* CompressionKindName(CompressionKind k) {
   return "?";
 }
 
+bool RangePartitionSpec::Holds(const Datum& v) const {
+  return (lower.is_null() || v.Compare(lower) >= 0) &&
+         (upper.is_null() || v.Compare(upper) < 0);
+}
+
 int PartitionSpec::RouteValue(const Datum& v) const {
   if (v.is_null()) return -1;  // NULL belongs to no range partition
   for (size_t i = 0; i < ranges.size(); ++i) {
-    const auto& r = ranges[i];
-    if (!r.lower.is_null() && v.Compare(r.lower) < 0) continue;
-    if (!r.upper.is_null() && v.Compare(r.upper) >= 0) continue;
-    return static_cast<int>(i);
+    if (ranges[i].Holds(v)) return static_cast<int>(i);
   }
   return -1;
 }

@@ -88,6 +88,9 @@ struct RangePartitionSpec {
   Datum upper;  // exclusive; null = unbounded
   StorageKind storage = StorageKind::kHeap;
   std::string external_path;  // when storage == kExternal
+
+  /// Whether `v` (not NULL) lies in [lower, upper) per Datum::Compare.
+  bool Holds(const Datum& v) const;
 };
 
 /// Partitioning declaration for a root table (range partitioning on one column).

@@ -796,6 +796,14 @@ std::string ActualsText(const PlanNode& node, const OperatorActuals& os) {
     for (const auto& [store, n] : os.store_rows) line += " " + store + "=" + std::to_string(n);
     line += ")";
   }
+  if (os.groups_skipped > 0 || os.leaves_skipped > 0) {
+    // Sealed column groups and partition leaves the filter's bounds ruled
+    // out, never read.
+    line += "  (skipped:";
+    if (os.groups_skipped > 0) line += " groups=" + std::to_string(os.groups_skipped);
+    if (os.leaves_skipped > 0) line += " leaves=" + std::to_string(os.leaves_skipped);
+    line += ")";
+  }
   if (node.kind == PlanKind::kMotion) {
     // Time spent blocked on the exchange, reported separately from the
     // inclusive operator time: send = producers on a full queue, recv =

@@ -97,20 +97,21 @@ AoReclaimResult DeltaStore::ReclaimDeadGroups(const AoRowDeadFn& dead, ChangeLog
 
 Status DeltaStore::ScanBatches(const VisibilityContext& ctx, const std::vector<int>& cols,
                                const BatchScanCallback& fn, uint64_t* sealed_rows_scanned,
-                               uint64_t* open_rows_scanned) const {
+                               uint64_t* open_rows_scanned, const ScanBounds& bounds,
+                               uint64_t* groups_skipped) const {
   std::vector<int> all;
   if (cols.empty()) {
     all.resize(def_.schema.num_columns());
     std::iota(all.begin(), all.end(), 0);
   }
-  return store_.Scan(latch_, cols.empty() ? all : cols, ctx,
-                     [&](size_t, const ColumnGroupStore::GroupRead& read,
-                         ColumnBatch&& batch) {
-                       uint64_t* scanned =
-                           read.sealed ? sealed_rows_scanned : open_rows_scanned;
-                       if (scanned != nullptr) *scanned += batch.sel.size();
-                       return fn(std::move(batch));
-                     });
+  return store_.Scan(
+      latch_, cols.empty() ? all : cols, bounds, ctx,
+      [&](size_t, const ColumnGroupStore::GroupRead& read, ColumnBatch&& batch) {
+        uint64_t* scanned = read.sealed ? sealed_rows_scanned : open_rows_scanned;
+        if (scanned != nullptr) *scanned += batch.sel.size();
+        return fn(std::move(batch));
+      },
+      groups_skipped);
 }
 
 DeltaStoreStats DeltaStore::Stats() const {

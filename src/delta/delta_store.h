@@ -85,12 +85,15 @@ class DeltaStore {
   // ---- scans ----------------------------------------------------------------
   /// Vectorized scan of the whole store under `ctx`: every group, sealed or
   /// open, arrives as one batch of its touched columns whose selection vector
-  /// holds the visible rows. `fn` runs with no latch held.
-  /// `sealed_rows_scanned` / `open_rows_scanned` (may be null) accumulate the
-  /// visible row counts served from each part — the EXPLAIN per-store counts.
+  /// holds the visible rows, except the sealed groups `bounds` rule out,
+  /// which are counted in `*groups_skipped` (may be null). `fn` runs with no
+  /// latch held. `sealed_rows_scanned` / `open_rows_scanned` (may be null)
+  /// accumulate the visible row counts served from each part — the EXPLAIN
+  /// per-store counts.
   Status ScanBatches(const VisibilityContext& ctx, const std::vector<int>& cols,
                      const BatchScanCallback& fn, uint64_t* sealed_rows_scanned,
-                     uint64_t* open_rows_scanned) const;
+                     uint64_t* open_rows_scanned, const ScanBounds& bounds = {},
+                     uint64_t* groups_skipped = nullptr) const;
 
   DeltaStoreStats Stats() const;
   const TableDef& def() const { return def_; }

@@ -35,6 +35,29 @@ Status AcquireScanLock(ExecContext& ctx, TableId table) {
   return locks.Acquire(ctx.owner, LockTag::Relation(table), LockMode::kAccessShare);
 }
 
+ScanBounds ScanBoundsOf(const PlanNode& node) {
+  if (node.filter == nullptr) return {};
+  ScanBounds bounds = ExtractScanBounds(*node.filter);
+  if (!node.scan_cols.empty()) {
+    for (ScanBound& b : bounds) b.column = node.scan_cols[static_cast<size_t>(b.column)];
+  }
+  return bounds;
+}
+
+void CountScanSkips(const PlanNode& node, ExecContext& ctx, uint64_t groups,
+                    uint64_t leaves) {
+  if (groups == 0 && leaves == 0) return;
+  if (ctx.cluster != nullptr) {
+    MetricsRegistry& m = ctx.cluster->metrics();
+    if (groups > 0) m.counter("storage.groups_skipped")->Add(groups);
+    if (leaves > 0) m.counter("storage.leaves_skipped")->Add(leaves);
+  }
+  if (StatementRecord* actuals = ctx.actuals()) {
+    actuals->AddScanSkips(node.node_id, static_cast<int64_t>(groups),
+                          static_cast<int64_t>(leaves));
+  }
+}
+
 namespace {
 
 // ---------- helpers ----------
@@ -60,11 +83,15 @@ int64_t RowFootprint(const Row& row) {
 // (Aggregation accumulators live in exec/agg_ops.h, shared with src/vec/.)
 
 // A partitioned root scans leaf by leaf, so EXPLAIN ANALYZE credits each
-// leaf's visible rows to its own store.
+// leaf's visible rows to its own store, and passes over the leaves whose
+// range the filter's bounds rule out.
 Status ExecScanCommon(const PlanNode& node, ExecContext& ctx, Table* table,
                       const RowSink& sink) {
   Status inner = Status::OK();
   VisibilityContext vis = ctx.Vis();
+  const ScanBounds bounds = ScanBoundsOf(node);
+  uint64_t groups_skipped = 0;
+  uint64_t leaves_skipped = 0;
   int64_t visible_rows = 0;
   int64_t leaf = 0;
   auto cb = [&](TupleId tid, const Row& row) {
@@ -98,8 +125,7 @@ Status ExecScanCommon(const PlanNode& node, ExecContext& ctx, Table* table,
   // beside each.
   auto scan_one = [&](Table* t) {
     visible_rows = 0;
-    Status s =
-        node.scan_cols.empty() ? t->Scan(vis, cb) : t->ScanColumns(vis, node.scan_cols, cb);
+    Status s = t->ScanBounded(vis, node.scan_cols, bounds, cb, &groups_skipped);
     if (StatementRecord* actuals = ctx.actuals(); actuals != nullptr && visible_rows > 0) {
       actuals->AddStoreRows(node.node_id, ScanStoreLabel(t->def().storage), visible_rows);
     }
@@ -109,11 +135,16 @@ Status ExecScanCommon(const PlanNode& node, ExecContext& ctx, Table* table,
   if (auto* part = dynamic_cast<PartitionedTable*>(table); part != nullptr) {
     for (; leaf < static_cast<int64_t>(part->num_leaves()) && scan.ok() && inner.ok();
          ++leaf) {
+      if (part->LeafRuledOut(static_cast<size_t>(leaf), bounds)) {
+        ++leaves_skipped;
+        continue;
+      }
       scan = scan_one(part->leaf(static_cast<size_t>(leaf)));
     }
   } else {
     scan = scan_one(table);
   }
+  CountScanSkips(node, ctx, groups_skipped, leaves_skipped);
   if (!inner.ok()) return inner;
   return scan;
 }

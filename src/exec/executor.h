@@ -29,6 +29,17 @@ Status TableForNode(ExecContext& ctx, TableId id, Table** out);
 /// transaction end per two-phase locking. Shared with src/vec/.
 Status AcquireScanLock(ExecContext& ctx, TableId table);
 
+/// The bounds of a scan node's filter (ExtractScanBounds), in table columns:
+/// a filter column indexes the scan's output, which is `scan_cols` when the
+/// scan projects. Shared with src/vec/.
+ScanBounds ScanBoundsOf(const PlanNode& node);
+
+/// Charges what a scan's bounds skipped — sealed column groups and partition
+/// leaves — to gp_metrics (storage.groups_skipped, storage.leaves_skipped)
+/// and to the node's EXPLAIN ANALYZE actuals. Shared with src/vec/.
+void CountScanSkips(const PlanNode& node, ExecContext& ctx, uint64_t groups,
+                    uint64_t leaves);
+
 /// The ModifyTable node (exec/modify_table.cc), run on a segment: collects
 /// every target version its scan child emits, then stamps each through its
 /// storage kind, and pushes one row holding the affected count.

@@ -16,20 +16,32 @@ namespace {
 // One version the scan matched, with its contents as scanned.
 struct Target {
   Table* table;  // the leaf, for a partitioned root
+  const RangePartitionSpec* range;  // the leaf's range; null when unpartitioned
   TupleId tid;
   Row row;
 };
 
-// The UPDATE's new row over `old`, in its columns' declared types.
-StatusOr<Row> NewRow(const PlanNode& node, const Schema& schema, const Row& old) {
+// The UPDATE's new row over `old`, in its columns' declared types. A row stays
+// in its partition leaf, so the new row must lie in the leaf's range: moving
+// it to another leaf is not supported (nor in Greenplum 6), and a row outside
+// its leaf's range would escape the partition pruning of scans.
+StatusOr<Row> NewRow(const PlanNode& node, const Table& root, const Target& t,
+                     const Row& old) {
   Row row = old;
   for (size_t c = 0; c < node.exprs.size(); ++c) {
     if (node.exprs[c] != nullptr) {
       GPHTAP_ASSIGN_OR_RETURN(row[c], EvalExpr(*node.exprs[c], old));
     }
   }
-  schema.CoerceRow(&row);
-  GPHTAP_RETURN_IF_ERROR(schema.CheckRow(row));
+  root.schema().CoerceRow(&row);
+  GPHTAP_RETURN_IF_ERROR(root.schema().CheckRow(row));
+  if (t.range != nullptr) {
+    const Datum& key = row[static_cast<size_t>(root.def().partitions->partition_col)];
+    if (key.is_null() || !t.range->Holds(key)) {
+      return Status::NotSupported("UPDATE would move a row of " + root.def().name +
+                                  " out of partition " + t.range->name);
+    }
+  }
   return row;
 }
 
@@ -72,8 +84,8 @@ Status WaitForDistributedCommitOf(ExecContext& ctx, LocalXid xid) {
 
 // Stamps `t` on a heap, waiting out concurrent writers as PostgreSQL does.
 // Returns whether this statement modified the row.
-StatusOr<bool> StampHeap(const PlanNode& node, ExecContext& ctx, HeapTable* heap,
-                         LocalXid xid, Target& t) {
+StatusOr<bool> StampHeap(const PlanNode& node, ExecContext& ctx, const Table& root,
+                         HeapTable* heap, LocalXid xid, Target& t) {
   LockManager& locks = ctx.segment->locks();
   TupleId cur = t.tid;
   Row& row = t.row;  // the contents of `cur`: a version never changes
@@ -125,7 +137,7 @@ StatusOr<bool> StampHeap(const PlanNode& node, ExecContext& ctx, HeapTable* heap
     }
     // kOk: we own the delete of `cur`.
     if (!node.exprs.empty()) {
-      GPHTAP_ASSIGN_OR_RETURN(Row new_row, NewRow(node, heap->schema(), row));
+      GPHTAP_ASSIGN_OR_RETURN(Row new_row, NewRow(node, root, t, row));
       GPHTAP_ASSIGN_OR_RETURN(TupleId new_tid, heap->Insert(xid, new_row));
       heap->LinkNewVersion(cur, new_tid);
     }
@@ -136,12 +148,12 @@ StatusOr<bool> StampHeap(const PlanNode& node, ExecContext& ctx, HeapTable* heap
 // Stamps `t` on an append-optimized table: a visibility-map delete, plus the
 // new row for an UPDATE. The relation's ExclusiveLock excludes other writers;
 // an external table refuses.
-StatusOr<bool> StampAppendOptimized(const PlanNode& node, Table* table, LocalXid xid,
+StatusOr<bool> StampAppendOptimized(const PlanNode& node, const Table& root, LocalXid xid,
                                     const Target& t) {
-  GPHTAP_RETURN_IF_ERROR(table->MarkDeleted(t.tid, xid));
+  GPHTAP_RETURN_IF_ERROR(t.table->MarkDeleted(t.tid, xid));
   if (!node.exprs.empty()) {
-    GPHTAP_ASSIGN_OR_RETURN(Row new_row, NewRow(node, table->schema(), t.row));
-    GPHTAP_RETURN_IF_ERROR(table->Insert(xid, new_row).status());
+    GPHTAP_ASSIGN_OR_RETURN(Row new_row, NewRow(node, root, t, t.row));
+    GPHTAP_RETURN_IF_ERROR(t.table->Insert(xid, new_row).status());
   }
   return true;
 }
@@ -168,11 +180,15 @@ Status ExecModifyTable(const PlanNode& node, ExecContext& ctx, const RowSink& si
   std::vector<Target> targets;
   GPHTAP_RETURN_IF_ERROR(ExecuteNode(*node.children[0], ctx, [&](Row&& row) -> Status {
     // Strip the junk columns: the TupleId, then the partition leaf.
-    Table* leaf = part != nullptr ? part->leaf(static_cast<size_t>(row[ncols + 1].int_val()))
-                                  : table;
+    const auto leaf = static_cast<size_t>(row[ncols + 1].int_val());
     const TupleId tid = static_cast<TupleId>(row[ncols].int_val());
     row.resize(ncols);
-    targets.push_back(Target{leaf, tid, std::move(row)});
+    if (part == nullptr) {
+      targets.push_back(Target{table, nullptr, tid, std::move(row)});
+    } else {
+      targets.push_back(Target{part->leaf(leaf), &table->def().partitions->ranges[leaf], tid,
+                               std::move(row)});
+    }
     return Status::OK();
   }));
 
@@ -183,9 +199,9 @@ Status ExecModifyTable(const PlanNode& node, ExecContext& ctx, const RowSink& si
   int64_t affected = 0;
   for (Target& t : targets) {
     auto* heap = dynamic_cast<HeapTable*>(t.table);
-    GPHTAP_ASSIGN_OR_RETURN(bool modified, heap != nullptr
-                                               ? StampHeap(node, ctx, heap, *xid, t)
-                                               : StampAppendOptimized(node, t.table, *xid, t));
+    GPHTAP_ASSIGN_OR_RETURN(bool modified,
+                            heap != nullptr ? StampHeap(node, ctx, *table, heap, *xid, t)
+                                            : StampAppendOptimized(node, *table, *xid, t));
     affected += modified ? 1 : 0;
   }
   return sink(Row{Datum(counts ? affected : int64_t{0})});

@@ -315,6 +315,53 @@ ExprPtr ExtractEqualityKey(const Expr& e, int col) {
   return nullptr;
 }
 
+namespace {
+
+void CollectScanBounds(const Expr& e, ScanBounds* out) {
+  if (e.kind != ExprKind::kBinary) return;
+  if (e.op == BinOp::kAnd) {
+    CollectScanBounds(*e.left, out);
+    CollectScanBounds(*e.right, out);
+    return;
+  }
+  const bool column_left = e.left->kind == ExprKind::kColumn;
+  const Expr& column = column_left ? *e.left : *e.right;
+  const Expr& constant = column_left ? *e.right : *e.left;
+  if (column.kind != ExprKind::kColumn || constant.kind != ExprKind::kConst) return;
+  const Datum& v = constant.value;
+  // NaN equals every double under Datum::Compare: it bounds nothing.
+  if (!v.is_int() && !(v.is_double() && !std::isnan(v.double_val()))) return;
+  BoundOp op;
+  switch (e.op) {
+    case BinOp::kEq:
+      op = BoundOp::kEq;
+      break;
+    case BinOp::kLt:
+      op = column_left ? BoundOp::kLt : BoundOp::kGt;
+      break;
+    case BinOp::kLe:
+      op = column_left ? BoundOp::kLe : BoundOp::kGe;
+      break;
+    case BinOp::kGt:
+      op = column_left ? BoundOp::kGt : BoundOp::kLt;
+      break;
+    case BinOp::kGe:
+      op = column_left ? BoundOp::kGe : BoundOp::kLe;
+      break;
+    default:
+      return;
+  }
+  out->push_back(ScanBound{column.column, op, v});
+}
+
+}  // namespace
+
+ScanBounds ExtractScanBounds(const Expr& filter) {
+  ScanBounds bounds;
+  CollectScanBounds(filter, &bounds);
+  return bounds;
+}
+
 bool ExprReadsColumns(const Expr& e) {
   switch (e.kind) {
     case ExprKind::kConst:

@@ -7,6 +7,7 @@
 
 #include "catalog/datum.h"
 #include "common/status.h"
+#include "storage/scan_bounds.h"
 
 namespace gphtap {
 
@@ -83,6 +84,12 @@ int DatumTruth(const Datum& d);
 /// null — the key enabler of direct dispatch and index point lookups. A
 /// parameter's value arrives when EXECUTE substitutes it.
 ExprPtr ExtractEqualityKey(const Expr& e, int col);
+
+/// The top-level AND conjuncts of `filter` of the form `column op constant`
+/// (=, <, <=, >, >=; the constant on either side, a non-NULL int or a double
+/// that is not NaN), with the column moved to the left. Columns index the
+/// filter's input row. Parameters count once EXECUTE has substituted them.
+ScanBounds ExtractScanBounds(const Expr& filter);
 
 /// True if the expression reads any column (false = evaluable at plan time).
 bool ExprReadsColumns(const Expr& e);

@@ -42,6 +42,13 @@ void StatementRecord::AddStoreRows(int node_id, const std::string& store, int64_
   operators_[node_id].store_rows[store] += rows;
 }
 
+void StatementRecord::AddScanSkips(int node_id, int64_t groups, int64_t leaves) {
+  std::lock_guard<std::mutex> g(mu_);
+  OperatorActuals& a = operators_[node_id];
+  a.groups_skipped += groups;
+  a.leaves_skipped += leaves;
+}
+
 std::vector<StatementRecord::Wait> StatementRecord::TopWaits(size_t n) const {
   std::vector<Wait> out;
   {

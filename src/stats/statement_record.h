@@ -43,8 +43,11 @@ struct OperatorActuals {
   int64_t send_wait_us = 0;
   int64_t recv_wait_us = 0;
   // Scan nodes only: visible rows served per physical store ("heap",
-  // "ao-column", "delta-sealed", "delta-open", ...), across the gang.
+  // "ao-column", "delta-sealed", "delta-open", ...), across the gang, and the
+  // sealed column groups and partition leaves the filter's bounds skipped.
   std::map<std::string, int64_t> store_rows;
+  int64_t groups_skipped = 0;
+  int64_t leaves_skipped = 0;
 };
 
 class StatementRecord {
@@ -104,6 +107,7 @@ class StatementRecord {
   void AddOperator(int node_id, int64_t rows, int64_t elapsed_us, int64_t batches = 0);
   void AddMotionWait(int node_id, int64_t send_wait_us, int64_t recv_wait_us);
   void AddStoreRows(int node_id, const std::string& store, int64_t rows);
+  void AddScanSkips(int node_id, int64_t groups, int64_t leaves);
 
   /// Up to `n` waits, sorted by total_us descending.
   std::vector<Wait> TopWaits(size_t n) const;

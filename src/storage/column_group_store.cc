@@ -1,6 +1,8 @@
 #include "storage/column_group_store.h"
 
 #include <algorithm>
+#include <cmath>
+#include <type_traits>
 
 namespace gphtap {
 
@@ -22,11 +24,56 @@ size_t ColumnGroupStore::Append(const Row& row, LocalXid xmin) {
 void ColumnGroupStore::SealFront() {
   CompressedGroup group;
   group.columns.resize(open_.size());
+  group.ranges.reserve(open_.size());
   for (size_t c = 0; c < open_.size(); ++c) {
     EncodeColumn(compression_, open_[c], kGroupRows, &group.columns[c]);
+    group.ranges.push_back(RangeOf(open_[c], kGroupRows));
     open_[c].EraseFront(kGroupRows);
   }
   sealed_.push_back(std::move(group));
+}
+
+ColumnGroupStore::ValueRange ColumnGroupStore::RangeOf(const ColumnVector& col,
+                                                       size_t rows) {
+  ValueRange range;
+  auto scan = [&](const auto& values) {
+    using T = typename std::decay_t<decltype(values)>::value_type;
+    bool any = false;
+    T lo{}, hi{};
+    for (size_t r = 0; r < rows; ++r) {
+      if (col.IsNull(r)) continue;
+      const T v = values[r];
+      if constexpr (std::is_floating_point_v<T>) {
+        if (std::isnan(v)) return;
+      }
+      lo = !any || v < lo ? v : lo;
+      hi = !any || v > hi ? v : hi;
+      any = true;
+    }
+    range.known = true;
+    if (any) {
+      range.min = Datum(lo);
+      range.max = Datum(hi);
+    }
+  };
+  if (col.tag == ColumnVector::Tag::kInt64) scan(col.ints);
+  if (col.tag == ColumnVector::Tag::kDouble) scan(col.dbls);
+  return range;
+}
+
+bool ColumnGroupStore::RulesOut(size_t gi, const ScanBounds& bounds) const {
+  if (gi >= sealed_.size() || sealed_[gi].freed) return false;
+  const std::vector<ValueRange>& ranges = sealed_[gi].ranges;
+  for (const ScanBound& bound : bounds) {
+    const ValueRange& range = ranges[static_cast<size_t>(bound.column)];
+    if (!range.known) continue;
+    // A comparison with NULL is never true: an all-NULL column fails every
+    // bound.
+    if (range.min.is_null() || !RangeMaySatisfy(bound, range.min, range.max, false)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 StatusOr<bool> ColumnGroupStore::Decode(size_t gi, const std::vector<int>& cols,
@@ -64,22 +111,29 @@ StatusOr<bool> ColumnGroupStore::Decode(size_t gi, const std::vector<int>& cols,
 }
 
 Status ColumnGroupStore::Scan(std::shared_mutex& latch, const std::vector<int>& cols,
-                              const VisibilityContext& ctx, const GroupScanFn& fn) const {
+                              const ScanBounds& bounds, const VisibilityContext& ctx,
+                              const GroupScanFn& fn, uint64_t* groups_skipped) const {
   size_t num_groups;
   {
     std::shared_lock<std::shared_mutex> g(latch);
     num_groups = this->num_groups();
   }
+  uint64_t skipped = 0;
   for (size_t gi = 0; gi < num_groups; ++gi) {
     ColumnBatch batch;
     GroupRead read;
     {
       std::shared_lock<std::shared_mutex> g(latch);
+      if (RulesOut(gi, bounds)) {
+        ++skipped;
+        continue;
+      }
       GPHTAP_ASSIGN_OR_RETURN(bool any, Decode(gi, cols, ctx, &batch, &read));
       if (!any) continue;
     }
     if (!fn(gi, read, std::move(batch))) break;
   }
+  if (groups_skipped != nullptr) *groups_skipped += skipped;
   return Status::OK();
 }
 

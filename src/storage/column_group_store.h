@@ -17,6 +17,11 @@
 // reclamation works per group: a sealed group whose every row is dead to every
 // snapshot is freed wholesale.
 //
+// Sealing also records each int64 and double column's range of values in the
+// group, and a scan passes over a sealed group whose ranges rule out one of
+// its bounds (storage/scan_bounds.h). A range covers every stored row,
+// visible or not, so a skip never depends on the snapshot.
+//
 // Not synchronized: each owner calls in under its own latch, except Scan,
 // which takes the owner's latch itself, once per group.
 #ifndef GPHTAP_STORAGE_COLUMN_GROUP_STORE_H_
@@ -28,6 +33,7 @@
 
 #include "catalog/schema.h"
 #include "storage/compression.h"
+#include "storage/scan_bounds.h"
 #include "txn/visibility.h"
 #include "vec/column_batch.h"
 
@@ -97,7 +103,8 @@ class ColumnGroupStore {
   /// counts it dead.
   void Drop(size_t pos) { xmins_[pos] = kInvalidLocalXid; }
 
-  /// Seals the open run's leading kGroupRows rows. Requires
+  /// Seals the open run's leading kGroupRows rows and records the range of
+  /// each int64 and double column's values in them. Requires
   /// open_rows() >= kGroupRows.
   void SealFront();
 
@@ -114,10 +121,14 @@ class ColumnGroupStore {
   /// start, decodes each group under its own shared hold of `latch` (the
   /// owner's latch, which guards this store) and calls `fn` with no latch
   /// held, so `fn` may block or write to the owner. The groups that exist at
-  /// scan start hold every row the scan's snapshot can see. Stops when `fn`
-  /// returns false.
+  /// scan start hold every row the scan's snapshot can see. Under the same
+  /// hold, before its visibility pass, a sealed group whose ranges prove one
+  /// of `bounds` false for every stored row is skipped and counted in
+  /// `*groups_skipped` (may be null); open-run groups always decode. Stops
+  /// when `fn` returns false.
   Status Scan(std::shared_mutex& latch, const std::vector<int>& cols,
-              const VisibilityContext& ctx, const GroupScanFn& fn) const;
+              const ScanBounds& bounds, const VisibilityContext& ctx,
+              const GroupScanFn& fn, uint64_t* groups_skipped) const;
 
   /// Compressed size of column `col` in sealed group `gi` (0 once freed).
   uint64_t CompressedBytes(size_t gi, int col) const;
@@ -136,10 +147,24 @@ class ColumnGroupStore {
   void Clear();
 
  private:
+  // The min and max of one column's non-NULL values in a sealed group, both
+  // NULL when every value is. Unknown for a string column and for a double
+  // column that holds a NaN, which Datum::Compare finds equal to every double.
+  struct ValueRange {
+    bool known = false;
+    Datum min, max;
+  };
+
   struct CompressedGroup {
     std::vector<CompressedBlock> columns;  // one block per column
+    std::vector<ValueRange> ranges;        // one per column
     bool freed = false;
   };
+
+  static ValueRange RangeOf(const ColumnVector& col, size_t rows);
+
+  // Whether sealed group `gi`'s ranges prove one bound false for every row.
+  bool RulesOut(size_t gi, const ScanBounds& bounds) const;
 
   bool RowDead(size_t pos, const AoRowDeadFn& dead) const {
     return xmins_[pos] == kInvalidLocalXid || dead(xmins_[pos], xmaxs_[pos]);

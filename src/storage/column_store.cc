@@ -20,13 +20,26 @@ StatusOr<TupleId> AoColumnTable::Insert(LocalXid xid, const Row& row) {
 }
 
 Status AoColumnTable::Scan(const VisibilityContext& ctx, const ScanCallback& fn) {
-  std::vector<int> all(schema().num_columns());
-  std::iota(all.begin(), all.end(), 0);
-  return ScanColumns(ctx, all, fn);
+  return ScanBounded(ctx, {}, {}, fn, nullptr);
 }
 
 Status AoColumnTable::ScanColumns(const VisibilityContext& ctx,
                                   const std::vector<int>& cols, const ScanCallback& fn) {
+  return ScanRows(ctx, cols, {}, fn, nullptr);
+}
+
+Status AoColumnTable::ScanBounded(const VisibilityContext& ctx, const std::vector<int>& cols,
+                                  const ScanBounds& bounds, const ScanCallback& fn,
+                                  uint64_t* groups_skipped) {
+  if (!cols.empty()) return ScanRows(ctx, cols, bounds, fn, groups_skipped);
+  std::vector<int> all(schema().num_columns());
+  std::iota(all.begin(), all.end(), 0);
+  return ScanRows(ctx, all, bounds, fn, groups_skipped);
+}
+
+Status AoColumnTable::ScanRows(const VisibilityContext& ctx, const std::vector<int>& cols,
+                               const ScanBounds& bounds, const ScanCallback& fn,
+                               uint64_t* groups_skipped) {
   // A row-oriented table stores whole rows: it reads every column, then
   // projects `cols` out of each row.
   const bool whole_rows = def().storage == StorageKind::kAoRow;
@@ -35,35 +48,42 @@ Status AoColumnTable::ScanColumns(const VisibilityContext& ctx,
     read.resize(schema().num_columns());
     std::iota(read.begin(), read.end(), 0);
   }
-  return ScanGroups(ctx, read, [&](size_t gi, ColumnBatch&& batch) {
-    Row row(cols.size());
-    for (int32_t r : batch.sel) {
-      for (size_t k = 0; k < cols.size(); ++k) {
-        const size_t c = whole_rows ? static_cast<size_t>(cols[k]) : k;
-        row[k] = batch.columns[c].GetDatum(static_cast<size_t>(r));
-      }
-      if (!fn(gi * kRowGroupSize + static_cast<size_t>(r), row)) return false;
-    }
-    return true;
-  });
+  return ScanGroups(
+      ctx, read, bounds,
+      [&](size_t gi, ColumnBatch&& batch) {
+        Row row(cols.size());
+        for (int32_t r : batch.sel) {
+          for (size_t k = 0; k < cols.size(); ++k) {
+            const size_t c = whole_rows ? static_cast<size_t>(cols[k]) : k;
+            row[k] = batch.columns[c].GetDatum(static_cast<size_t>(r));
+          }
+          if (!fn(gi * kRowGroupSize + static_cast<size_t>(r), row)) return false;
+        }
+        return true;
+      },
+      groups_skipped);
 }
 
 Status AoColumnTable::ScanBatches(const VisibilityContext& ctx,
                                   const std::vector<int>& cols,
-                                  const BatchScanCallback& fn) {
-  return ScanGroups(ctx, cols,
-                    [&](size_t, ColumnBatch&& batch) { return fn(std::move(batch)); });
+                                  const BatchScanCallback& fn, const ScanBounds& bounds,
+                                  uint64_t* groups_skipped) {
+  return ScanGroups(
+      ctx, cols, bounds, [&](size_t, ColumnBatch&& batch) { return fn(std::move(batch)); },
+      groups_skipped);
 }
 
 Status AoColumnTable::ScanGroups(const VisibilityContext& ctx,
-                                 const std::vector<int>& cols,
-                                 const std::function<bool(size_t, ColumnBatch&&)>& fn) {
-  return store_.Scan(latch_, cols, ctx,
-                     [&](size_t gi, const ColumnGroupStore::GroupRead& read,
-                         ColumnBatch&& batch) {
-                       bytes_scanned_.fetch_add(read.bytes, std::memory_order_relaxed);
-                       return fn(gi, std::move(batch));
-                     });
+                                 const std::vector<int>& cols, const ScanBounds& bounds,
+                                 const std::function<bool(size_t, ColumnBatch&&)>& fn,
+                                 uint64_t* groups_skipped) {
+  return store_.Scan(
+      latch_, cols, bounds, ctx,
+      [&](size_t gi, const ColumnGroupStore::GroupRead& read, ColumnBatch&& batch) {
+        bytes_scanned_.fetch_add(read.bytes, std::memory_order_relaxed);
+        return fn(gi, std::move(batch));
+      },
+      groups_skipped);
 }
 
 size_t AoColumnTable::NumSealedGroups() const {

@@ -34,15 +34,21 @@ class AoColumnTable : public Table {
   Status Scan(const VisibilityContext& ctx, const ScanCallback& fn) override;
   Status ScanColumns(const VisibilityContext& ctx, const std::vector<int>& cols,
                      const ScanCallback& fn) override;
+  Status ScanBounded(const VisibilityContext& ctx, const std::vector<int>& cols,
+                     const ScanBounds& bounds, const ScanCallback& fn,
+                     uint64_t* groups_skipped) override;
   Status Truncate() override;
   uint64_t StoredVersionCount() const override;
   uint64_t BytesScanned() const override;
 
   /// Vectorized scan: each row group, sealed or open, arrives as one
   /// ColumnBatch of its touched columns whose selection vector holds the
-  /// visible rows. The row scans materialize the same batches.
+  /// visible rows, except the sealed groups `bounds` rule out, which are
+  /// counted in `*groups_skipped` (may be null). The row scans materialize
+  /// the same batches.
   Status ScanBatches(const VisibilityContext& ctx, const std::vector<int>& cols,
-                     const BatchScanCallback& fn);
+                     const BatchScanCallback& fn, const ScanBounds& bounds = {},
+                     uint64_t* groups_skipped = nullptr);
 
   /// Number of sealed row groups. The snapshot is stable for a scan's
   /// purposes: groups sealed afterwards hold rows the scan's snapshot cannot
@@ -78,9 +84,16 @@ class AoColumnTable : public Table {
   Status ApplyFreeGroup(size_t group_index);
 
  private:
+  // The row scans: rows of exactly `cols`.
+  Status ScanRows(const VisibilityContext& ctx, const std::vector<int>& cols,
+                  const ScanBounds& bounds, const ScanCallback& fn,
+                  uint64_t* groups_skipped);
+
   // The store's scan loop, charging each group's bytes to BytesScanned.
   Status ScanGroups(const VisibilityContext& ctx, const std::vector<int>& cols,
-                    const std::function<bool(size_t, ColumnBatch&&)>& fn);
+                    const ScanBounds& bounds,
+                    const std::function<bool(size_t, ColumnBatch&&)>& fn,
+                    uint64_t* groups_skipped);
 
   // tid == store position. Every store access holds latch_: unique for
   // writes, shared for reads — each group decodes under its own shared hold,

@@ -339,4 +339,9 @@ Status Table::ScanColumns(const VisibilityContext& ctx, const std::vector<int>& 
   });
 }
 
+Status Table::ScanBounded(const VisibilityContext& ctx, const std::vector<int>& cols,
+                          const ScanBounds&, const ScanCallback& fn, uint64_t*) {
+  return cols.empty() ? Scan(ctx, fn) : ScanColumns(ctx, cols, fn);
+}
+
 }  // namespace gphtap

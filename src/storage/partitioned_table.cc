@@ -1,9 +1,35 @@
 #include "storage/partitioned_table.h"
 
+#include <cmath>
+
 namespace gphtap {
 
 PartitionedTable::PartitionedTable(TableDef def, std::vector<std::unique_ptr<Table>> leaves)
     : Table(std::move(def)), leaves_(std::move(leaves)) {}
+
+bool PartitionedTable::LeafRuledOut(size_t i, const ScanBounds& bounds) const {
+  const PartitionSpec& spec = *def().partitions;
+  const TypeId type = schema().column(static_cast<size_t>(spec.partition_col)).type;
+  if (type == TypeId::kString) return false;
+  // Datum::Compare puts every number before a string and finds NaN equal to
+  // every number, so a string or NaN limit does not order the leaf's values:
+  // it counts as open, and at worst the leaf is read.
+  auto limit = [](const Datum& d) {
+    return d.is_int() || (d.is_double() && !std::isnan(d.double_val())) ? d : Datum::Null();
+  };
+  const Datum lower = limit(spec.ranges[i].lower);
+  const Datum upper = limit(spec.ranges[i].upper);
+  // NaN compares equal to every number, so it routes only to a leaf whose
+  // upper limit is open, where it would satisfy `column = c` for every c.
+  if (type == TypeId::kDouble && upper.is_null()) return false;
+  for (const ScanBound& bound : bounds) {
+    if (bound.column == spec.partition_col &&
+        !RangeMaySatisfy(bound, lower, upper, /*upper_exclusive=*/true)) {
+      return true;
+    }
+  }
+  return false;
+}
 
 Table* PartitionedTable::LeafFor(const Datum& v) {
   int idx = def().partitions->RouteValue(v);

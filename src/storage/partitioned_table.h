@@ -30,6 +30,11 @@ class PartitionedTable : public Table {
   size_t num_leaves() const { return leaves_.size(); }
   Table* leaf(size_t i) { return leaves_[i].get(); }
 
+  /// Whether leaf `i`'s range proves one of `bounds` on the partition column
+  /// false for every row the leaf holds (an UPDATE never moves a row out of
+  /// its leaf's range, see ExecModifyTable).
+  bool LeafRuledOut(size_t i, const ScanBounds& bounds) const;
+
  private:
   std::vector<std::unique_ptr<Table>> leaves_;
 };

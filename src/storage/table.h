@@ -10,6 +10,7 @@
 #include "catalog/schema.h"
 #include "storage/change_log.h"
 #include "common/status.h"
+#include "storage/scan_bounds.h"
 #include "storage/tuple.h"
 #include "txn/visibility.h"
 
@@ -41,6 +42,16 @@ class Table {
   /// the given order. Default implementation scans fully and projects.
   virtual Status ScanColumns(const VisibilityContext& ctx, const std::vector<int>& cols,
                              const ScanCallback& fn);
+
+  /// The executor's scan: ScanColumns of `cols`, or Scan when `cols` is
+  /// empty. `bounds` are conjuncts of the scan's filter; storage that keeps
+  /// value ranges (append-optimized tables, per sealed column group) skips
+  /// the groups they rule out and adds their number to `*groups_skipped`
+  /// (may be null). Every row skipped fails the filter. Heap and external
+  /// tables read every row.
+  virtual Status ScanBounded(const VisibilityContext& ctx, const std::vector<int>& cols,
+                             const ScanBounds& bounds, const ScanCallback& fn,
+                             uint64_t* groups_skipped);
 
   /// Whether rows carry MVCC versions that UPDATE/DELETE stamp in place
   /// (heap only; append-optimized tables delete through a visibility map).

@@ -154,8 +154,8 @@ bool FilterIntoSink(const PlanNode& node, ExecContext& ctx, const BatchSink& sin
 // run — no delta index here, or the feed missed the freshness deadline — so
 // the caller falls back to the row engine.
 Status ExecSeqScanDeltaMerged(const PlanNode& node, ExecContext& ctx,
-                              const std::vector<int>& cols, const BatchSink& sink,
-                              bool* served) {
+                              const std::vector<int>& cols, const ScanBounds& bounds,
+                              const BatchSink& sink, bool* served) {
   *served = false;
   if (ctx.cluster == nullptr || ctx.segment == nullptr) return Status::OK();
   DeltaIndex* di = ctx.cluster->delta_index(ctx.segment->index());
@@ -187,13 +187,15 @@ Status ExecSeqScanDeltaMerged(const PlanNode& node, ExecContext& ctx,
   VisibilityContext vis = ctx.Vis();
   uint64_t sealed_rows = 0;
   uint64_t open_rows = 0;
+  uint64_t groups_skipped = 0;
   Status inner = Status::OK();
   Status scan = ds->ScanBatches(
       vis, cols,
       [&](ColumnBatch&& batch) {
         return FilterIntoSink(node, ctx, sink, std::move(batch), &inner);
       },
-      &sealed_rows, &open_rows);
+      &sealed_rows, &open_rows, bounds, &groups_skipped);
+  CountScanSkips(node, ctx, groups_skipped, 0);
   if (StatementRecord* actuals = ctx.actuals()) {
     actuals->AddStoreRows(node.node_id, "delta-merged",
                           static_cast<int64_t>(sealed_rows + open_rows));
@@ -217,11 +219,12 @@ Status ExecSeqScanVec(const PlanNode& node, ExecContext& ctx, const BatchSink& s
     cols.resize(table->schema().num_columns());
     for (size_t i = 0; i < cols.size(); ++i) cols[i] = static_cast<int>(i);
   }
+  const ScanBounds bounds = ScanBoundsOf(node);
   auto* aoc = dynamic_cast<AoColumnTable*>(table);
   if (aoc == nullptr) {
     if (dynamic_cast<HeapTable*>(table) != nullptr) {
       bool served = false;
-      Status s = ExecSeqScanDeltaMerged(node, ctx, cols, sink, &served);
+      Status s = ExecSeqScanDeltaMerged(node, ctx, cols, bounds, sink, &served);
       if (served) return s;
       if (ctx.cluster != nullptr) {
         ctx.cluster->metrics().counter("delta.fallback_scans")->Add(1);
@@ -232,10 +235,15 @@ Status ExecSeqScanVec(const PlanNode& node, ExecContext& ctx, const BatchSink& s
 
   Status inner = Status::OK();
   int64_t visible_rows = 0;
-  Status scan = aoc->ScanBatches(ctx.Vis(), cols, [&](ColumnBatch&& batch) {
-    visible_rows += static_cast<int64_t>(batch.ActiveRows());
-    return FilterIntoSink(node, ctx, sink, std::move(batch), &inner);
-  });
+  uint64_t groups_skipped = 0;
+  Status scan = aoc->ScanBatches(
+      ctx.Vis(), cols,
+      [&](ColumnBatch&& batch) {
+        visible_rows += static_cast<int64_t>(batch.ActiveRows());
+        return FilterIntoSink(node, ctx, sink, std::move(batch), &inner);
+      },
+      bounds, &groups_skipped);
+  CountScanSkips(node, ctx, groups_skipped, 0);
   if (StatementRecord* actuals = ctx.actuals(); actuals != nullptr && visible_rows > 0) {
     actuals->AddStoreRows(node.node_id, "ao-column", visible_rows);
   }
